@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -20,11 +19,13 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import GmcError
 from .exactlaw import (
+    EXACT_DG_FACTORS,
     GmcParams,
     ObservableKind,
     ShiftKind,
     derivative_martingale_moment,
     exact_moment,
+    exact_moment_factors,
     log_exact_moment,
     law_decomposition_log_moment,
     predict_observable,
@@ -73,13 +74,6 @@ def _emit(args, command: str, parameters: dict, rows: list[dict]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("GMC_THREADS")
-    return int(env) if env else None
 
 
 def _add_output_opts(p):
@@ -192,24 +186,12 @@ def build_parser() -> _Parser:
 
 def _cmd_exact(args) -> int:
     params = GmcParams(args.gamma, args.p, args.a, args.b)
-    g, p, a, b = args.gamma, args.p, args.a, args.b
-    m, n = g / 2.0, 2.0 / g
-    dg = double_gamma_evaluator(g).log_value
-    row = {
-        "value": exact_moment(params),
-        "log_value": log_exact_moment(params),
-        "log_prefactor": p * math.log(2.0 * math.pi)
-        - p * (g * g / 4.0) * math.log(m) - p * math.lgamma(1.0 - g * g / 4.0),
-        "log_dg_num_a": dg(n * (a + 1.0) - (p - 1.0) * m),
-        "log_dg_num_b": dg(n * (b + 1.0) - (p - 1.0) * m),
-        "log_dg_num_ab": dg(n * (a + b + 2.0) - (p - 2.0) * m),
-        "log_dg_num_p": dg(n - p * m),
-        "log_dg_den_base": dg(n),
-        "log_dg_den_a": dg(n * (a + 1.0) + m),
-        "log_dg_den_b": dg(n * (b + 1.0) + m),
-        "log_dg_den_ab": dg(n * (a + b + 2.0) - (2.0 * p - 2.0) * m),
-    }
-    _emit(args, "exact", {"gamma": g, "p": p, "a": a, "b": b}, [row])
+    row = {"value": exact_moment(params), "log_value": log_exact_moment(params)}
+    ln_num, ln_den, dg_args = exact_moment_factors(params)
+    row["log_prefactor"] = ln_num - ln_den
+    logs = double_gamma_evaluator(args.gamma).log_value(dg_args).tolist()
+    row.update((f"log_dg_{name}", lv) for name, lv in zip(EXACT_DG_FACTORS, logs))
+    _emit(args, "exact", {"gamma": args.gamma, "p": args.p, "a": args.a, "b": args.b}, [row])
     return 0
 
 
@@ -250,11 +232,14 @@ def _cmd_law_decomp(args) -> int:
 
 
 def _cmd_dgamma(args) -> int:
-    ev = double_gamma_evaluator(args.gamma)
+    xs = np.linspace(args.x_min, args.x_max, args.count)
     rows = []
-    for x in np.linspace(args.x_min, args.x_max, args.count):
-        lv = ev.log_value(float(x))
-        rows.append({"x": float(x), "log_value": lv, "value": math.exp(lv)})
+    for x, lv in zip(xs.tolist(), double_gamma_evaluator(args.gamma).log_value(xs).tolist()):
+        try:
+            value = math.exp(lv)
+        except OverflowError:
+            value = "inf"  # log_value still carries the number
+        rows.append({"x": x, "log_value": lv, "value": value})
     _emit(args, "dgamma", {"gamma": args.gamma}, rows)
     return 0
 
@@ -281,7 +266,7 @@ def _cmd_mc_moment(args) -> int:
     params = GmcParams(args.gamma, args.p, args.a, args.b)
     cfg = config_for(args.replicates, args.n_modes, args.seed, args.a, args.b,
                      args.batches, args.cells_per_mode)
-    est = mc_moment(params, args.t, args.chi, cfg, _threads(args))
+    est = mc_moment(params, args.t, args.chi, cfg, args.threads)
     closed = None
     if args.chi == 0.0:
         closed = exact_moment(params)  # the moving weight is identically 1
@@ -307,7 +292,7 @@ def _cmd_tail(args) -> int:
     cfg = config_for(args.replicates, args.n_modes, args.seed,
                      batches=args.batches, cells_per_mode=args.cells_per_mode)
     u_grid = np.geomspace(args.u_min, args.u_max, args.u_count)
-    fit = mc_tail_fit(args.gamma, args.alpha, args.eta, u_grid, cfg, _threads(args))
+    fit = mc_tail_fit(args.gamma, args.alpha, args.eta, u_grid, cfg, args.threads)
     q = args.gamma / 2.0 + 2.0 / args.gamma
     slope_closed = -2.0 * (q - args.alpha) / args.gamma
     ln_refl = math.log(reflection_boundary_1d(args.gamma, args.alpha))
@@ -336,7 +321,7 @@ def _cmd_small_dev(args) -> int:
     eps = args.eps if args.eps else [0.25, 0.3, 0.45, 0.5, 0.75, 1.0, 1.5, 2.0]
     cfg = config_for(args.replicates, args.n_modes, args.seed,
                      batches=args.batches, cells_per_mode=args.cells_per_mode)
-    result = mc_small_deviation(args.gamma, np.asarray(eps), cfg, _threads(args))
+    result = mc_small_deviation(args.gamma, np.asarray(eps), cfg, args.threads)
     rows = []
     for pt in result.points:
         rows.append({
@@ -378,7 +363,7 @@ def _cmd_verify(args) -> int:
                          batches=max(10, min(50, args.replicates // 10)))
         for kind in ObservableKind:
             reports.extend(verify_mod.verify_observable_prediction(
-                params, kind, (-1e-6, -0.5, -2.0), cfg, _threads(args)))
+                params, kind, (-1e-6, -0.5, -2.0), cfg, args.threads))
     text = (verify_mod.reports_to_json(reports) if args.format == "json"
             else verify_mod.reports_to_csv(reports))
     if args.output:

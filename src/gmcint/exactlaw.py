@@ -15,6 +15,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BoundsError, DegenerateParamsError, DomainError
 from .specfun import (
     Beta22Params,
@@ -29,7 +31,10 @@ from .specfun import (
 
 _INT_GUARD = 1e-9  # distance to the nearest integer below which the basis degenerates
 _LARGE_T_SWITCH = -100.0  # beyond this the mapped series argument is too close to 1
-_CANCEL_LIMIT = 1e8  # max tolerated cancellation between the two basis terms
+_LOG_CANCEL_LIMIT = math.log(1e8)  # max tolerated cancellation between the two basis terms
+
+# the double gamma factors of the exact moment, in exact_moment_factors order
+EXACT_DG_FACTORS = ("num_a", "num_b", "num_ab", "num_p", "den_base", "den_a", "den_b", "den_ab")
 
 
 @dataclass(frozen=True)
@@ -85,28 +90,35 @@ def _require_bounds(params: GmcParams) -> None:
         raise BoundsError(f"moment does not exist for {params}")
 
 
-def log_exact_moment(params: GmcParams) -> float:
-    """ln of the exact fractional moment."""
-    _require_bounds(params)
+def exact_moment_factors(params: GmcParams) -> tuple[float, float, np.ndarray]:
+    """The factors of the exact moment: (ln num, ln den, double gamma args).
+
+    The moment is exp(ln num - ln den) times the double gamma values at the
+    first four arguments over those at the last four, in EXACT_DG_FACTORS
+    order.
+    """
     g, p, a, b = params.gamma, params.p, params.a, params.b
     m = g / 2.0
     n = 2.0 / g
     ab = (a + 1.0) + (b + 1.0)  # grouped so a <-> b symmetry is bit-exact
-    dg = double_gamma_evaluator(g).log_value
-    num = (
-        p * math.log(2.0 * math.pi)
-        + (dg(n * (a + 1.0) - (p - 1.0) * m) + dg(n * (b + 1.0) - (p - 1.0) * m))
-        + dg(n * ab - (p - 2.0) * m)
-        + dg(n - p * m)
+    ln_num = p * math.log(2.0 * math.pi)
+    ln_den = p * (g * g / 4.0) * math.log(m) + p * math.lgamma(1.0 - g * g / 4.0)
+    args = np.array([
+        n * (a + 1.0) - (p - 1.0) * m, n * (b + 1.0) - (p - 1.0) * m,
+        n * ab - (p - 2.0) * m, n - p * m,
+        n, n * (a + 1.0) + m, n * (b + 1.0) + m, n * ab - (2.0 * p - 2.0) * m,
+    ])
+    return ln_num, ln_den, args
+
+
+def log_exact_moment(params: GmcParams) -> float:
+    """ln of the exact fractional moment."""
+    _require_bounds(params)
+    ln_num, ln_den, args = exact_moment_factors(params)
+    na, nb, nab, npp, dbase, da, db, dab = (
+        double_gamma_evaluator(params.gamma).log_value(args).tolist()
     )
-    den = (
-        p * (g * g / 4.0) * math.log(m)
-        + p * math.lgamma(1.0 - g * g / 4.0)
-        + dg(n)
-        + (dg(n * (a + 1.0) + m) + dg(n * (b + 1.0) + m))
-        + dg(n * ab - (2.0 * p - 2.0) * m)
-    )
-    return num - den
+    return (ln_num + (na + nb) + nab + npp) - (ln_den + dbase + (da + db) + dab)
 
 
 def exact_moment(params: GmcParams) -> float:
@@ -146,13 +158,13 @@ def c_of_p(gamma: float, p: float) -> float:
     n = 2.0 / gamma
     if not p < 4.0 / (gamma * gamma):
         raise DomainError(f"need p < 4/gamma^2, got p={p!r}")
-    dg = double_gamma_evaluator(gamma).log_value
+    dg_p, dg_n = double_gamma_evaluator(gamma).log_value(np.array([n - p * m, n])).tolist()
     logval = (
         p * math.log(2.0 * math.pi)
         - p * math.lgamma(1.0 - gamma * gamma / 4.0)
         + p * (gamma * gamma / 4.0) * math.log(n)
-        + dg(n - p * m)
-        - dg(n)
+        + dg_p
+        - dg_n
     )
     return math.exp(logval)
 
@@ -206,14 +218,15 @@ def reflection_boundary_1d(gamma: float, alpha: float) -> float:
     if not gamma / 2.0 < alpha < q:
         raise DomainError(f"alpha must lie in (gamma/2, Q), got {alpha!r}")
     s = (2.0 / gamma) * (q - alpha)  # tail exponent
-    dg = double_gamma_evaluator(gamma).log_value
+    args = np.array([alpha - gamma / 2.0, q - alpha])
+    dg_low, dg_high = double_gamma_evaluator(gamma).log_value(args).tolist()
     logval = (
         (s - 0.5) * math.log(2.0 * math.pi)
         + ((gamma / 2.0) * (q - alpha) - 0.5) * math.log(2.0 / gamma)
         - math.log(q - alpha)
         - s * math.lgamma(1.0 - gamma * gamma / 4.0)
-        + dg(alpha - gamma / 2.0)
-        - dg(q - alpha)
+        + dg_low
+        - dg_high
     )
     return math.exp(logval)
 
@@ -265,14 +278,16 @@ def derivative_martingale_moment(p: float) -> float:
     """Moment of twice the derivative-martingale total mass, for p < 1."""
     if not p < 1.0:
         raise DomainError(f"need p < 1, got {p!r}")
-    g1 = double_gamma_evaluator(2.0).log_value
+    g1 = double_gamma_evaluator(2.0).log_value(
+        np.array([1.0 - p, 2.0 - p, 4.0 - p, 2.0, 4.0 - 2.0 * p])
+    ).tolist()
     logval = (
         p * math.log(2.0 * math.pi)
-        + g1(1.0 - p)
-        + 2.0 * g1(2.0 - p)
-        + g1(4.0 - p)
-        - 2.0 * g1(2.0)
-        - g1(4.0 - 2.0 * p)
+        + g1[0]
+        + 2.0 * g1[1]
+        + g1[2]
+        - 2.0 * g1[3]
+        - g1[4]
     )
     return math.exp(logval)
 
@@ -320,8 +335,10 @@ def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> flo
         c1, _ = connection_coeffs(triple, d1, 0.0)
         return c1
     c1, c2 = connection_coeffs(triple, d1, 0.0)
-    cancellation = abs(c2 / d1) * abs(t) ** (1.0 - c + a)
-    if t < _LARGE_T_SWITCH or cancellation > _CANCEL_LIMIT:
+    if t < _LARGE_T_SWITCH or (
+        c2 != 0.0
+        and math.log(abs(c2 / d1)) + (1.0 - c + a) * math.log(abs(t)) > _LOG_CANCEL_LIMIT
+    ):
         tail = hyp2f1_negative(HypTriple(a, 1.0 + a - c, 1.0 + a - b), 1.0 / t)
         return d1 * abs(t) ** (-a) * tail
     first = c1 * hyp2f1_negative(triple, t)

@@ -95,10 +95,16 @@ class SmallDeviationResult:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("GMC_THREADS")
-    return max(1, int(env)) if env else 1
+    """Worker count: threads if given, else the GMC_THREADS variable, else 1."""
+    if threads is None:
+        env = os.environ.get("GMC_THREADS")
+        if not env:
+            return 1
+        try:
+            threads = int(env)
+        except ValueError:
+            raise DomainError(f"GMC_THREADS must be an integer, got {env!r}") from None
+    return max(1, threads)
 
 
 def _simulate_integrals(

@@ -1,11 +1,17 @@
-"""Adaptive Gauss-Legendre panel integration.
+"""Level-synchronous adaptive Gauss-Legendre panel integration.
 
-Small self-contained kernel shared by the double gamma evaluator and the
-integral identity checks.  Panels are laid out geometrically by the caller;
-each panel is integrated with a 32-node rule, the error is estimated against
-a 16-node rule, and failing panels are bisected.
+One kernel, shared by the double gamma evaluator and the integral identity
+checks, integrates a batch of rows at once.  Row i is the integral of the
+integrand over the panels between consecutive entries of ``edges[i]``; the
+caller lays them out geometrically.  Each round evaluates every pending
+panel of every row, at the 32 nodes and at the 16 nodes of the error
+estimate, in a single call of the integrand.  A panel whose two rules agree
+is accepted and the others are bisected for the next round, so the panels
+of one round all share a depth.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -13,42 +19,77 @@ from .errors import ConvergenceError
 
 _GL32_X, _GL32_W = np.polynomial.legendre.leggauss(32)
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+_GL_X = np.concatenate((_GL32_X, _GL16_X))  # both rules in one integrand call
 
 _MAX_DEPTH = 40
 
 
 def geometric_edges(a, b, ratio=3.0):
-    """Panel edges from a to b with geometrically growing widths."""
-    if not (0.0 < a < b):
+    """Panel edges from a to each b with geometrically growing widths.
+
+    b is a float or a 1-D array; the result has one row per b.  Row i runs
+    a, a*ratio, a*ratio**2, ... capped at b[i], and is padded at its end
+    with b[i], i.e. with zero-width panels, to the length of the longest row.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if not (0.0 < a and np.all(a < b)):
         raise ValueError("need 0 < a < b")
-    edges = [a]
-    while edges[-1] < b:
-        edges.append(min(edges[-1] * ratio, b))
-    return edges
+    # one spare edge, so that rounding in the log cannot leave a row short of b
+    factors = np.full(math.ceil(math.log(float(b.max()) / a) / math.log(ratio)) + 2, ratio)
+    factors[0] = a
+    # running products, so that each edge is the previous one times ratio
+    return np.minimum(np.cumprod(factors), b[:, None])
 
 
 def integrate_panels(f, edges, rel_tol=1e-13, abs_floor=1.0):
-    """Integrate a smooth vectorized integrand over consecutive panels.
+    """Integrate a smooth vectorized integrand over each row of panels.
 
-    Each panel is accepted when the 32- vs 16-node Gauss-Legendre results
+    ``edges`` has shape (rows, n_edges).  f takes t shaped (rows, panels,
+    nodes) and returns values of that shape.  Slot [i, j] of t holds points
+    of row i only, so f may depend on the row, as the double gamma integrand
+    depends on its x.  Zero-width panels pad the rows to a common length:
+    they sit at the row's last edge, where f must be finite, and count 0.
+    Returns the integral of every row.
+
+    A panel is accepted when the 32- vs 16-node Gauss-Legendre results
     agree within rel_tol * (abs_floor + |value|); otherwise it is bisected.
-    abs_floor makes the criterion an absolute one for near-zero panels.
+    abs_floor makes the criterion an absolute one for near-zero panels.  A
+    row's accepted panels are added with math.fsum, so its integral does
+    not depend on the other rows of the batch.
     """
-    total = 0.0
-    stack = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
-    while stack:
-        a, b, depth = stack.pop()
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        v32 = half * np.dot(_GL32_W, f(mid + half * _GL32_X))
-        v16 = half * np.dot(_GL16_W, f(mid + half * _GL16_X))
-        if not np.isfinite(v32):
-            raise ConvergenceError(f"non-finite panel integral on [{a}, {b}]")
-        if abs(v32 - v16) <= rel_tol * (abs_floor + abs(v32)) or depth >= _MAX_DEPTH:
-            if depth >= _MAX_DEPTH and abs(v32 - v16) > 1e6 * rel_tol * (abs_floor + abs(v32)):
-                raise ConvergenceError(f"panel refinement stalled on [{a}, {b}]")
-            total += v32
-        else:
-            stack.append((a, mid, depth + 1))
-            stack.append((mid, b, depth + 1))
-    return total
+    edges = np.asarray(edges, dtype=float)
+    idle = edges[:, -1:]
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    accepted = []
+    for depth in range(_MAX_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        vals = f(mid[..., None] + half[..., None] * _GL_X)
+        v32 = half * (vals[..., :32] * _GL32_W).sum(axis=-1)
+        v16 = half * (vals[..., 32:] * _GL16_W).sum(axis=-1)
+        bad = ~np.isfinite(v32)
+        if bad.any():
+            i = np.argmax(bad)
+            raise ConvergenceError(f"non-finite panel integral on [{lo.flat[i]}, {hi.flat[i]}]")
+        err = np.abs(v32 - v16)
+        scale = rel_tol * (abs_floor + np.abs(v32))
+        if depth == _MAX_DEPTH:
+            stalled = err > 1e6 * scale
+            if stalled.any():
+                i = np.argmax(stalled)
+                raise ConvergenceError(f"panel refinement stalled on [{lo.flat[i]}, {hi.flat[i]}]")
+            accepted.append(v32)
+            break
+        ok = err <= scale
+        accepted.append(np.where(ok, v32, 0.0))
+        if ok.all():
+            break
+        # bisect the failing panels, moved to the front of their rows
+        order = np.argsort(ok, axis=1, kind="stable")[:, : (~ok).sum(axis=1).max()]
+        split = ~np.take_along_axis(ok, order, axis=1)
+        a = np.where(split, np.take_along_axis(lo, order, axis=1), idle)
+        b = np.where(split, np.take_along_axis(hi, order, axis=1), idle)
+        c = 0.5 * (a + b)
+        lo = np.stack((a, c), axis=-1).reshape(len(a), -1)
+        hi = np.stack((c, b), axis=-1).reshape(len(a), -1)
+    return np.array([math.fsum(row) for row in np.hstack(accepted).tolist()])

@@ -1,29 +1,43 @@
-"""Scalar special functions.
+"""Special functions.
 
 Euler Gamma (with reflection to negative arguments), the Gauss
 hypergeometric function restricted to nonpositive argument, the double
-gamma function, Barnes G, moments of the generalized beta law, and the
-2x2 connection matrix between hypergeometric solution bases.
+gamma function (over an array of arguments at once), Barnes G, moments of
+the generalized beta law, and the 2x2 connection matrix between
+hypergeometric solution bases.
 
 Everything here is a pure function of its arguments; evaluator objects are
-immutable after construction apart from an internal memo cache, so all
-operations are safe to call concurrently.
+immutable after construction apart from an internal, bounded memo cache,
+so all operations are safe to call concurrently.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import bernoulli, gammaln
 
 from .errors import ConvergenceError, DegenerateCError, DomainError, PoleError
 from .quadrature import geometric_edges, integrate_panels
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12  # absolute tolerance for nonpositive-integer detection
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 _SERIES_TOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
+
+_HEAD_TERMS = 10  # Taylor terms of the double gamma series head
+_FACTORIAL = np.cumprod(np.concatenate(([1.0], np.arange(1.0, _HEAD_TERMS + 3))))
+# u / (1 - e^{-u}) = sum_k (-1)^k B_k u^k / k!, as far as the head needs
+_INV_H = (-1.0) ** np.arange(_HEAD_TERMS + 2) * bernoulli(_HEAD_TERMS + 1) / _FACTORIAL[:-1]
+_MEMO_SIZE = 4096  # double gamma values memoized per evaluator
+_EVALUATORS_KEPT = 128  # per-gamma evaluators kept by double_gamma_evaluator
+_BATCH_ROWS = 128  # arguments per batched window quadrature, which bounds its memory
+_SHIFT_BLOCK = 1 << 16  # lgamma terms formed at once by the shift reduction
+_MAX_SHIFT_STEPS = 10**8  # about 4 s of shift reduction; larger arguments are refused
 
 
 def _sinpi(x: float) -> float:
@@ -106,33 +120,57 @@ def hyp2f1_negative(params: HypTriple, t: float) -> float:
     return (1.0 - t) ** (-a) * _hyp2f1_series(a, c - b, c, z)
 
 
-def _dgamma_series_coeffs(q: float, x: float, order: int = 10) -> np.ndarray:
-    """Taylor coefficients about t=0 of the double gamma log-integrand.
+def _dgamma_head_weights(q: float, s: float) -> tuple[np.ndarray, float]:
+    """Weights of the series head: the log-integrand's integral over [0, s].
 
-    The integrand is
+    The double gamma log-integrand is
         [e^{-xt} - e^{-Qt/2}] / [(1-e^{-mt})(1-e^{-nt}) t]
         - (Q/2-x)^2/2 * e^{-t}/t + (x-Q/2)/t^2
-    with m n = 1 and m + n = Q; the 1/t^2 and 1/t parts cancel identically
-    and the remainder is computed by series division.
+    with m n = 1 and m + n = Q; the 1/t^2 and 1/t parts cancel identically.
+    Its Taylor coefficients about t=0 are those of the numerator
+    e^{-xt} - e^{-Qt/2} = sum_{j>=1} a_j t^j, a_j = ((-x)^j - (-Q/2)^j)/j!,
+    times the series of t^2 over the denominator, minus the (Q/2-x)^2 part.
+    They are linear in the a_j and in (Q/2-x)^2, so the head is
+        sum_j ((-x)^j - (-Q/2)^j) w_j - (Q/2-x)^2/2 * v,   j = 1 .. len(w),
+    and (w, v) depend on Q and s only.
     """
     m = q / 2.0 + math.sqrt(max(q * q / 4.0 - 1.0, 0.0))
     n = q - m
-    k_max = order + 3
-    fac = np.cumprod(np.concatenate(([1.0], np.arange(1.0, k_max + 2))))
-    j = np.arange(0, k_max + 1)
-    # numerator e^{-xt} - e^{-Qt/2} = sum_{j>=1} a_j t^j
-    a = ((-x) ** j - (-q / 2.0) ** j) / fac[: k_max + 1]
-    # h(u) = (1-e^{-u})/u; denominator / t^2 = h(mt) h(nt)
-    i = np.arange(0, k_max)
-    h = (-1.0) ** i / fac[1 : k_max + 1]
-    den = np.convolve(h * m**i, h * n**i)[:k_max]  # den[0] = 1
-    num = a[1 : k_max + 1]
-    quot = np.empty(k_max)
-    for k in range(k_max):
-        quot[k] = num[k] - (np.dot(quot[:k], den[k:0:-1]) if k else 0.0)
-    d = q / 2.0 - x
-    k = np.arange(order)
-    return quot[2 : order + 2] - (d * d / 2.0) * (-1.0) ** (k + 1) / fac[k + 1]
+    i = np.arange(len(_INV_H))
+    # t^2 / denominator = 1 / (h(mt) h(nt)), h(u) = (1 - e^{-u}) / u
+    recip = np.convolve(_INV_H * m**i, _INV_H * n**i)[: len(i)]
+    # coefficient k of the integrand is sum_j a_j recip[k+3-j], j >= 1, less
+    # the (Q/2-x)^2 part; integrating t^k over [0, s] gives s^(k+1)/(k+1)
+    k = np.arange(_HEAD_TERMS)
+    power = s ** (k + 1) / (k + 1)
+    lag = k + 2 - i[:, None]  # k + 3 - j for a_j, j = i + 1
+    toeplitz = np.where(lag >= 0, recip[np.maximum(lag, 0)], 0.0)
+    w = (toeplitz * power).sum(axis=1) / _FACTORIAL[i + 1]
+    v = float(np.dot((-1.0) ** (k + 1) / _FACTORIAL[k + 1], power))
+    return w, v
+
+
+def _sequential_sum(fn, start: np.ndarray, step: float, first: int, count: np.ndarray):
+    """Per row i, the sum of fn(start[i] + j*step) over j = first .. first+count[i]-1.
+
+    The terms are formed in blocks of at most _SHIFT_BLOCK values and added
+    one after another in j order, each block carrying on from the total of
+    the last.  The result is the same whatever the block split, so a row's
+    sum does not depend on the other rows.
+    """
+    total = np.zeros(len(start))
+    done = 0
+    while True:
+        rows = np.flatnonzero(count > done)
+        if not rows.size:
+            return total
+        width = min(int(count[rows].max()) - done, max(1, _SHIFT_BLOCK // rows.size))
+        j = first + done + np.arange(width)
+        terms = fn(start[rows, None] + j * step)
+        terms[j >= first + count[rows, None]] = 0.0
+        terms[:, 0] += total[rows]
+        total[rows] = np.cumsum(terms, axis=1)[:, -1]
+        done += width
 
 
 @dataclass
@@ -141,12 +179,17 @@ class DoubleGamma:
 
     gamma = 2 is admitted solely as the bridge to the Barnes G function.
     The quasi-periods are m = gamma/2 and n = 2/gamma with m*n = 1, and
-    q = m + n.  Evaluation strategy: on the base window the defining
-    integral is computed with a Taylor-series head below `series_switch`,
-    adaptive Gauss-Legendre panels up to a cutoff T, and the algebraic
-    (x - q/2)/T tail added in closed form; arguments above q are reduced
-    into the window with the two shift equations, arguments below a small
-    floor are lifted by the m-shift (the function has a simple pole at 0).
+    q = m + n.  Evaluation strategy: arguments above q are reduced into the
+    base window with the two shift equations and arguments below a small
+    floor are lifted by the m-shift (the function has a simple pole at 0);
+    the shift factors are lgamma sums, vectorized over index blocks.  On the
+    window the defining integral is computed with a Taylor-series head below
+    `series_switch`, adaptive Gauss-Legendre panels up to a cutoff T, and
+    the algebraic (x - q/2)/T tail added in closed form.  `log_value` takes
+    an array of arguments and integrates all of them in one batched panel
+    quadrature (`quadrature.integrate_panels`), each with its own panel
+    tree, so a value does not depend on the batch it was computed in.
+    Values are memoized per argument, up to _MEMO_SIZE of them.
     """
 
     gamma: float
@@ -162,78 +205,114 @@ class DoubleGamma:
         self._m = self.gamma / 2.0
         self._n = 2.0 / self.gamma
         self._x_floor = 0.05
+        self._head_weights = _dgamma_head_weights(self.q, self.series_switch)
         self._cache = {}
 
-    def _integrand(self, x: float, t: np.ndarray) -> np.ndarray:
+    def _integrand(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         q = self.q
         gap = (0.5 * q - x) * t
+        near_zero = np.abs(gap) < 1.0
+        e_half_q = np.exp(-0.5 * q * t)
         # expm1 form only where the two exponentials nearly cancel
         with np.errstate(over="ignore", invalid="ignore"):
-            near = np.exp(-0.5 * q * t) * np.expm1(np.where(np.abs(gap) < 1.0, gap, 0.0))
-        num = np.where(np.abs(gap) < 1.0, near, np.exp(-x * t) - np.exp(-0.5 * q * t))
+            near = e_half_q * np.expm1(np.where(near_zero, gap, 0.0))
+        num = np.where(near_zero, near, np.exp(-x * t) - e_half_q)
         den = np.expm1(-self._m * t) * np.expm1(-self._n * t)
         return (num / den) / t - 0.5 * (0.5 * q - x) ** 2 * np.exp(-t) / t + (x - 0.5 * q) / t**2
 
-    def _ln_window(self, x: float) -> float:
+    def _ln_window(self, x: np.ndarray) -> np.ndarray:
         s = self.series_switch
-        coeffs = _dgamma_series_coeffs(self.q, x)
-        k = np.arange(1, len(coeffs) + 1)
-        head = float(np.sum(coeffs * s**k / k))
-        mu = min(x, 0.5 * self.q, 1.0)
-        t_cut = max(45.0, (45.0 + math.log(max(1.0, 1.0 / mu))) / mu)
+        w, v = self._head_weights
+        j = np.arange(1, len(w) + 1)
+        d = 0.5 * self.q - x
+        head = (((-x[:, None]) ** j - (-0.5 * self.q) ** j) * w).sum(axis=1) - (d * d / 2.0) * v
+        mu = np.minimum(np.minimum(x, 0.5 * self.q), 1.0)
+        t_cut = np.maximum(45.0, (45.0 + np.log(np.maximum(1.0, 1.0 / mu))) / mu)
         body = integrate_panels(
-            lambda t: self._integrand(x, t),
+            lambda t: self._integrand(x[:, None, None], t),
             geometric_edges(s, t_cut),
             rel_tol=self.quad_rel_tol,
         )
         return head + body + (x - 0.5 * self.q) / t_cut
 
-    def _ln_shift_m(self, y: float) -> float:
+    def _ln_shift_m(self, y: np.ndarray) -> np.ndarray:
         """ln of Gamma_{m}(y)/Gamma_{m}(y+m) per the m-shift equation."""
         g = self.gamma
-        return math.lgamma(0.5 * g * y) + (0.5 - 0.5 * g * y) * math.log(0.5 * g) - _LOG_SQRT_2PI
+        z = 0.5 * g * y
+        # gammaln overflows below the normal range, where lgamma(z) = -log(z)
+        # to double precision; only the lift of a tiny x gets there.  The
+        # max keeps the padding terms of _sequential_sum inside log's domain.
+        lgamma = np.where(z < _TINY, -np.log(np.maximum(z, 5e-324)), gammaln(z))
+        return lgamma + (0.5 - 0.5 * g * y) * math.log(0.5 * g) - _LOG_SQRT_2PI
 
-    def _ln_shift_n(self, y: float) -> float:
+    def _ln_shift_n(self, y: np.ndarray) -> np.ndarray:
         g = self.gamma
-        return math.lgamma(2.0 * y / g) + (2.0 * y / g - 0.5) * math.log(0.5 * g) - _LOG_SQRT_2PI
+        return gammaln(2.0 * y / g) + (2.0 * y / g - 0.5) * math.log(0.5 * g) - _LOG_SQRT_2PI
 
-    def log_value(self, x: float) -> float:
-        """ln of the double gamma function at x > 0."""
-        if not x > 0.0:
-            raise DomainError(f"double gamma needs x > 0, got {x!r}")
-        if not math.isfinite(x):
-            raise DomainError(f"non-finite argument {x!r}")
-        cached = self._cache.get(x)
-        if cached is not None:
-            return cached
-        shift = 0.0
-        y = x
-        while y < self._x_floor:
-            shift += self._ln_shift_m(y)
-            y += self._m
-        while y > self.q:
-            # reduce by the larger quasi-period when it stays above the floor
-            step = self._n if y - self._n >= self._x_floor else self._m
-            y -= step
-            shift -= self._ln_shift_n(y) if step == self._n else self._ln_shift_m(y)
-        val = self._ln_window(y) + shift
-        self._cache[x] = val
-        return val
+    def _reduce(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Window arguments y and shifts with ln G(x) = ln G(y) + shift.
+
+        Below the floor, x is lifted by k m-steps.  Above q it is reduced by
+        n-steps while it stays above the floor, then by m-steps, which are
+        only needed when m is below the floor (gamma < 0.1).
+        """
+        m, n, q, floor = self._m, self._n, self.q, self._x_floor
+        if floor <= x.min() and x.max() <= q:
+            return x, np.zeros(len(x))
+        k_up = np.where(x < floor, np.ceil((floor - x) / m), 0.0)
+        k_n = np.where(x > q, np.minimum(np.ceil((x - q) / n), np.floor((x - floor) / n)), 0.0)
+        y_n = x - k_n * n
+        k_m = np.maximum(np.ceil((y_n - q) / m), 0.0)
+        if (k_up + k_n + k_m).max(initial=0.0) > _MAX_SHIFT_STEPS:
+            raise DomainError(
+                f"double gamma argument {float(x.max())!r} needs more than "
+                f"{_MAX_SHIFT_STEPS} shift steps"
+            )
+        k_up, k_n, k_m = k_up.astype(np.int64), k_n.astype(np.int64), k_m.astype(np.int64)
+        shift = (
+            _sequential_sum(self._ln_shift_m, x, m, 0, k_up)
+            - _sequential_sum(self._ln_shift_n, x, -n, 1, k_n)
+            - _sequential_sum(self._ln_shift_m, y_n, -m, 1, k_m)
+        )
+        return np.where(k_up > 0, x + k_up * m, y_n - k_m * m), shift
+
+    def log_value(self, x):
+        """ln of the double gamma function at x > 0.
+
+        x is a float or an array, and the result has its shape.  Memoized
+        values are looked up per element; the others are reduced into the
+        window and evaluated together, _BATCH_ROWS per quadrature call.
+        """
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel().tolist()
+        for v in flat:
+            if not v > 0.0:
+                raise DomainError(f"double gamma needs x > 0, got {v!r}")
+            if not math.isfinite(v):
+                raise DomainError(f"non-finite argument {v!r}")
+        cache = self._cache
+        out = [cache.get(v) for v in flat]
+        misses = list(dict.fromkeys(v for v, o in zip(flat, out) if o is None))
+        if misses:
+            fresh = {}
+            for i in range(0, len(misses), _BATCH_ROWS):
+                batch = np.array(misses[i : i + _BATCH_ROWS])
+                y, shift = self._reduce(batch)
+                fresh.update(zip(batch.tolist(), (self._ln_window(y) + shift).tolist()))
+            out = [fresh[v] if o is None else o for v, o in zip(flat, out)]
+            cache.update(fresh)
+            while len(cache) > _MEMO_SIZE:
+                cache.pop(next(iter(cache)), None)
+        return out[0] if xs.ndim == 0 else np.array(out).reshape(xs.shape)
 
 
-_EVALUATORS: dict[float, DoubleGamma] = {}
-
-
+@functools.lru_cache(maxsize=_EVALUATORS_KEPT)
 def double_gamma_evaluator(gamma: float) -> DoubleGamma:
-    """Shared per-gamma evaluator (memoized; safe under the GIL)."""
-    ev = _EVALUATORS.get(gamma)
-    if ev is None:
-        ev = DoubleGamma(gamma)
-        _EVALUATORS[gamma] = ev
-    return ev
+    """Shared per-gamma evaluator; the most recently used ones are kept."""
+    return DoubleGamma(gamma)
 
 
-def log_double_gamma(gamma: float, x: float) -> float:
+def log_double_gamma(gamma: float, x):
     return double_gamma_evaluator(gamma).log_value(x)
 
 
@@ -281,10 +360,10 @@ def beta22_log_moment(params: Beta22Params, p: float) -> float:
     for arg in plus + minus:
         if not arg > 0.0:
             raise DomainError(f"double gamma argument {arg!r} not positive")
-    lv = double_gamma_evaluator(params.gamma).log_value
+    lv = double_gamma_evaluator(params.gamma).log_value(np.array(plus + minus)).tolist()
     return (
-        lv(plus[0]) + (lv(plus[1]) + lv(plus[2])) + lv(plus[3])
-        - lv(minus[0]) - (lv(minus[1]) + lv(minus[2])) - lv(minus[3])
+        lv[0] + (lv[1] + lv[2]) + lv[3]
+        - lv[4] - (lv[5] + lv[6]) - lv[7]
     )
 
 

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
 from gmcint.cli import main
+from gmcint.exactlaw import GmcParams
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +99,26 @@ class TestTables:
         first = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(first["log_value"]) == pytest.approx(0.0, abs=1e-11)  # x = Q/2
 
+    def test_dgamma_value_overflow_prints_inf(self, capsys):
+        doc = run_json(capsys, "dgamma", "--gamma", "1", "--x-min", "1e-320", "--x-max", "1",
+                       "--count", "2")
+        first = doc["results"][0]
+        assert first["value"] == "inf"
+        assert float(first["log_value"]) == pytest.approx(736.31644240084574, rel=1e-14)
+
+    def test_exact_breakdown_matches_moment_factors(self, capsys):
+        from gmcint.exactlaw import exact_moment_factors
+        from gmcint.specfun import log_double_gamma
+
+        params = GmcParams(1.2, -0.5, 0.2, 0.1)
+        doc = run_json(capsys, "exact", "--gamma", "1.2", "--p", "-0.5", "--a", "0.2",
+                       "--b", "0.1")
+        row = doc["results"][0]
+        _, _, args = exact_moment_factors(params)
+        # (a+1)+(b+1) grouping, as in log_exact_moment
+        assert float(row["log_dg_num_ab"]) == log_double_gamma(1.2, float(args[2]))
+        assert float(row["log_dg_den_ab"]) == log_double_gamma(1.2, float(args[7]))
+
     def test_barnes_and_martingale(self, capsys):
         doc = run_json(capsys, "barnes", "--x-min", "3", "--x-max", "3", "--count", "1")
         assert float(doc["results"][0]["value"]) == pytest.approx(1.0, rel=1e-10)
@@ -183,6 +205,23 @@ class TestVerifyFailurePath:
         assert code == 2
         assert "1 check(s) failed" in err
         assert json.loads(out)[1]["status"] == "fail"
+
+
+@pytest.mark.parametrize("argv,env,code", [
+    (["predict-u", "--gamma", "1", "--p", "-0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
+      "--t=-1e300"], {}, 0),
+    (["dgamma", "--gamma", "1", "--x-min", "1e-320"], {}, 0),
+    (["dgamma", "--gamma", "1", "--x-min", "1e300", "--x-max", "1e300", "--count", "1"], {}, 1),
+    (["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "100",
+      "--n-modes", "16", "--batches", "10"], {"GMC_THREADS": "abc"}, 1),
+])
+def test_extreme_argv_ends_in_exit_code(argv, env, code):
+    proc = subprocess.run([sys.executable, "-m", "gmcint.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, **env})
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestThreadEnvFallback:

@@ -8,6 +8,7 @@ from gmcint.exactlaw import GmcParams, exact_moment, selberg_product
 from gmcint.field import QuadGrid
 from gmcint.montecarlo import (
     McConfig,
+    _resolve_threads,
     config_for,
     mc_moment,
     mc_small_deviation,
@@ -52,6 +53,19 @@ class TestMcMoment:
         b = mc_moment(params, 0.0, 0.0, cfg, threads=4)
         c = mc_moment(params, 0.0, 0.0, cfg, threads=1)
         assert (a.mean, a.stderr) == (b.mean, b.stderr) == (c.mean, c.stderr)
+
+    def test_thread_count_resolution(self, monkeypatch):
+        monkeypatch.setenv("GMC_THREADS", "3")
+        assert _resolve_threads(None) == 3
+        assert _resolve_threads(2) == 2
+        assert _resolve_threads(0) == 1
+        monkeypatch.setenv("GMC_THREADS", "")
+        assert _resolve_threads(None) == 1
+        monkeypatch.setenv("GMC_THREADS", "abc")
+        with pytest.raises(DomainError, match="GMC_THREADS"):
+            _resolve_threads(None)
+        monkeypatch.delenv("GMC_THREADS")
+        assert _resolve_threads(None) == 1
 
     def test_stderr_scaling(self):
         params = GmcParams(1.0, -1.0, 0.0, 0.0)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,42 @@ from gmcint.specfun import (
 
 SQRT_PI = math.sqrt(math.pi)
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# ln of the double gamma function from the 40-digit integral oracle
+# (_oracles.ln_dgamma), frozen.  Per gamma: x = np.linspace(0.05, q, 5)
+# across the base window, then x = 0.02 (lifted), 7.3 and 40 (reduced).
+ORACLE_GRID = {
+    0.3: (
+        5.1489579547072198945, -3.0142733017143037426, 0.057798324215180641855,
+        3.5472563706070647098, 4.7432468603386789671,
+        6.4989913584242657385, 4.4389551030590116667, -1398.3747784843071284,
+    ),
+    0.5: (
+        3.6899748623406724687, -0.83195856783411585621, 0.03491384158237120128,
+        1.6157649387584235954, 2.8455997125690913204,
+        4.7876251601864816303, -0.2098397852335538678, -1527.7993006322166305,
+    ),
+    1.0: (
+        2.4236861559831577286, -0.10178636333124134335, 0.01832873491027400475,
+        0.62547738920011449019, 1.3270785762812487115,
+        3.3748530116820676558, -4.8927161276795569423, -1618.6063002980567412,
+    ),
+    1.5: (
+        2.1332076598035082677, -0.0038718306973647621102, 0.013919301444782139069,
+        0.43948729181163732195, 0.98508628251473372261,
+        3.0542683428584383223, -6.1752693894433421261, -1640.5214740063803848,
+    ),
+    1.9: (
+        2.0786150136378710146, 0.012300338581867464582, 0.01301430965339761253,
+        0.40592824334084996501, 0.92101425508219028371,
+        2.9941259435241141028, -6.4309265378353600633, -1644.7790079483666728,
+    ),
+    2.0: (
+        2.0768454616689470002, 0.012813606917891148481, 0.012984427846131525468,
+        0.4048476024426259349, 0.91893853320467274178,
+        2.9921770869363055492, -6.4393028337105482122, -1644.9179111950543323,
+    ),
+}
 
 
 class TestGammaFn:
@@ -141,6 +178,64 @@ class TestDoubleGamma:
         for g, x in [(1.3, 0.9), (0.8, 2.2)]:
             ref = float(oracles.ln_dgamma(g, x))
             assert log_double_gamma(g, x) == pytest.approx(ref, rel=1e-11, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", sorted(ORACLE_GRID))
+    def test_oracle_grid(self, gamma):
+        ev = DoubleGamma(gamma)
+        xs = np.concatenate((np.linspace(0.05, ev.q, 5), [0.02, 7.3, 40.0]))
+        refs = np.array(ORACLE_GRID[gamma])
+        assert np.all(np.abs(ev.log_value(xs) - refs) <= 2e-13 * np.maximum(1.0, np.abs(refs)))
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 1.9, 2.0])
+    def test_batch_matches_scalar_bit_for_bit(self, gamma):
+        rng = np.random.default_rng(5)
+        xs = np.concatenate((rng.uniform(0.01, 12.0, 30), [0.001, 0.02, 7.3, 40.0, 1e3]))
+        scalar = np.array([DoubleGamma(gamma).log_value(float(x)) for x in xs])
+        perm = rng.permutation(len(xs))
+        others = rng.uniform(0.01, 50.0, 9)
+        batch = DoubleGamma(gamma).log_value(np.concatenate((others, xs[perm])))
+        assert np.array_equal(batch[len(others):], scalar[perm])
+        table = DoubleGamma(gamma).log_value(xs[perm][::-1].reshape(5, 7))
+        assert table.shape == (5, 7)
+        assert np.array_equal(table.ravel(), scalar[perm][::-1])
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("x", [1e3, 1e5])
+    def test_shift_equations_at_large_x(self, gamma, x):
+        ev = DoubleGamma(gamma)
+        m, n = gamma / 2.0, 2.0 / gamma
+        lv = ev.log_value(x)
+        ln_m = math.lgamma(m * x) + (0.5 - m * x) * math.log(m) - LOG_SQRT_2PI
+        ln_n = math.lgamma(n * x) + (n * x - 0.5) * math.log(m) - LOG_SQRT_2PI
+        assert abs(lv - ev.log_value(x + m) - ln_m) <= 1e-13 * abs(lv)
+        assert abs(lv - ev.log_value(x + n) - ln_n) <= 1e-13 * abs(lv)
+
+    def test_huge_argument_is_fast(self):
+        start = time.perf_counter()
+        value = DoubleGamma(1.0).log_value(1e7)
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(value)
+        with pytest.raises(DomainError):
+            DoubleGamma(1.0).log_value(1e300)  # refused, not reduced step by step
+
+    def test_subnormal_argument(self):
+        # lifted by the m-shift, whose lgamma(m x) is -log(m x) down there
+        ev = DoubleGamma(1.0)
+        assert ev.log_value(1e-320) == pytest.approx(
+            -math.log(0.5 * 1e-320) + ev.log_value(0.5) + 0.5 * math.log(0.5) - LOG_SQRT_2PI,
+            rel=1e-15,
+        )
+
+    def test_caches_are_bounded(self, monkeypatch):
+        from gmcint import specfun
+
+        monkeypatch.setattr(specfun, "_MEMO_SIZE", 8)
+        ev = DoubleGamma(1.0)
+        xs = np.linspace(0.1, 3.0, 20)
+        first = ev.log_value(xs)
+        assert len(ev._cache) == 8
+        assert np.array_equal(ev.log_value(xs), first)  # evicted values come back the same
+        assert double_gamma_evaluator.cache_info().maxsize == specfun._EVALUATORS_KEPT
 
     def test_domain_errors(self):
         ev = double_gamma_evaluator(1.0)
