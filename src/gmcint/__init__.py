@@ -33,17 +33,7 @@ from .exactlaw import (
     selberg_product,
     shift_ratio,
 )
-from .field import (
-    ChebFieldSample,
-    QuadGrid,
-    default_grid,
-    eval_field,
-    field_variance,
-    gmc_integral,
-    replicate_rng,
-    sample_field,
-    sample_y_gamma,
-)
+from .field import QuadGrid, default_grid, replicate_rng, sample_y_gamma
 from .montecarlo import (
     McConfig,
     McEstimate,

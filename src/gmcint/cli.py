@@ -11,13 +11,14 @@ Exit codes: 0 success, 1 domain or bounds error, 2 verification failures,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
 import numpy as np
 
 from . import verify as verify_mod
-from .errors import GmcError
+from .errors import DomainError, GmcError
 from .exactlaw import (
     EXACT_DG_FACTORS,
     GmcParams,
@@ -36,31 +37,40 @@ from .exactlaw import (
 )
 from .montecarlo import config_for, mc_moment, mc_small_deviation, mc_tail_fit
 from .specfun import barnes_g, double_gamma_evaluator
-from .verify import IdentityGridSpec
+from .verify import IdentityGridSpec, fmt
 
 _KINDS = {k.value: k for k in ObservableKind}
+_MAX_TABLE_ROWS = 1_000_000  # bounds the memory and time of a dgamma or barnes table
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage errors with exit code 64."""
+    """argparse parser that reports a usage error as one line, with exit code 64."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
+def _table_rows(text: str) -> int:
+    """argparse type of a table length: an integer in [0, _MAX_TABLE_ROWS]."""
+    value = int(text)
+    if not 0 <= value <= _MAX_TABLE_ROWS:
+        raise argparse.ArgumentTypeError(f"must be in [0, {_MAX_TABLE_ROWS}], got {value}")
     return value
 
 
-def _emit(args, command: str, parameters: dict, rows: list[dict]) -> None:
-    parameters = {k: _fmt(v) for k, v in parameters.items()}
-    rows = [{**parameters, **{k: _fmt(v) for k, v in row.items()}} for row in rows]
-    if args.format == "json":
-        import json
+def _write(args, text: str) -> None:
+    """Write a command's output to --output, or else to stdout."""
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
+
+def _emit(args, command: str, parameters: dict, rows: list[dict]) -> None:
+    parameters = {k: fmt(v) for k, v in parameters.items()}
+    rows = [{**parameters, **{k: fmt(v) for k, v in row.items()}} for row in rows]
+    if args.format == "json":
         text = json.dumps({"command": command, "parameters": parameters,
                            "results": rows}, indent=2) + "\n"
     else:
@@ -69,11 +79,7 @@ def _emit(args, command: str, parameters: dict, rows: list[dict]) -> None:
         for row in rows:
             lines.append(",".join(str(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
 def _add_output_opts(p):
@@ -127,13 +133,13 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--x-min", type=float, default=0.1)
     p.add_argument("--x-max", type=float, default=5.0)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_table_rows, default=50)
     _add_output_opts(p)
 
     p = sub.add_parser("barnes", help="Barnes G table")
     p.add_argument("--x-min", type=float, default=0.5)
     p.add_argument("--x-max", type=float, default=4.0)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_table_rows, default=50)
     _add_output_opts(p)
 
     p = sub.add_parser("martingale-moment", help="derivative martingale moment")
@@ -215,6 +221,8 @@ def _cmd_shift(args) -> int:
 def _cmd_reflection(args) -> int:
     fn = reflection_boundary_1d if args.dim == 1 else reflection_bulk_2d
     value = fn(args.gamma, args.alpha)
+    if not value > 0.0:  # underflowed, so its logarithm is lost
+        raise DomainError(f"reflection coefficient {value!r} is not a positive double")
     _emit(args, "reflection",
           {"dim": args.dim, "gamma": args.gamma, "alpha": args.alpha},
           [{"value": value, "log_value": math.log(value)}])
@@ -364,13 +372,8 @@ def _cmd_verify(args) -> int:
         for kind in ObservableKind:
             reports.extend(verify_mod.verify_observable_prediction(
                 params, kind, (-1e-6, -0.5, -2.0), cfg, args.threads))
-    text = (verify_mod.reports_to_json(reports) if args.format == "json"
-            else verify_mod.reports_to_csv(reports))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, verify_mod.reports_to_json(reports) if args.format == "json"
+           else verify_mod.reports_to_csv(reports))
     failures = verify_mod.failure_count(reports)
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)

@@ -22,11 +22,13 @@ from .specfun import (
     Beta22Params,
     HypTriple,
     beta22_log_moment,
+    checked_exp,
     connection_coeffs,
     double_gamma_evaluator,
-    gammaln_signed,
+    gamma_ratio,
     hyp2f1_negative,
     log_double_gamma,
+    log_gamma_ratio,
 )
 
 _INT_GUARD = 1e-9  # distance to the nearest integer below which the basis degenerates
@@ -35,6 +37,14 @@ _LOG_CANCEL_LIMIT = math.log(1e8)  # max tolerated cancellation between the two 
 
 # the double gamma factors of the exact moment, in exact_moment_factors order
 EXACT_DG_FACTORS = ("num_a", "num_b", "num_ab", "num_p", "den_base", "den_a", "den_b", "den_ab")
+
+
+def _check_gamma(gamma: float) -> None:
+    """gamma must lie in (0, 2), and gamma^2/4 must not underflow to 0."""
+    if not 0.0 < gamma < 2.0:
+        raise DomainError(f"gamma must be in (0, 2), got {gamma!r}")
+    if gamma * gamma / 4.0 == 0.0:
+        raise DomainError(f"gamma^2/4 underflows to 0 at gamma={gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +57,7 @@ class GmcParams:
     b: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 2.0:
-            raise DomainError(f"gamma must be in (0, 2), got {self.gamma!r}")
+        _check_gamma(self.gamma)
 
 
 class ObservableKind(enum.Enum):
@@ -122,7 +131,7 @@ def log_exact_moment(params: GmcParams) -> float:
 
 
 def exact_moment(params: GmcParams) -> float:
-    return math.exp(log_exact_moment(params))
+    return checked_exp(log_exact_moment(params), "moment")
 
 
 def selberg_product(gamma: float, p: int, a: float, b: float) -> float:
@@ -147,13 +156,12 @@ def selberg_product(gamma: float, p: int, a: float, b: float) -> float:
             - math.lgamma(2.0 + a + b - (p + j - 2) * g2over4)
             - math.lgamma(1.0 - g2over4)
         )
-    return math.exp(logval)
+    return checked_exp(logval, "Selberg product")
 
 
 def c_of_p(gamma: float, p: float) -> float:
     """Normalization constant of the moment formula at weight exponents 0."""
-    if not 0.0 < gamma < 2.0:
-        raise DomainError(f"gamma must be in (0, 2), got {gamma!r}")
+    _check_gamma(gamma)
     m = gamma / 2.0
     n = 2.0 / gamma
     if not p < 4.0 / (gamma * gamma):
@@ -166,7 +174,7 @@ def c_of_p(gamma: float, p: float) -> float:
         + dg_p
         - dg_n
     )
-    return math.exp(logval)
+    return checked_exp(logval, "normalization constant")
 
 
 def shift_ratio(params: GmcParams, kind: ShiftKind) -> float:
@@ -199,21 +207,12 @@ def shift_ratio(params: GmcParams, kind: ShiftKind) -> float:
         raise DomainError(f"unknown shift kind {kind!r}")
     _require_bounds(params)
     _require_bounds(shifted)
-    logval = 0.0
-    sign = 1.0
-    for arg in args_num:
-        lg, s = gammaln_signed(arg)
-        logval += lg
-        sign *= s
-    for arg in args_den:
-        lg, s = gammaln_signed(arg)
-        logval -= lg
-        sign *= s
-    return sign * math.exp(logval)
+    return gamma_ratio(args_num, args_den)
 
 
 def reflection_boundary_1d(gamma: float, alpha: float) -> float:
     """Tail constant of GMC with a boundary insertion of strength alpha."""
+    _check_gamma(gamma)
     q = gamma / 2.0 + 2.0 / gamma
     if not gamma / 2.0 < alpha < q:
         raise DomainError(f"alpha must lie in (gamma/2, Q), got {alpha!r}")
@@ -228,11 +227,12 @@ def reflection_boundary_1d(gamma: float, alpha: float) -> float:
         + dg_low
         - dg_high
     )
-    return math.exp(logval)
+    return checked_exp(logval, "reflection coefficient")
 
 
 def reflection_bulk_2d(gamma: float, alpha: float) -> float:
     """Tail constant of two-dimensional GMC with a bulk insertion."""
+    _check_gamma(gamma)
     q = gamma / 2.0 + 2.0 / gamma
     if not gamma / 2.0 < alpha < q:
         raise DomainError(f"alpha must lie in (gamma/2, Q), got {alpha!r}")
@@ -240,13 +240,10 @@ def reflection_bulk_2d(gamma: float, alpha: float) -> float:
     logval = s * (math.log(math.pi) + math.lgamma(gamma * gamma / 4.0))
     logval -= s * math.lgamma(1.0 - gamma * gamma / 4.0)
     logval += math.log(gamma / (2.0 * (q - alpha)))
-    sign = -1.0
-    lg, sg = gammaln_signed(-(gamma / 2.0) * (q - alpha))
-    logval += lg
-    sign *= sg
-    logval -= math.lgamma((gamma / 2.0) * (q - alpha))
-    logval -= math.lgamma((2.0 / gamma) * (q - alpha))
-    return sign * math.exp(logval)
+    lg, sign = log_gamma_ratio(
+        (-(gamma / 2.0) * (q - alpha),), ((gamma / 2.0) * (q - alpha), (2.0 / gamma) * (q - alpha))
+    )
+    return -sign * checked_exp(logval + lg, "reflection coefficient")
 
 
 def law_decomposition_log_moment(params: GmcParams) -> float:
@@ -289,7 +286,7 @@ def derivative_martingale_moment(p: float) -> float:
         - 2.0 * g1[3]
         - g1[4]
     )
-    return math.exp(logval)
+    return checked_exp(logval, "derivative martingale moment")
 
 
 def hyp_triple(params: GmcParams, kind: ObservableKind) -> HypTriple:
@@ -304,6 +301,8 @@ def hyp_triple(params: GmcParams, kind: ObservableKind) -> HypTriple:
 
 def _check_generic(triple: HypTriple) -> None:
     for name, val in (("c", triple.c_param), ("a-b", triple.a_param - triple.b_param)):
+        if not math.isfinite(val):
+            raise DomainError(f"parameter {name}={val!r} is not finite")
         if abs(val - round(val)) < _INT_GUARD:
             raise DegenerateParamsError(
                 f"parameter {name}={val!r} within {_INT_GUARD} of an integer"
@@ -331,10 +330,9 @@ def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> flo
     _check_generic(triple)
     a, b, c = triple.a_param, triple.b_param, triple.c_param
     d1 = exact_moment(params)
-    if t == 0.0:
-        c1, _ = connection_coeffs(triple, d1, 0.0)
-        return c1
     c1, c2 = connection_coeffs(triple, d1, 0.0)
+    if t == 0.0:
+        return c1
     if t < _LARGE_T_SWITCH or (
         c2 != 0.0
         and math.log(abs(c2 / d1)) + (1.0 - c + a) * math.log(abs(t)) > _LOG_CANCEL_LIMIT

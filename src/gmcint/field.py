@@ -17,6 +17,7 @@ scheduling.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .errors import DomainError, GridError
 
 _TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 _FOUR_LN2 = 4.0 * math.log(2.0)
+_LAYOUTS_KEPT = 8  # grid workspaces, and cell-mass vectors, kept by the caches
 
 
 @dataclass(frozen=True)
@@ -43,23 +45,6 @@ def default_grid(n_modes: int, a: float = 0.0, b: float = 0.0) -> QuadGrid:
     return QuadGrid(8 * n_modes, a, b)
 
 
-@dataclass(frozen=True)
-class ChebFieldSample:
-    """One realization of the truncated field: N+1 normal coefficients."""
-
-    alpha: np.ndarray
-    n_modes: int
-    seed_tag: int
-
-    def __post_init__(self):
-        if self.alpha.shape != (self.n_modes + 1,):
-            raise DomainError(
-                f"expected {self.n_modes + 1} coefficients, got shape {self.alpha.shape}"
-            )
-        if not np.all(np.isfinite(self.alpha)):
-            raise DomainError("non-finite field coefficients")
-
-
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     """Counter-based stream for one replicate: key = seed XOR replicate.
 
@@ -70,57 +55,12 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     )
 
 
-def sample_field(n_modes: int, rng: np.random.Generator, seed_tag: int = 0) -> ChebFieldSample:
-    if n_modes < 1:
-        raise DomainError(f"n_modes must be >= 1, got {n_modes!r}")
-    return ChebFieldSample(rng.standard_normal(n_modes + 1), n_modes, seed_tag)
-
-
-def eval_field(sample: ChebFieldSample, x, drop_mean: bool = False):
-    """Field value at x in [0, 1], by the three-term Chebyshev recurrence."""
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise DomainError("x must lie in [0, 1]")
-    s = 2.0 * x - 1.0
-    total = np.zeros_like(s)
-    if not drop_mean:
-        total += _TWO_SQRT_LN2 * sample.alpha[0]
-    t_prev = np.ones_like(s)  # T_0
-    t_cur = s.copy()  # T_1
-    for n in range(1, sample.n_modes + 1):
-        total += (2.0 * sample.alpha[n] / math.sqrt(n)) * t_cur
-        t_prev, t_cur = t_cur, 2.0 * s * t_cur - t_prev
-    return total if total.ndim else float(total)
-
-
-def field_variance(n_modes: int, x) -> float:
-    """Pointwise variance of the truncated field."""
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise DomainError("x must lie in [0, 1]")
-    s = 2.0 * x - 1.0
-    total = np.full_like(s, _FOUR_LN2)
-    t_prev = np.ones_like(s)
-    t_cur = s.copy()
-    for n in range(1, n_modes + 1):
-        total += (4.0 / n) * t_cur * t_cur
-        t_prev, t_cur = t_cur, 2.0 * s * t_cur - t_prev
-    return total if total.ndim else float(total)
-
-
 # ---------------------------------------------------------------------------
 # grid workspaces (deterministic, cached per layout)
 
-_GRID_CACHE: dict = {}
-_MASS_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _grid_workspace(n_modes: int, m_cells: int):
-    """Midpoints and truncated variance on the angle-uniform grid."""
-    key = (n_modes, m_cells)
-    got = _GRID_CACHE.get(key)
-    if got is not None:
-        return got
+    """Midpoints, edges and truncated variance on the angle-uniform grid."""
     theta_edges = np.linspace(0.0, math.pi, m_cells + 1)
     x_edges = 0.5 * (1.0 - np.cos(theta_edges))
     theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
@@ -133,23 +73,16 @@ def _grid_workspace(n_modes: int, m_cells: int):
     d = coef.copy()
     d[1:] *= 0.5
     var_mid = _fft.dct(d, type=3)
-    out = (x_mid, x_edges, var_mid)
-    _GRID_CACHE[key] = out
-    return out
+    return x_mid, x_edges, var_mid
 
 
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _cell_masses(m_cells: int, a: float, b: float, eta: float = 1.0) -> np.ndarray:
     """Exact integrals of x^a (1-x)^b over each cell, truncated at eta."""
-    key = (m_cells, a, b, eta)
-    got = _MASS_CACHE.get(key)
-    if got is not None:
-        return got
-    _, x_edges, _ = _grid_workspace(1, m_cells)
+    x_edges = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, m_cells + 1)))
     xe = np.minimum(x_edges, eta)
     scale = math.exp(betaln(a + 1.0, b + 1.0))
-    masses = scale * np.diff(betainc(a + 1.0, b + 1.0, xe))
-    _MASS_CACHE[key] = masses
-    return masses
+    return scale * np.diff(betainc(a + 1.0, b + 1.0, xe))
 
 
 def _fields_on_grid(alphas: np.ndarray, m_cells: int, drop_mean: bool) -> np.ndarray:
@@ -192,29 +125,6 @@ def gmc_integral_batch(
     fields = _fields_on_grid(alphas, grid.m_cells, drop_mean)
     dens = np.exp((0.5 * gamma) * fields - (gamma * gamma / 8.0) * var[None, :])
     return dens @ weights
-
-
-def gmc_integral(
-    sample: ChebFieldSample,
-    gamma: float,
-    a: float,
-    b: float,
-    t: float,
-    chi: float,
-    grid: QuadGrid,
-    drop_mean: bool = False,
-    eta: float = 1.0,
-) -> float:
-    """Composite weighted quadrature of the regularized GMC density.
-
-    Integrates (x-t)^chi x^a (1-x)^b exp(gamma/2 X_N - gamma^2/8 Var_N)
-    over [0, eta].  With drop_mean the constant mode is removed and the
-    variance is that of the remaining field.
-    """
-    vals = gmc_integral_batch(
-        sample.alpha[None, :], gamma, a, b, t, chi, grid, drop_mean, eta
-    )
-    return float(vals[0])
 
 
 def sample_y_gamma(gamma: float, rng: np.random.Generator) -> float:

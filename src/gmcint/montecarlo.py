@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BoundsError, DomainError, ResolutionError
 from .exactlaw import GmcParams, bounds_check
-from .field import QuadGrid, default_grid, gmc_integral_batch, replicate_rng
+from .field import QuadGrid, gmc_integral_batch, replicate_rng
 
 _CHUNK = 128  # replicates per task; fixed so scheduling cannot affect results
 

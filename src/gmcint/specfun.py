@@ -38,6 +38,9 @@ _EVALUATORS_KEPT = 128  # per-gamma evaluators kept by double_gamma_evaluator
 _BATCH_ROWS = 128  # arguments per batched window quadrature, which bounds its memory
 _SHIFT_BLOCK = 1 << 16  # lgamma terms formed at once by the shift reduction
 _MAX_SHIFT_STEPS = 10**8  # about 4 s of shift reduction; larger arguments are refused
+_QUAD_REL_TOL = 1e-13  # relative tolerance of the double gamma window quadrature
+_SERIES_SWITCH = 1e-3  # the window integral's Taylor head covers [0, _SERIES_SWITCH]
+_X_FLOOR = 0.05  # window arguments below this are lifted by m-shifts
 
 
 def _sinpi(x: float) -> float:
@@ -49,7 +52,7 @@ def _sinpi(x: float) -> float:
 
 
 def is_nonpositive_integer(x: float, tol: float = _POLE_TOL) -> bool:
-    return x <= 0.5 and abs(x - round(x)) <= tol
+    return x <= 0.5 and math.isfinite(x) and abs(x - round(x)) <= tol
 
 
 def gammaln_signed(x: float) -> tuple[float, float]:
@@ -57,12 +60,18 @@ def gammaln_signed(x: float) -> tuple[float, float]:
 
     Negative arguments go through the reflection formula
     Gamma(x) = pi / (sin(pi x) Gamma(1-x)), so only positive arguments ever
-    reach lgamma.  Raises PoleError at nonpositive integers.
+    reach lgamma.  Raises PoleError at nonpositive integers, and DomainError
+    at a non-finite x or where log|Gamma(x)| overflows.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"Gamma at non-finite x={x!r}")
     if is_nonpositive_integer(x):
         raise PoleError(f"Gamma pole at x={x!r}")
     if x > 0.0:
-        return math.lgamma(x), 1.0
+        try:
+            return math.lgamma(x), 1.0
+        except OverflowError:
+            raise DomainError(f"log Gamma overflows at x={x!r}") from None
     s = _sinpi(x)
     # log Gamma(x) = log pi - log|sin(pi x)| - log Gamma(1-x)
     logval = math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
@@ -73,6 +82,39 @@ def gamma_fn(x: float) -> float:
     """Euler Gamma for real non-pole arguments."""
     logval, sign = gammaln_signed(x)
     return sign * math.exp(logval)
+
+
+def checked_exp(logval: float, what: str) -> float:
+    """exp(logval); DomainError, naming `what`, when that overflows the double range."""
+    try:
+        return math.exp(logval)
+    except OverflowError:
+        raise DomainError(f"{what} overflows the double range: ln = {logval!r}") from None
+
+
+def log_gamma_ratio(num, den) -> tuple[float, float]:
+    """(log|ratio|, sign) of the product of Gamma(x) over num divided by that over den.
+
+    The log terms are added over num, then subtracted over den, in order.
+    Raises PoleError when an argument is a nonpositive integer.
+    """
+    logval = 0.0
+    sign = 1.0
+    for arg in num:
+        lg, s = gammaln_signed(arg)
+        logval += lg
+        sign *= s
+    for arg in den:
+        lg, s = gammaln_signed(arg)
+        logval -= lg
+        sign *= s
+    return logval, sign
+
+
+def gamma_ratio(num, den) -> float:
+    """The product of Gamma(x) over num divided by that over den."""
+    logval, sign = log_gamma_ratio(num, den)
+    return sign * checked_exp(logval, "Gamma ratio")
 
 
 @dataclass(frozen=True)
@@ -184,7 +226,7 @@ class DoubleGamma:
     floor are lifted by the m-shift (the function has a simple pole at 0);
     the shift factors are lgamma sums, vectorized over index blocks.  On the
     window the defining integral is computed with a Taylor-series head below
-    `series_switch`, adaptive Gauss-Legendre panels up to a cutoff T, and
+    _SERIES_SWITCH, adaptive Gauss-Legendre panels up to a cutoff T, and
     the algebraic (x - q/2)/T tail added in closed form.  `log_value` takes
     an array of arguments and integrates all of them in one batched panel
     quadrature (`quadrature.integrate_panels`), each with its own panel
@@ -193,8 +235,6 @@ class DoubleGamma:
     """
 
     gamma: float
-    quad_rel_tol: float = 1e-13
-    series_switch: float = 1e-3
     q: float = field(init=False)
     _cache: dict = field(init=False, repr=False)
 
@@ -202,10 +242,11 @@ class DoubleGamma:
         if not 0.0 < self.gamma <= 2.0:
             raise DomainError(f"gamma must be in (0, 2], got {self.gamma!r}")
         self.q = self.gamma / 2.0 + 2.0 / self.gamma
+        if not math.isfinite(self.q):
+            raise DomainError(f"Q = gamma/2 + 2/gamma overflows at gamma={self.gamma!r}")
         self._m = self.gamma / 2.0
         self._n = 2.0 / self.gamma
-        self._x_floor = 0.05
-        self._head_weights = _dgamma_head_weights(self.q, self.series_switch)
+        self._head_weights = _dgamma_head_weights(self.q, _SERIES_SWITCH)
         self._cache = {}
 
     def _integrand(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -221,7 +262,6 @@ class DoubleGamma:
         return (num / den) / t - 0.5 * (0.5 * q - x) ** 2 * np.exp(-t) / t + (x - 0.5 * q) / t**2
 
     def _ln_window(self, x: np.ndarray) -> np.ndarray:
-        s = self.series_switch
         w, v = self._head_weights
         j = np.arange(1, len(w) + 1)
         d = 0.5 * self.q - x
@@ -230,8 +270,8 @@ class DoubleGamma:
         t_cut = np.maximum(45.0, (45.0 + np.log(np.maximum(1.0, 1.0 / mu))) / mu)
         body = integrate_panels(
             lambda t: self._integrand(x[:, None, None], t),
-            geometric_edges(s, t_cut),
-            rel_tol=self.quad_rel_tol,
+            geometric_edges(_SERIES_SWITCH, t_cut),
+            rel_tol=_QUAD_REL_TOL,
         )
         return head + body + (x - 0.5 * self.q) / t_cut
 
@@ -256,7 +296,7 @@ class DoubleGamma:
         n-steps while it stays above the floor, then by m-steps, which are
         only needed when m is below the floor (gamma < 0.1).
         """
-        m, n, q, floor = self._m, self._n, self.q, self._x_floor
+        m, n, q, floor = self._m, self._n, self.q, _X_FLOOR
         if floor <= x.min() and x.max() <= q:
             return x, np.zeros(len(x))
         k_up = np.where(x < floor, np.ceil((floor - x) / m), 0.0)
@@ -321,7 +361,8 @@ def barnes_g(x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"Barnes G needs x > 0, got {x!r}")
     # G(x) = (2 pi)^(x/2 - 1/2) / Gamma_1(x)
-    return math.exp((0.5 * x - 0.5) * math.log(2.0 * math.pi) - log_double_gamma(2.0, x))
+    logval = (0.5 * x - 0.5) * math.log(2.0 * math.pi) - log_double_gamma(2.0, x)
+    return checked_exp(logval, "Barnes G")
 
 
 @dataclass(frozen=True)
@@ -375,24 +416,10 @@ def connection_coeffs(params: HypTriple, d1: float, d2: float) -> tuple[float, f
     nonpositive integers.
     """
     a, b, c = params.a_param, params.b_param, params.c_param
-
-    def ratio(args_num, args_den):
-        logv = 0.0
-        sign = 1.0
-        for arg in args_num:
-            lg, s = gammaln_signed(arg)
-            logv += lg
-            sign *= s
-        for arg in args_den:
-            lg, s = gammaln_signed(arg)
-            logv -= lg
-            sign *= s
-        return sign * math.exp(logv)
-
-    m11 = ratio((1.0 - c, a - b + 1.0), (a - c + 1.0, 1.0 - b))
-    m21 = ratio((c - 1.0, a - b + 1.0), (a, c - b))
+    m11 = gamma_ratio((1.0 - c, a - b + 1.0), (a - c + 1.0, 1.0 - b))
+    m21 = gamma_ratio((c - 1.0, a - b + 1.0), (a, c - b))
     if d2 == 0.0:
         return m11 * d1, m21 * d1
-    m12 = ratio((1.0 - c, b - a + 1.0), (b - c + 1.0, 1.0 - a))
-    m22 = ratio((c - 1.0, b - a + 1.0), (b, c - a))
+    m12 = gamma_ratio((1.0 - c, b - a + 1.0), (b - c + 1.0, 1.0 - a))
+    m22 = gamma_ratio((c - 1.0, b - a + 1.0), (b, c - a))
     return m11 * d1 + m12 * d2, m21 * d1 + m22 * d2

@@ -29,7 +29,7 @@ from .exactlaw import (
 )
 from .montecarlo import McConfig, mc_moment
 from .quadrature import geometric_edges, integrate_panels
-from .specfun import gammaln_signed
+from .specfun import gamma_ratio, log_gamma_ratio
 
 SELBERG_TOL = 1e-9
 FUBINI_TOL = 1e-10
@@ -75,15 +75,19 @@ def _report(check_id, lhs, rhs, tol, metadata, absolute=False) -> CheckReport:
                        float(rel), tol, metadata)
 
 
-def _guarded(reports: list[CheckReport], check_id: str, tol: float, metadata: dict, fn) -> None:
-    """Run one identity check; a raised domain problem becomes a fail report."""
+def _guarded(reports: list[CheckReport], check_id: str, tol: float, metadata: dict, fn,
+             *args, absolute: bool = False) -> None:
+    """Run one identity check, (lhs, rhs) = fn(*args), and append its report.
+
+    A raised domain problem becomes a fail report.
+    """
     try:
-        reports.append(fn())
+        lhs, rhs = fn(*args)
     except GmcError as exc:
-        meta = dict(metadata)
-        meta["error"] = f"{type(exc).__name__}: {exc}"
-        reports.append(CheckReport(check_id, "fail", math.nan, math.nan, math.nan,
-                                   tol, meta))
+        reports.append(CheckReport(check_id, "fail", math.nan, math.nan, math.nan, tol,
+                                   {**metadata, "error": f"{type(exc).__name__}: {exc}"}))
+    else:
+        reports.append(_report(check_id, lhs, rhs, tol, metadata, absolute))
 
 
 def sample_valid_params(rng: np.random.Generator, margin: float = 0.05) -> GmcParams:
@@ -100,12 +104,8 @@ def sample_valid_params(rng: np.random.Generator, margin: float = 0.05) -> GmcPa
 
 
 def _meta(params: GmcParams, **extra) -> dict:
-    out = {
-        "gamma": format(params.gamma, ".17g"),
-        "p": format(params.p, ".17g"),
-        "a": format(params.a, ".17g"),
-        "b": format(params.b, ".17g"),
-    }
+    out = {"gamma": fmt(params.gamma), "p": fmt(params.p),
+           "a": fmt(params.a), "b": fmt(params.b)}
     out.update({k: str(v) for k, v in extra.items()})
     return out
 
@@ -128,103 +128,92 @@ def run_identity_suite(grid: IdentityGridSpec | None = None) -> list[CheckReport
                     params = GmcParams(g, float(p), a, b)
                     if not bounds_check(params):
                         continue
-                    cid = f"selberg/g={g:.6g}/p={p}/a={a:g}/b={b:g}"
-                    _guarded(reports, cid, SELBERG_TOL, _meta(params),
-                             lambda params=params, p=p, cid=cid: _report(
-                                 cid, exact_moment(params),
-                                 selberg_product(params.gamma, p, params.a, params.b),
-                                 SELBERG_TOL, _meta(params)))
+                    _guarded(reports, f"selberg/g={g:.6g}/p={p}/a={a:g}/b={b:g}", SELBERG_TOL,
+                             _meta(params), _selberg_check, params)
 
     # first moment reduces to an Euler Beta value
-    def fubini_check(cid, params):
-        lg = (math.lgamma(params.a + 1.0) + math.lgamma(params.b + 1.0)
-              - math.lgamma(params.a + params.b + 2.0))
-        return _report(cid, exact_moment(params), math.exp(lg), FUBINI_TOL, _meta(params))
-
     for i in range(grid.n_random):
         params = replace(sample_valid_params(rng, grid.margin), p=1.0)
-        cid = f"fubini/{i:03d}"
-        _guarded(reports, cid, FUBINI_TOL, _meta(params),
-                 lambda cid=cid, params=params: fubini_check(cid, params))
+        _guarded(reports, f"fubini/{i:03d}", FUBINI_TOL, _meta(params), _fubini_check, params)
 
     # shift-equation closure at fractional p, all three kinds
-    def shift_check(cid, params, kind):
-        if kind is ShiftKind.A_PLUS_GAMMA_SQ_OVER_4:
-            shifted = replace(params, a=params.a + params.gamma**2 / 4.0)
-        elif kind is ShiftKind.A_PLUS_ONE:
-            shifted = replace(params, a=params.a + 1.0)
-        else:
-            shifted = replace(params, p=params.p - 1.0)
-        lhs = math.exp(log_exact_moment(shifted) - log_exact_moment(params))
-        if kind is ShiftKind.P_MINUS_ONE_TO_P:
-            lhs = 1.0 / lhs  # ratio is moment(p) over moment(p-1)
-        return _report(cid, lhs, shift_ratio(params, kind), SHIFT_TOL,
-                       _meta(params, kind=kind.value))
-
     for i in range(grid.n_random):
         params = sample_valid_params(rng, grid.margin)
         for kind in ShiftKind:
-            cid = f"shift/{kind.value}/{i:03d}"
-            _guarded(reports, cid, SHIFT_TOL, _meta(params, kind=kind.value),
-                     lambda cid=cid, params=params, kind=kind: shift_check(cid, params, kind))
+            _guarded(reports, f"shift/{kind.value}/{i:03d}", SHIFT_TOL,
+                     _meta(params, kind=kind.value), _shift_check, params, kind)
 
     # recursion of the normalization constant in the moment order
-    def c_ratio_check(cid, params):
-        g, p = params.gamma, params.p
-        u = g * g / 4.0
-        lhs = c_of_p(g, p) / c_of_p(g, p - 1.0)
-        rhs = (math.sqrt(2.0 * math.pi) * (g / 2.0) ** ((p - 1.0) * u - 0.5)
-               * math.exp(math.lgamma(1.0 - p * u) - math.lgamma(1.0 - u)))
-        return _report(cid, lhs, rhs, C_RATIO_TOL, _meta(params))
-
     for i in range(grid.n_random):
         params = sample_valid_params(rng, grid.margin)
-        cid = f"c-ratio/{i:03d}"
-        _guarded(reports, cid, C_RATIO_TOL, _meta(params),
-                 lambda cid=cid, params=params: c_ratio_check(cid, params))
+        _guarded(reports, f"c-ratio/{i:03d}", C_RATIO_TOL, _meta(params), _c_ratio_check, params)
 
     # the two routes to the subleading expansion constant, b = 0
-    def c2_check(cid, g, p, a):
-        lhs_sign, lhs = _c2_from_fusion(g, p, a)
-        rhs_sign, rhs = _c2_from_connection(g, p, a)
-        return _report(cid, lhs_sign * lhs, rhs_sign * rhs, C2_TOL,
-                       _meta(GmcParams(g, p, a, 0.0)))
-
     for i in range(10):
         g = 0.5 + 0.08 * i
         a = 0.5 * (1.0 - g * g / 4.0)
         p = -0.4 - 0.05 * i
-        cid = f"c2-identity/{i:03d}"
-        _guarded(reports, cid, C2_TOL, _meta(GmcParams(g, p, a, 0.0)),
-                 lambda cid=cid, g=g, p=p, a=a: c2_check(cid, g, p, a))
+        _guarded(reports, f"c2-identity/{i:03d}", C2_TOL, _meta(GmcParams(g, p, a, 0.0)),
+                 _c2_check, g, p, a)
 
     # product-of-laws decomposition agrees with the exact moment in log
     for i in range(grid.n_random):
         params = sample_valid_params(rng, grid.margin)
-        cid = f"law-decomp/{i:03d}"
-        _guarded(reports, cid, LAW_TOL_ABS, _meta(params),
-                 lambda cid=cid, params=params: _report(
-                     cid, law_decomposition_log_moment(params),
-                     log_exact_moment(params), LAW_TOL_ABS, _meta(params),
-                     absolute=True))
+        _guarded(reports, f"law-decomp/{i:03d}", LAW_TOL_ABS, _meta(params), _law_check, params,
+                 absolute=True)
 
     reports.sort(key=lambda r: r.check_id)
     return reports
 
 
+def _selberg_check(params: GmcParams):
+    return exact_moment(params), selberg_product(params.gamma, params.p, params.a, params.b)
+
+
+def _fubini_check(params: GmcParams):
+    lg = (math.lgamma(params.a + 1.0) + math.lgamma(params.b + 1.0)
+          - math.lgamma(params.a + params.b + 2.0))
+    return exact_moment(params), math.exp(lg)
+
+
+def _shift_check(params: GmcParams, kind: ShiftKind):
+    if kind is ShiftKind.A_PLUS_GAMMA_SQ_OVER_4:
+        shifted = replace(params, a=params.a + params.gamma**2 / 4.0)
+    elif kind is ShiftKind.A_PLUS_ONE:
+        shifted = replace(params, a=params.a + 1.0)
+    else:
+        shifted = replace(params, p=params.p - 1.0)
+    lhs = math.exp(log_exact_moment(shifted) - log_exact_moment(params))
+    if kind is ShiftKind.P_MINUS_ONE_TO_P:
+        lhs = 1.0 / lhs  # ratio is moment(p) over moment(p-1)
+    return lhs, shift_ratio(params, kind)
+
+
+def _c_ratio_check(params: GmcParams):
+    g, p = params.gamma, params.p
+    u = g * g / 4.0
+    lhs = c_of_p(g, p) / c_of_p(g, p - 1.0)
+    rhs = (math.sqrt(2.0 * math.pi) * (g / 2.0) ** ((p - 1.0) * u - 0.5)
+           * math.exp(math.lgamma(1.0 - p * u) - math.lgamma(1.0 - u)))
+    return lhs, rhs
+
+
+def _c2_check(g: float, p: float, a: float):
+    lhs_sign, lhs = _c2_from_fusion(g, p, a)
+    rhs_sign, rhs = _c2_from_connection(g, p, a)
+    return lhs_sign * lhs, rhs_sign * rhs
+
+
+def _law_check(params: GmcParams):
+    return law_decomposition_log_moment(params), log_exact_moment(params)
+
+
 def _c2_from_fusion(g: float, p: float, a: float):
     """p Gamma(a+1) Gamma(-a-g^2/4-1) / Gamma(-g^2/4) * M(p-1, a-g^2/4, 0)."""
     u = g * g / 4.0
-    logv = math.lgamma(a + 1.0)
-    sign = math.copysign(1.0, p)
-    lg, s = gammaln_signed(-a - u - 1.0)
-    logv += lg
-    sign *= s
-    lg, s = gammaln_signed(-u)
-    logv -= lg
-    sign *= s
+    logv, sign = log_gamma_ratio((a + 1.0, -a - u - 1.0), (-u,))
     logv += math.log(abs(p)) + log_exact_moment(GmcParams(g, p - 1.0, a - u, 0.0))
-    return sign, math.exp(logv)
+    return sign * math.copysign(1.0, p), math.exp(logv)
 
 
 def _c2_from_connection(g: float, p: float, a: float):
@@ -233,16 +222,7 @@ def _c2_from_connection(g: float, p: float, a: float):
     big_a = -p * u
     big_b = -(a + 1.0) - (2.0 - p) * u
     big_c = -a - u
-    logv = 0.0
-    sign = 1.0
-    for arg in (big_c - 1.0, big_a - big_b + 1.0):
-        lg, s = gammaln_signed(arg)
-        logv += lg
-        sign *= s
-    for arg in (big_a, big_c - big_b):
-        lg, s = gammaln_signed(arg)
-        logv -= lg
-        sign *= s
+    logv, sign = log_gamma_ratio((big_c - 1.0, big_a - big_b + 1.0), (big_a, big_c - big_b))
     logv += log_exact_moment(GmcParams(g, p, a, 0.0))
     return sign, math.exp(logv)
 
@@ -274,10 +254,9 @@ def verify_observable_prediction(
             allow = 3.0 * est.stderr + MC_REL_MARGIN * abs(predicted)
             retried = True
         ok = abs(est.mean - predicted) <= allow
-        meta = _meta(params, kind=kind.value, t=format(t, ".17g"),
-                     stderr=format(est.stderr, ".17g"), seed=cfg.seed,
+        meta = _meta(params, kind=kind.value, t=fmt(t), stderr=fmt(est.stderr), seed=cfg.seed,
                      n_modes=cfg.n_modes, replicates=est.replicates,
-                     retried=str(retried).lower(), allowance=format(allow, ".17g"))
+                     retried=str(retried).lower(), allowance=fmt(allow))
         rel = abs(est.mean - predicted) / max(abs(predicted), 1e-300)
         reports.append(CheckReport(
             f"observable/{kind.value}/t={t:.6g}", _passfail(ok),
@@ -304,7 +283,7 @@ def quadrature_identity_check(a: float, p: float) -> CheckReport:
     for a > 0 that tail is the finite-part continuation, matching the
     closed form's own analytic continuation.
     """
-    meta = {"a": format(a, ".17g"), "p": format(p, ".17g")}
+    meta = {"a": fmt(a), "p": fmt(p)}
     admissible = p < 0.0 and -1.0 < a < 1.0 and abs(a) > 1e-9 and a + p < 0.0
     if not admissible:
         return CheckReport(f"quadrature/a={a:g}/p={p:g}", "skipped",
@@ -332,24 +311,16 @@ def quadrature_identity_check(a: float, p: float) -> CheckReport:
         if abs(term) <= 1e-18 * max(abs(tail), 1e-30):
             break
     numeric = head + body + tail
-    logv = 0.0
-    sign = 1.0
-    for arg in (a, -a - p):
-        lg, s = gammaln_signed(arg)
-        logv += lg
-        sign *= s
-    lg, s = gammaln_signed(-p)
-    logv -= lg
-    sign *= s
-    closed = sign * math.exp(logv)
+    closed = gamma_ratio((a, -a - p), (-p,))
     return _report(f"quadrature/a={a:g}/p={p:g}", numeric, closed, QUADRATURE_TOL, meta)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def fmt(value):
+    """A float as a 17-significant-digit string, which round-trips; others unchanged."""
+    return format(value, ".17g") if isinstance(value, float) else value
 
 
 def reports_to_json(reports: list[CheckReport]) -> str:
@@ -358,10 +329,10 @@ def reports_to_json(reports: list[CheckReport]) -> str:
         rows.append({
             "check_id": r.check_id,
             "status": r.status,
-            "lhs": _fmt(r.lhs),
-            "rhs": _fmt(r.rhs),
-            "rel_err": _fmt(r.rel_err),
-            "tolerance": _fmt(r.tolerance),
+            "lhs": fmt(r.lhs),
+            "rhs": fmt(r.rhs),
+            "rel_err": fmt(r.rel_err),
+            "tolerance": fmt(r.tolerance),
             "metadata": {k: str(v) for k, v in r.metadata.items()},
         })
     return json.dumps(rows, indent=2) + "\n"
@@ -370,7 +341,7 @@ def reports_to_json(reports: list[CheckReport]) -> str:
 def reports_to_csv(reports: list[CheckReport]) -> str:
     lines = ["check_id,status,rel_err,tolerance"]
     for r in reports:
-        lines.append(f"{r.check_id},{r.status},{_fmt(r.rel_err)},{_fmt(r.tolerance)}")
+        lines.append(f"{r.check_id},{r.status},{fmt(r.rel_err)},{fmt(r.tolerance)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,24 @@
-"""Independent high-precision oracles, used to pin a handful of spot values.
+"""Reference code that the tests check the package against.
 
-Everything here is computed with mpmath from the defining integrals and
-series, never through the package code paths it is used to check.
+The high-precision oracles are computed with mpmath from the defining
+integrals and series, never through the package code paths they are used to
+check.  The pointwise field code evaluates one field sample and its variance
+by the three-term Chebyshev recurrence, against which the tests check the
+DCT route of gmcint.field.
 """
+import math
+from dataclasses import dataclass
+
 import mpmath as mp
+import numpy as np
+
+from gmcint.errors import DomainError
+from gmcint.field import QuadGrid, gmc_integral_batch
 
 mp.mp.dps = 40
+
+TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
+FOUR_LN2 = 4.0 * math.log(2.0)
 
 
 def ln_dgamma(gamma, x):
@@ -54,3 +67,84 @@ def exact_moment(g, p, a, b):
         + ln_dgamma(g, n * (a + b + 2) - (2 * p - 2) * m)
     )
     return mp.e ** (num - den)
+
+
+# ---------------------------------------------------------------------------
+# pointwise field
+
+@dataclass(frozen=True)
+class ChebFieldSample:
+    """One realization of the truncated field: N+1 normal coefficients."""
+
+    alpha: np.ndarray
+    n_modes: int
+    seed_tag: int
+
+    def __post_init__(self):
+        if self.alpha.shape != (self.n_modes + 1,):
+            raise DomainError(
+                f"expected {self.n_modes + 1} coefficients, got shape {self.alpha.shape}"
+            )
+        if not np.all(np.isfinite(self.alpha)):
+            raise DomainError("non-finite field coefficients")
+
+
+def sample_field(n_modes: int, rng: np.random.Generator, seed_tag: int = 0) -> ChebFieldSample:
+    if n_modes < 1:
+        raise DomainError(f"n_modes must be >= 1, got {n_modes!r}")
+    return ChebFieldSample(rng.standard_normal(n_modes + 1), n_modes, seed_tag)
+
+
+def eval_field(sample: ChebFieldSample, x, drop_mean: bool = False):
+    """Field value at x in [0, 1], by the three-term Chebyshev recurrence."""
+    x = np.asarray(x, dtype=float)
+    if np.any((x < 0.0) | (x > 1.0)):
+        raise DomainError("x must lie in [0, 1]")
+    s = 2.0 * x - 1.0
+    total = np.zeros_like(s)
+    if not drop_mean:
+        total += TWO_SQRT_LN2 * sample.alpha[0]
+    t_prev = np.ones_like(s)  # T_0
+    t_cur = s.copy()  # T_1
+    for n in range(1, sample.n_modes + 1):
+        total += (2.0 * sample.alpha[n] / math.sqrt(n)) * t_cur
+        t_prev, t_cur = t_cur, 2.0 * s * t_cur - t_prev
+    return total if total.ndim else float(total)
+
+
+def field_variance(n_modes: int, x) -> float:
+    """Pointwise variance of the truncated field."""
+    x = np.asarray(x, dtype=float)
+    if np.any((x < 0.0) | (x > 1.0)):
+        raise DomainError("x must lie in [0, 1]")
+    s = 2.0 * x - 1.0
+    total = np.full_like(s, FOUR_LN2)
+    t_prev = np.ones_like(s)
+    t_cur = s.copy()
+    for n in range(1, n_modes + 1):
+        total += (4.0 / n) * t_cur * t_cur
+        t_prev, t_cur = t_cur, 2.0 * s * t_cur - t_prev
+    return total if total.ndim else float(total)
+
+
+def gmc_integral(
+    sample: ChebFieldSample,
+    gamma: float,
+    a: float,
+    b: float,
+    t: float,
+    chi: float,
+    grid: QuadGrid,
+    drop_mean: bool = False,
+    eta: float = 1.0,
+) -> float:
+    """Composite weighted quadrature of the regularized GMC density.
+
+    Integrates (x-t)^chi x^a (1-x)^b exp(gamma/2 X_N - gamma^2/8 Var_N)
+    over [0, eta].  With drop_mean the constant mode is removed and the
+    variance is that of the remaining field.
+    """
+    vals = gmc_integral_batch(
+        sample.alpha[None, :], gamma, a, b, t, chi, grid, drop_mean, eta
+    )
+    return float(vals[0])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmcint.cli import main
 from gmcint.exactlaw import GmcParams
@@ -214,6 +218,12 @@ class TestVerifyFailurePath:
     (["dgamma", "--gamma", "1", "--x-min", "1e300", "--x-max", "1e300", "--count", "1"], {}, 1),
     (["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "100",
       "--n-modes", "16", "--batches", "10"], {"GMC_THREADS": "abc"}, 1),
+    (["exact", "--gamma", "1e-320", "--p", "0.5"], {}, 1),
+    (["reflection", "--dim", "2", "--gamma", "0", "--alpha", "1"], {}, 1),
+    (["shift", "--gamma", "1", "--p=-1e300"], {}, 1),
+    (["predict-u", "--gamma", "1", "--p=-inf", "--kind", "gamma-sq-over-4", "--t=-1"], {}, 1),
+    (["dgamma", "--gamma", "1", "--count", "-1"], {}, 64),
+    (["barnes", "--count", "100000000000000000000"], {}, 64),
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code):
     proc = subprocess.run([sys.executable, "-m", "gmcint.cli", *argv], capture_output=True,
@@ -222,6 +232,38 @@ def test_extreme_argv_ends_in_exit_code(argv, env, code):
     assert "Traceback" not in proc.stderr
     if code:
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+_EXTREME = [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 0.0]
+_FLOATS = st.one_of(st.sampled_from(_EXTREME), st.floats(-10.0, 10.0)).map(repr)
+_INTS = st.one_of(st.integers(-2, 4).map(str), _FLOATS)
+_GMC = {"--gamma": _FLOATS, "--p": _FLOATS, "--a": _FLOATS, "--b": _FLOATS}
+_CLOSED_FORM_FLAGS = {
+    "exact": _GMC,
+    "selberg": {**_GMC, "--p": _INTS},
+    "shift": _GMC,
+    "reflection": {"--dim": st.sampled_from(["1", "2"]), "--gamma": _FLOATS, "--alpha": _FLOATS},
+    "law-decomp": _GMC,
+    "dgamma": {"--gamma": _FLOATS, "--x-min": _FLOATS, "--x-max": _FLOATS, "--count": _INTS},
+    "barnes": {"--x-min": _FLOATS, "--x-max": _FLOATS, "--count": _INTS},
+    "martingale-moment": {"--p": _FLOATS},
+    "predict-u": {**_GMC, "--kind": st.sampled_from(["one", "gamma-sq-over-4"]), "--t": _FLOATS},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLOSED_FORM_FLAGS))
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_closed_form_argv_ends_in_exit_code(command, data):
+    argv = [command] + [f"{flag}={data.draw(values, label=flag)}"
+                        for flag, values in _CLOSED_FORM_FLAGS[command].items()]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 64, argv
+        else:
+            assert code in (0, 1, 2), argv
 
 
 class TestThreadEnvFallback:

@@ -5,17 +5,13 @@ import pytest
 from scipy.special import betainc, betaln
 from scipy.stats import ks_2samp
 
+from _oracles import ChebFieldSample, eval_field, field_variance, gmc_integral, sample_field
 from gmcint.errors import DomainError, GridError
 from gmcint.field import (
-    ChebFieldSample,
     QuadGrid,
     default_grid,
-    eval_field,
-    field_variance,
-    gmc_integral,
     gmc_integral_batch,
     replicate_rng,
-    sample_field,
     sample_y_gamma,
 )
 
@@ -104,6 +100,24 @@ class TestFieldVariance:
         x_mid, _, var_mid = _grid_workspace(n_modes, m_cells)
         direct = field_variance(n_modes, x_mid)
         np.testing.assert_allclose(var_mid, direct, rtol=1e-12)
+
+
+class TestBoundedCaches:
+    def test_caches_stay_at_their_size(self):
+        from gmcint import field
+
+        size = field._LAYOUTS_KEPT
+        grid = field._grid_workspace(4, 16)
+        masses = field._cell_masses(16, 0.25, 0.5)
+        for k in range(size + 2):
+            field._grid_workspace(4, 32 + 2 * k)
+            field._cell_masses(16, 0.1 * k, 0.0)
+        assert field._grid_workspace.cache_info().currsize == size
+        assert field._cell_masses.cache_info().currsize == size
+        # the first keys were dropped; asking again recomputes equal arrays
+        for got, want in zip(field._grid_workspace(4, 16), grid):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(field._cell_masses(16, 0.25, 0.5), masses)
 
 
 class TestGmcIntegral:
