@@ -5,8 +5,8 @@ suites, and emits deterministic JSON or CSV tables.  Numbers are printed
 as 17-significant-digit decimal strings so output round-trips exactly and
 identical runs (including across worker counts) are byte-identical.
 
-Exit codes: 0 success, 1 domain or bounds error, 2 verification failures,
-64 malformed usage.
+Exit codes: 0 success, 1 domain or bounds error or an unwritable --output,
+2 verification failures, 64 malformed usage.
 """
 from __future__ import annotations
 
@@ -61,8 +61,11 @@ def _table_rows(text: str) -> int:
 def _write(args, text: str) -> None:
     """Write a command's output to --output, or else to stdout."""
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GmcError(f"cannot write {args.output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -402,7 +405,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # every result is checked for finiteness, so numpy's warnings only add noise
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except GmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

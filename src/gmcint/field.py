@@ -11,6 +11,13 @@ DCT-III.  The endpoint weight x^a (1-x)^b is integrated exactly per cell
 (incomplete Beta masses) and multiplies the remaining smooth factor at the
 cell midpoint.
 
+A batch of coefficient rows streams through one workspace of at most
+_BLOCK_BYTES, sized to stay in cache: per block of rows the scaled modes are
+written in, transformed by an in-place DCT-III, exponentiated and weighted in
+place, and each row is summed on its own in numpy's fixed pairwise order.  A
+row's value therefore depends on that row alone, never on the chunk or block
+it was computed in, and a batch call's memory does not grow with its rows.
+
 Replicate r of a run draws its coefficients from an own counter-based
 stream keyed by seed XOR r, so results do not depend on worker count or
 scheduling.
@@ -30,6 +37,9 @@ from .errors import DomainError, GridError
 _TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 _FOUR_LN2 = 4.0 * math.log(2.0)
 _LAYOUTS_KEPT = 8  # grid workspaces, and cell-mass vectors, kept by the caches
+# bytes of density rows in flight per batch call: with the weight and shift rows
+# they stay in one core's L2 cache
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,19 +95,6 @@ def _cell_masses(m_cells: int, a: float, b: float, eta: float = 1.0) -> np.ndarr
     return scale * np.diff(betainc(a + 1.0, b + 1.0, xe))
 
 
-def _fields_on_grid(alphas: np.ndarray, m_cells: int, drop_mean: bool) -> np.ndarray:
-    """Field values at all cell midpoints for a batch of coefficient rows."""
-    n_batch, n_coef = alphas.shape
-    n_modes = n_coef - 1
-    coef = np.zeros((n_batch, m_cells))
-    coef[:, 1 : n_modes + 1] = alphas[:, 1:] * (2.0 / np.sqrt(np.arange(1, n_modes + 1)))
-    if not drop_mean:
-        coef[:, 0] = _TWO_SQRT_LN2 * alphas[:, 0]
-    d = coef
-    d[:, 1:] *= 0.5
-    return _fft.dct(d, type=3, axis=1)
-
-
 def gmc_integral_batch(
     alphas: np.ndarray,
     gamma: float,
@@ -109,22 +106,47 @@ def gmc_integral_batch(
     drop_mean: bool = False,
     eta: float = 1.0,
 ) -> np.ndarray:
-    """Regularized GMC integrals for a batch of coefficient rows."""
-    n_modes = alphas.shape[1] - 1
-    if grid.m_cells < 4 * n_modes:
-        raise GridError(f"m_cells={grid.m_cells} < 4*n_modes={4 * n_modes}")
+    """Regularized GMC integrals for a batch of coefficient rows.
+
+    The rows stream through one workspace of at most _BLOCK_BYTES (at least
+    one row), and each block is transformed, exponentiated and weighted in
+    place.  A row's value is a fixed-order (pairwise) sum over that row
+    alone, so it does not depend on the batch it came in.
+    """
+    n_rows, n_coef = alphas.shape
+    n_modes = n_coef - 1
+    m_cells = grid.m_cells
+    if m_cells < 4 * n_modes:
+        raise GridError(f"m_cells={m_cells} < 4*n_modes={4 * n_modes}")
     if not (a > -1.0 and b > -1.0):
         raise DomainError("quadrature needs a, b > -1")
     if t > 0.0:
         raise DomainError(f"insertion location t must be <= 0, got {t!r}")
-    x_mid, _, var_mid = _grid_workspace(n_modes, grid.m_cells)
-    weights = _cell_masses(grid.m_cells, a, b, eta)
+    x_mid, _, var_mid = _grid_workspace(n_modes, m_cells)
+    weights = _cell_masses(m_cells, a, b, eta)
     if chi != 0.0:
         weights = weights * (x_mid - t) ** chi
     var = var_mid - _FOUR_LN2 if drop_mean else var_mid
-    fields = _fields_on_grid(alphas, grid.m_cells, drop_mean)
-    dens = np.exp((0.5 * gamma) * fields - (gamma * gamma / 8.0) * var[None, :])
-    return dens @ weights
+    shift = (gamma * gamma / 8.0) * var
+    # DCT-III input of mode n: (2 / sqrt(n)) alpha_n, halved; halving is exact
+    mode_scale = 1.0 / np.sqrt(np.arange(1, n_coef))
+    block = max(1, min(n_rows, _BLOCK_BYTES // (8 * m_cells)))
+    work = np.empty((block, m_cells))
+    out = np.empty(n_rows)
+    for start in range(0, n_rows, block):
+        rows = alphas[start : start + block]
+        coef = work[: len(rows)]
+        coef[:, 0] = 0.0 if drop_mean else _TWO_SQRT_LN2 * rows[:, 0]
+        np.multiply(rows[:, 1:], mode_scale, out=coef[:, 1:n_coef])
+        coef[:, n_coef:] = 0.0
+        dens = _fft.dct(coef, type=3, axis=1, overwrite_x=True)
+        dens *= 0.5 * gamma
+        dens -= shift
+        np.exp(dens, out=dens)
+        dens *= weights
+        # not a BLAS dot: its summation order follows the BLAS thread count
+        np.add.reduce(dens, axis=1, out=out[start : start + len(rows)])
+    return out
 
 
 def sample_y_gamma(gamma: float, rng: np.random.Generator) -> float:

@@ -1,10 +1,12 @@
 """Replicated estimation of GMC moments, tail exponents, and small deviations.
 
 Replicates are the unit of parallelism: replicate r draws from the
-counter-based stream keyed by seed XOR r, worker threads fill a
-preallocated value array by replicate index, and every reduction is an
-ordered operation over that array, so a run is bit-identical for any
-worker count.  Standard errors come from batch means.
+counter-based stream keyed by seed XOR r straight into its coefficient row,
+worker threads take chunks of replicates and fill a preallocated value array
+by replicate index, and every reduction is an ordered operation over that
+array.  A replicate's integral depends on its own row alone (see
+gmcint.field), so a run is bit-identical for any worker count and chunk
+size.  Standard errors come from batch means.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .errors import BoundsError, DomainError, ResolutionError
 from .exactlaw import GmcParams, bounds_check
 from .field import QuadGrid, gmc_integral_batch, replicate_rng
 
-_CHUNK = 128  # replicates per task; fixed so scheduling cannot affect results
+_CHUNK = 128  # replicates per task: the scheduling grain; results do not depend on it
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,8 @@ def _simulate_integrals(
     def work(start: int) -> None:
         stop = min(start + _CHUNK, cfg.replicates)
         alphas = np.empty((stop - start, n_coef))
-        for i in range(start, stop):
-            alphas[i - start] = replicate_rng(cfg.seed, i).standard_normal(n_coef)
+        for i, row in enumerate(alphas, start):
+            replicate_rng(cfg.seed, i).standard_normal(out=row)
         out[start:stop] = gmc_integral_batch(
             alphas, gamma, a, b, t, chi, cfg.grid, drop_mean, eta
         )

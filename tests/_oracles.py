@@ -4,16 +4,20 @@ The high-precision oracles are computed with mpmath from the defining
 integrals and series, never through the package code paths they are used to
 check.  The pointwise field code evaluates one field sample and its variance
 by the three-term Chebyshev recurrence, against which the tests check the
-DCT route of gmcint.field.
+DCT route of gmcint.field.  The full-chunk batch integral is the array
+pipeline that gmcint.field streams in blocks: it shares the package's grid
+and cell masses but forms every density row at once and reduces them with a
+BLAS matrix-vector product.
 """
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from scipy import fft
 
 from gmcint.errors import DomainError
-from gmcint.field import QuadGrid, gmc_integral_batch
+from gmcint.field import QuadGrid, _cell_masses, _grid_workspace, gmc_integral_batch
 
 mp.mp.dps = 40
 
@@ -148,3 +152,31 @@ def gmc_integral(
         sample.alpha[None, :], gamma, a, b, t, chi, grid, drop_mean, eta
     )
     return float(vals[0])
+
+
+def gmc_integral_batch_full_chunk(
+    alphas: np.ndarray,
+    gamma: float,
+    a: float,
+    b: float,
+    t: float,
+    chi: float,
+    grid: QuadGrid,
+    drop_mean: bool = False,
+    eta: float = 1.0,
+) -> np.ndarray:
+    """Batch integrals with all density rows formed at once and a gemv reduction."""
+    n_modes = alphas.shape[1] - 1
+    x_mid, _, var_mid = _grid_workspace(n_modes, grid.m_cells)
+    weights = _cell_masses(grid.m_cells, a, b, eta)
+    if chi != 0.0:
+        weights = weights * (x_mid - t) ** chi
+    var = var_mid - FOUR_LN2 if drop_mean else var_mid
+    coef = np.zeros((len(alphas), grid.m_cells))
+    coef[:, 1 : n_modes + 1] = alphas[:, 1:] * (2.0 / np.sqrt(np.arange(1, n_modes + 1)))
+    if not drop_mean:
+        coef[:, 0] = TWO_SQRT_LN2 * alphas[:, 0]
+    coef[:, 1:] *= 0.5
+    fields = fft.dct(coef, type=3, axis=1)
+    dens = np.exp((0.5 * gamma) * fields - (gamma * gamma / 8.0) * var[None, :])
+    return dens @ weights

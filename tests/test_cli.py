@@ -224,8 +224,11 @@ class TestVerifyFailurePath:
     (["predict-u", "--gamma", "1", "--p=-inf", "--kind", "gamma-sq-over-4", "--t=-1"], {}, 1),
     (["dgamma", "--gamma", "1", "--count", "-1"], {}, 64),
     (["barnes", "--count", "100000000000000000000"], {}, 64),
+    (["exact", "--gamma", "1e-160", "--p", "0.5"], {}, 1),
+    (["exact", "--gamma", "1", "--p", "1", "--output", "{tmp}/missing-dir/out.json"], {}, 1),
 ])
-def test_extreme_argv_ends_in_exit_code(argv, env, code):
+def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "gmcint.cli", *argv], capture_output=True,
                           text=True, env={**os.environ, **env})
     assert proc.returncode == code, proc.stderr

@@ -1,11 +1,20 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import betainc, betaln
 from scipy.stats import ks_2samp
 
-from _oracles import ChebFieldSample, eval_field, field_variance, gmc_integral, sample_field
+from _oracles import (
+    ChebFieldSample,
+    eval_field,
+    field_variance,
+    gmc_integral,
+    gmc_integral_batch_full_chunk,
+    sample_field,
+)
 from gmcint.errors import DomainError, GridError
 from gmcint.field import (
     QuadGrid,
@@ -188,6 +197,53 @@ class TestGmcIntegral:
         f = (xs + 0.7) * xs**0.3 * (1.0 - xs) ** (-0.2)
         want = float(np.trapezoid(f, xs))
         assert got == pytest.approx(want, rel=1e-4)
+
+
+class TestStreamedBatch:
+    @pytest.mark.parametrize("n_modes,m_cells", [(512, 4096), (300, 1500)])
+    def test_matches_full_chunk_reference(self, n_modes, m_cells):
+        from gmcint.field import _BLOCK_BYTES
+
+        grid = QuadGrid(m_cells)
+        block = max(1, _BLOCK_BYTES // (8 * m_cells))
+        alphas = draw_alphas(41, block + block // 2 + 1, n_modes)  # a partial last block
+        settings = itertools.product(
+            (0.3, 1.0, 1.9),  # gamma
+            ((0.0, 0.0), (0.5, -0.3)),  # a, b
+            ((0.0, 0.0), (-0.5, 0.25), (-1e-6, -0.5)),  # t, chi
+            (False, True),  # drop_mean
+            (1.0, 0.6),  # eta
+        )
+        for gamma, (a, b), (t, chi), drop_mean, eta in settings:
+            args = (alphas, gamma, a, b, t, chi, grid, drop_mean, eta)
+            got = gmc_integral_batch(*args)
+            want = gmc_integral_batch_full_chunk(*args)
+            rel = float(np.max(np.abs(got - want) / want))
+            assert rel <= 4e-15, (gamma, a, b, t, chi, drop_mean, eta, rel)
+
+    def test_rows_do_not_depend_on_the_split(self):
+        n_modes = 1024
+        grid = default_grid(n_modes)
+        alphas = draw_alphas(17, 128, n_modes)
+        args = (1.3, 0.2, 0.1, -0.5, 0.25, grid)
+        whole = gmc_integral_batch(alphas, *args)
+        for size in (1, 7, 120):
+            parts = [gmc_integral_batch(alphas[i : i + size], *args)
+                     for i in range(0, len(alphas), size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    def test_peak_memory_of_a_chunk_is_bounded(self):
+        n_modes = 4096
+        grid = default_grid(n_modes)
+        alphas = draw_alphas(3, 128, n_modes)
+        gmc_integral_batch(alphas[:1], 1.0, 0.0, 0.0, 0.0, 0.0, grid)  # fill the layout caches
+        tracemalloc.start()
+        try:
+            gmc_integral_batch(alphas, 1.0, 0.0, 0.0, 0.0, 0.0, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # the full-chunk pipeline peaks at about 100 MB
 
 
 class TestCovariance:

@@ -52,7 +52,9 @@ class TestMcMoment:
         a = mc_moment(params, 0.0, 0.0, cfg, threads=1)
         b = mc_moment(params, 0.0, 0.0, cfg, threads=4)
         c = mc_moment(params, 0.0, 0.0, cfg, threads=1)
-        assert (a.mean, a.stderr) == (b.mean, b.stderr) == (c.mean, c.stderr)
+        d = mc_moment(params, 0.0, 0.0, cfg, threads=2)
+        assert ((a.mean, a.stderr) == (b.mean, b.stderr) == (c.mean, c.stderr)
+                == (d.mean, d.stderr))
 
     def test_thread_count_resolution(self, monkeypatch):
         monkeypatch.setenv("GMC_THREADS", "3")
