@@ -33,7 +33,7 @@ from .exactlaw import (
     selberg_product,
     shift_ratio,
 )
-from .field import QuadGrid, default_grid, replicate_rng, sample_y_gamma
+from .field import QuadGrid, cell_weights, replicate_rng
 from .montecarlo import (
     McConfig,
     McEstimate,
@@ -41,6 +41,7 @@ from .montecarlo import (
     TailFit,
     config_for,
     mc_moment,
+    mc_moments,
     mc_small_deviation,
     mc_tail_fit,
 )
@@ -52,7 +53,6 @@ from .specfun import (
     beta22_log_moment,
     connection_coeffs,
     double_gamma_evaluator,
-    gamma_fn,
     gammaln_signed,
     hyp2f1_negative,
     log_double_gamma,

@@ -275,8 +275,8 @@ def _cmd_martingale(args) -> int:
 
 def _cmd_mc_moment(args) -> int:
     params = GmcParams(args.gamma, args.p, args.a, args.b)
-    cfg = config_for(args.replicates, args.n_modes, args.seed, args.a, args.b,
-                     args.batches, args.cells_per_mode)
+    cfg = config_for(args.replicates, args.n_modes, args.seed,
+                     batches=args.batches, cells_per_mode=args.cells_per_mode)
     est = mc_moment(params, args.t, args.chi, cfg, args.threads)
     closed = None
     if args.chi == 0.0:
@@ -302,6 +302,8 @@ def _cmd_mc_moment(args) -> int:
 def _cmd_tail(args) -> int:
     cfg = config_for(args.replicates, args.n_modes, args.seed,
                      batches=args.batches, cells_per_mode=args.cells_per_mode)
+    if not (0.0 < args.u_min < args.u_max < math.inf and args.u_count >= 2):
+        raise DomainError("tail needs 0 < --u-min < --u-max < inf and --u-count >= 2")
     u_grid = np.geomspace(args.u_min, args.u_max, args.u_count)
     fit = mc_tail_fit(args.gamma, args.alpha, args.eta, u_grid, cfg, args.threads)
     q = args.gamma / 2.0 + 2.0 / args.gamma
@@ -370,7 +372,7 @@ def _cmd_verify(args) -> int:
         if args.seed is None:
             raise GmcError("the observable suite is stochastic: --seed is required")
         params = GmcParams(1.0, -0.5, 0.2, 0.1)
-        cfg = config_for(args.replicates, args.n_modes, args.seed, 0.2, 0.1,
+        cfg = config_for(args.replicates, args.n_modes, args.seed,
                          batches=max(10, min(50, args.replicates // 10)))
         for kind in ObservableKind:
             reports.extend(verify_mod.verify_observable_prediction(

@@ -7,16 +7,18 @@ cut-off.  The weighted integral uses a composite rule whose cells are
 uniform in the Chebyshev angle theta (x = (1 - cos theta)/2): T_n(2x-1) =
 cos(n theta), so m_cells >= 4 N resolves every mode at two-plus cells per
 half-wave, and evaluating the field on all cell midpoints is a single
-DCT-III.  The endpoint weight x^a (1-x)^b is integrated exactly per cell
-(incomplete Beta masses) and multiplies the remaining smooth factor at the
-cell midpoint.
+DCT-III.  A weight is data: cell_weights gives one observable's row of cell
+weights, x^a (1-x)^b integrated exactly per cell (incomplete Beta masses)
+times (x-t)^chi at the cell midpoint, and gmc_integral_batch reduces every
+field against a matrix of such rows.
 
 A batch of coefficient rows streams through one workspace of at most
 _BLOCK_BYTES, sized to stay in cache: per block of rows the scaled modes are
-written in, transformed by an in-place DCT-III, exponentiated and weighted in
-place, and each row is summed on its own in numpy's fixed pairwise order.  A
-row's value therefore depends on that row alone, never on the chunk or block
-it was computed in, and a batch call's memory does not grow with its rows.
+written in, transformed by an in-place DCT-III and exponentiated in place,
+then weighted and summed row by row in numpy's fixed pairwise order.  A
+value therefore depends on its own row and weight alone, never on the chunk
+or block it was computed in or on the other weights, and a batch call's
+memory does not grow with its rows.
 
 Replicate r of a run draws its coefficients from an own counter-based
 stream keyed by seed XOR r, so results do not depend on worker count or
@@ -44,15 +46,9 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class QuadGrid:
-    """Composite-rule layout: cell count and endpoint weight exponents."""
+    """Composite-rule layout: the number of angle-uniform cells."""
 
     m_cells: int
-    a: float = 0.0
-    b: float = 0.0
-
-
-def default_grid(n_modes: int, a: float = 0.0, b: float = 0.0) -> QuadGrid:
-    return QuadGrid(8 * n_modes, a, b)
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -95,44 +91,42 @@ def _cell_masses(m_cells: int, a: float, b: float, eta: float = 1.0) -> np.ndarr
     return scale * np.diff(betainc(a + 1.0, b + 1.0, xe))
 
 
-def gmc_integral_batch(
-    alphas: np.ndarray,
-    gamma: float,
-    a: float,
-    b: float,
-    t: float,
-    chi: float,
-    grid: QuadGrid,
-    drop_mean: bool = False,
-    eta: float = 1.0,
-) -> np.ndarray:
-    """Regularized GMC integrals for a batch of coefficient rows.
-
-    The rows stream through one workspace of at most _BLOCK_BYTES (at least
-    one row), and each block is transformed, exponentiated and weighted in
-    place.  A row's value is a fixed-order (pairwise) sum over that row
-    alone, so it does not depend on the batch it came in.
-    """
-    n_rows, n_coef = alphas.shape
-    n_modes = n_coef - 1
+def cell_weights(grid: QuadGrid, n_modes: int, a: float, b: float, t: float = 0.0,
+                 chi: float = 0.0, eta: float = 1.0) -> np.ndarray:
+    """Weight of every cell for the mass of (x-t)^chi x^a (1-x)^b on [0, eta]."""
     m_cells = grid.m_cells
     if m_cells < 4 * n_modes:
         raise GridError(f"m_cells={m_cells} < 4*n_modes={4 * n_modes}")
     if not (a > -1.0 and b > -1.0):
         raise DomainError("quadrature needs a, b > -1")
-    if t > 0.0:
-        raise DomainError(f"insertion location t must be <= 0, got {t!r}")
-    x_mid, _, var_mid = _grid_workspace(n_modes, m_cells)
-    weights = _cell_masses(m_cells, a, b, eta)
-    if chi != 0.0:
-        weights = weights * (x_mid - t) ** chi
+    if not (-math.inf < t <= 0.0 and math.isfinite(chi)):
+        raise DomainError(f"insertion needs finite chi and t <= 0, got t={t!r}, chi={chi!r}")
+    x_mid = _grid_workspace(n_modes, m_cells)[0]
+    # a new array, never the cached masses; at chi = 0 the factor is exactly 1
+    return _cell_masses(m_cells, a, b, eta) * (x_mid - t) ** chi
+
+
+def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, grid: QuadGrid,
+                       drop_mean: bool = False) -> np.ndarray:
+    """Regularized GMC integrals of coefficient rows: shape (rows, k) for k weight rows.
+
+    The rows stream through one workspace of at most _BLOCK_BYTES (at least
+    one row), each block transformed and exponentiated in place.  Each weight
+    but the last is multiplied into a spare block, the last in place, and
+    every product is summed over its row alone in fixed (pairwise) order.
+    """
+    n_rows, n_coef = alphas.shape
+    n_modes = n_coef - 1
+    m_cells = grid.m_cells
+    _, _, var_mid = _grid_workspace(n_modes, m_cells)
     var = var_mid - _FOUR_LN2 if drop_mean else var_mid
     shift = (gamma * gamma / 8.0) * var
     # DCT-III input of mode n: (2 / sqrt(n)) alpha_n, halved; halving is exact
     mode_scale = 1.0 / np.sqrt(np.arange(1, n_coef))
     block = max(1, min(n_rows, _BLOCK_BYTES // (8 * m_cells)))
     work = np.empty((block, m_cells))
-    out = np.empty(n_rows)
+    spare = np.empty((block, m_cells)) if len(weights) > 1 else None
+    out = np.empty((n_rows, len(weights)))
     for start in range(0, n_rows, block):
         rows = alphas[start : start + block]
         coef = work[: len(rows)]
@@ -143,15 +137,10 @@ def gmc_integral_batch(
         dens *= 0.5 * gamma
         dens -= shift
         np.exp(dens, out=dens)
-        dens *= weights
-        # not a BLAS dot: its summation order follows the BLAS thread count
-        np.add.reduce(dens, axis=1, out=out[start : start + len(rows)])
+        sums = out[start : start + len(rows)]
+        # not a BLAS product: its summation order follows the BLAS thread count
+        for j, w in enumerate(weights[:-1]):
+            np.add.reduce(np.multiply(dens, w, out=spare[: len(rows)]), axis=1, out=sums[:, j])
+        dens *= weights[-1]
+        np.add.reduce(dens, axis=1, out=sums[:, -1])
     return out
-
-
-def sample_y_gamma(gamma: float, rng: np.random.Generator) -> float:
-    """One draw of the circle-mass law: E(1)^(-gamma^2/4) / Gamma(1-gamma^2/4)."""
-    if not 0.0 < gamma < 2.0:
-        raise DomainError(f"gamma must be in (0, 2), got {gamma!r}")
-    e = rng.standard_exponential()
-    return e ** (-gamma * gamma / 4.0) / math.gamma(1.0 - gamma * gamma / 4.0)

@@ -1,12 +1,15 @@
 """Replicated estimation of GMC moments, tail exponents, and small deviations.
 
+One sampler, _simulate_integrals, synthesizes each replicate's field once
+and reduces it against a matrix of weight rows (gmcint.field.cell_weights),
+one per observable; every estimator is a reduction of its value columns.
 Replicates are the unit of parallelism: replicate r draws from the
 counter-based stream keyed by seed XOR r straight into its coefficient row,
 worker threads take chunks of replicates and fill a preallocated value array
 by replicate index, and every reduction is an ordered operation over that
-array.  A replicate's integral depends on its own row alone (see
-gmcint.field), so a run is bit-identical for any worker count and chunk
-size.  Standard errors come from batch means.
+array.  A replicate's integral depends on its own row and weight alone (see
+gmcint.field), so a run is bit-identical for any worker count, chunk size
+and set of other weights.  Standard errors come from batch means.
 """
 from __future__ import annotations
 
@@ -18,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BoundsError, DomainError, ResolutionError
-from .exactlaw import GmcParams, bounds_check
-from .field import QuadGrid, gmc_integral_batch, replicate_rng
+from .exactlaw import GmcParams, _check_gamma, bounds_check
+from .field import QuadGrid, cell_weights, gmc_integral_batch, replicate_rng
 
 _CHUNK = 128  # replicates per task: the scheduling grain; results do not depend on it
 
@@ -49,7 +52,8 @@ class McConfig:
 
 def config_for(replicates: int, n_modes: int, seed: int, a: float = 0.0, b: float = 0.0,
                batches: int = 50, cells_per_mode: int = 8) -> McConfig:
-    grid = QuadGrid(cells_per_mode * n_modes, a, b)
+    """Plan on cells_per_mode cells per mode; a and b are not used (weights carry them)."""
+    grid = QuadGrid(cells_per_mode * n_modes)
     return McConfig(replicates, n_modes, grid, seed, batches)
 
 
@@ -109,19 +113,10 @@ def _resolve_threads(threads: int | None) -> int:
     return max(1, threads)
 
 
-def _simulate_integrals(
-    cfg: McConfig,
-    gamma: float,
-    a: float,
-    b: float,
-    t: float,
-    chi: float,
-    drop_mean: bool,
-    threads: int | None,
-    eta: float = 1.0,
-) -> np.ndarray:
-    """GMC integral value of every replicate, in replicate order."""
-    out = np.empty(cfg.replicates)
+def _simulate_integrals(cfg: McConfig, gamma: float, weights: np.ndarray, drop_mean: bool,
+                        threads: int | None) -> np.ndarray:
+    """GMC integral of every replicate against every weight row, shape (replicates, k)."""
+    out = np.empty((cfg.replicates, len(weights)))
     n_coef = cfg.n_modes + 1
 
     def work(start: int) -> None:
@@ -129,9 +124,7 @@ def _simulate_integrals(
         alphas = np.empty((stop - start, n_coef))
         for i, row in enumerate(alphas, start):
             replicate_rng(cfg.seed, i).standard_normal(out=row)
-        out[start:stop] = gmc_integral_batch(
-            alphas, gamma, a, b, t, chi, cfg.grid, drop_mean, eta
-        )
+        out[start:stop] = gmc_integral_batch(alphas, gamma, weights, cfg.grid, drop_mean)
 
     starts = range(0, cfg.replicates, _CHUNK)
     n_workers = _resolve_threads(threads)
@@ -144,37 +137,36 @@ def _simulate_integrals(
     return out
 
 
-def _batch_stderr(values: np.ndarray, batches: int) -> float:
-    means = values.reshape(batches, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(batches))
+def mc_moments(params: GmcParams, tchis, cfg: McConfig,
+               threads: int | None = None) -> list[McEstimate]:
+    """Monte Carlo estimates of the moment of the mass weighted by (x-t)^chi, per (t, chi).
 
-
-def mc_moment(
-    params: GmcParams,
-    t: float,
-    chi: float,
-    cfg: McConfig,
-    threads: int | None = None,
-) -> McEstimate:
-    """Monte Carlo estimate of the moment of the weighted GMC mass.
-
-    The standard error is a batch-mean estimate; when the doubled moment
-    order 2p falls outside the existence bounds the population variance is
-    infinite, so the batch spread is only indicative and the estimate is
-    flagged degraded_ci.
+    Every (t, chi) is a weight row on the same simulated fields, and each
+    estimate equals a lone mc_moment call's.  The standard error is a
+    batch-mean estimate; when the doubled moment order 2p falls outside the
+    existence bounds the population variance is infinite, so the batch
+    spread is only indicative and the estimates are flagged degraded_ci.
     """
-    if not (params.a > -1.0 and params.b > -1.0):
-        raise DomainError("Monte Carlo side needs a, b > -1")
+    weights = np.stack([cell_weights(cfg.grid, cfg.n_modes, params.a, params.b, t, chi)
+                        for t, chi in tchis])
     if not bounds_check(params):
         raise BoundsError(f"moment does not exist for {params}")
-    vals = _simulate_integrals(
-        cfg, params.gamma, params.a, params.b, t, chi, False, threads
-    )
-    powered = vals**params.p
-    mean = float(powered.mean())
-    stderr = _batch_stderr(powered, cfg.batches)
+    vals = _simulate_integrals(cfg, params.gamma, weights, False, threads)
     degraded = not bounds_check(replace(params, p=2.0 * params.p))
-    return McEstimate(mean, stderr, cfg.replicates, cfg.n_modes, cfg.seed, degraded)
+    ests = []
+    for column in vals.T:
+        powered = column**params.p
+        batch_means = powered.reshape(cfg.batches, -1).mean(axis=1)
+        stderr = float(batch_means.std(ddof=1) / math.sqrt(cfg.batches))
+        ests.append(McEstimate(float(powered.mean()), stderr, cfg.replicates, cfg.n_modes,
+                               cfg.seed, degraded))
+    return ests
+
+
+def mc_moment(params: GmcParams, t: float, chi: float, cfg: McConfig,
+              threads: int | None = None) -> McEstimate:
+    """Monte Carlo estimate of the moment of the mass weighted by (x-t)^chi."""
+    return mc_moments(params, [(t, chi)], cfg, threads)[0]
 
 
 def _wilson(successes: np.ndarray, n: int, z: float = 1.96):
@@ -200,6 +192,7 @@ def mc_tail_fit(
     -2(Q - alpha)/gamma.  Requires alpha in (gamma/2, 2/gamma) so the
     insertion exponent stays quadrature-admissible.
     """
+    _check_gamma(gamma)
     if not gamma / 2.0 < alpha < 2.0 / gamma:
         raise DomainError(f"alpha must lie in (gamma/2, 2/gamma), got {alpha!r}")
     if not 0.0 < eta <= 1.0:
@@ -207,8 +200,8 @@ def mc_tail_fit(
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.ndim != 1 or len(u_grid) < 2 or np.any(np.diff(u_grid) <= 0.0):
         raise DomainError("u_grid must be strictly increasing with >= 2 points")
-    a = -gamma * alpha / 2.0
-    vals = _simulate_integrals(cfg, gamma, a, 0.0, 0.0, 0.0, False, threads, eta)
+    weights = cell_weights(cfg.grid, cfg.n_modes, -gamma * alpha / 2.0, 0.0, eta=eta)
+    vals = _simulate_integrals(cfg, gamma, weights[None], False, threads)[:, 0]
     counts = np.array([(vals > u).sum() for u in u_grid])
     if counts[-1] < 50:
         raise ResolutionError(
@@ -245,8 +238,10 @@ def mc_small_deviation(
     and count 0.  The envelope constant c in P <= exp(-c eps^(-4/gamma^2))
     is fitted from the two smallest resolvable eps.
     """
+    _check_gamma(gamma)
     eps_grid = np.asarray(eps_grid, dtype=float)
-    vals = _simulate_integrals(cfg, gamma, 0.0, 0.0, 0.0, 0.0, True, threads)
+    weights = cell_weights(cfg.grid, cfg.n_modes, 0.0, 0.0)
+    vals = _simulate_integrals(cfg, gamma, weights[None], True, threads)[:, 0]
     points = []
     for eps in eps_grid:
         count = int((vals <= eps).sum())

@@ -78,12 +78,6 @@ def gammaln_signed(x: float) -> tuple[float, float]:
     return logval, math.copysign(1.0, s)
 
 
-def gamma_fn(x: float) -> float:
-    """Euler Gamma for real non-pole arguments."""
-    logval, sign = gammaln_signed(x)
-    return sign * math.exp(logval)
-
-
 def checked_exp(logval: float, what: str) -> float:
     """exp(logval); DomainError, naming `what`, when that overflows the double range."""
     try:

@@ -2,12 +2,14 @@
 
 The high-precision oracles are computed with mpmath from the defining
 integrals and series, never through the package code paths they are used to
-check.  The pointwise field code evaluates one field sample and its variance
-by the three-term Chebyshev recurrence, against which the tests check the
-DCT route of gmcint.field.  The full-chunk batch integral is the array
-pipeline that gmcint.field streams in blocks: it shares the package's grid
-and cell masses but forms every density row at once and reduces them with a
-BLAS matrix-vector product.
+check; gamma_fn is the plain Euler Gamma the closed-form tests compare
+against.  The pointwise field code evaluates one field sample and its
+variance by the three-term Chebyshev recurrence, against which the tests
+check the DCT route of gmcint.field.  The full-chunk batch integral is the
+array pipeline that gmcint.field streams in blocks: it shares the package's
+grid and cell masses but forms every density row at once and reduces them
+with a BLAS matrix-vector product.  sample_y_gamma draws from the exact
+circle-mass law.
 """
 import math
 from dataclasses import dataclass
@@ -17,12 +19,25 @@ import numpy as np
 from scipy import fft
 
 from gmcint.errors import DomainError
-from gmcint.field import QuadGrid, _cell_masses, _grid_workspace, gmc_integral_batch
+from gmcint.field import (
+    QuadGrid,
+    _cell_masses,
+    _grid_workspace,
+    cell_weights,
+    gmc_integral_batch,
+)
+from gmcint.specfun import gammaln_signed
 
 mp.mp.dps = 40
 
 TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 FOUR_LN2 = 4.0 * math.log(2.0)
+
+
+def gamma_fn(x: float) -> float:
+    """Euler Gamma for real non-pole arguments."""
+    logval, sign = gammaln_signed(x)
+    return sign * math.exp(logval)
 
 
 def ln_dgamma(gamma, x):
@@ -75,6 +90,10 @@ def exact_moment(g, p, a, b):
 
 # ---------------------------------------------------------------------------
 # pointwise field
+
+def default_grid(n_modes: int) -> QuadGrid:
+    return QuadGrid(8 * n_modes)
+
 
 @dataclass(frozen=True)
 class ChebFieldSample:
@@ -148,10 +167,9 @@ def gmc_integral(
     over [0, eta].  With drop_mean the constant mode is removed and the
     variance is that of the remaining field.
     """
-    vals = gmc_integral_batch(
-        sample.alpha[None, :], gamma, a, b, t, chi, grid, drop_mean, eta
-    )
-    return float(vals[0])
+    weights = cell_weights(grid, sample.n_modes, a, b, t, chi, eta)
+    vals = gmc_integral_batch(sample.alpha[None, :], gamma, weights[None], grid, drop_mean)
+    return float(vals[0, 0])
 
 
 def gmc_integral_batch_full_chunk(
@@ -180,3 +198,11 @@ def gmc_integral_batch_full_chunk(
     fields = fft.dct(coef, type=3, axis=1)
     dens = np.exp((0.5 * gamma) * fields - (gamma * gamma / 8.0) * var[None, :])
     return dens @ weights
+
+
+def sample_y_gamma(gamma: float, rng: np.random.Generator) -> float:
+    """One draw of the circle-mass law: E(1)^(-gamma^2/4) / Gamma(1-gamma^2/4)."""
+    if not 0.0 < gamma < 2.0:
+        raise DomainError(f"gamma must be in (0, 2), got {gamma!r}")
+    e = rng.standard_exponential()
+    return e ** (-gamma * gamma / 4.0) / math.gamma(1.0 - gamma * gamma / 4.0)

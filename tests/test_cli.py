@@ -211,6 +211,9 @@ class TestVerifyFailurePath:
         assert json.loads(out)[1]["status"] == "fail"
 
 
+_SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches", "10"]
+
+
 @pytest.mark.parametrize("argv,env,code", [
     (["predict-u", "--gamma", "1", "--p", "-0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
       "--t=-1e300"], {}, 0),
@@ -226,6 +229,15 @@ class TestVerifyFailurePath:
     (["barnes", "--count", "100000000000000000000"], {}, 64),
     (["exact", "--gamma", "1e-160", "--p", "0.5"], {}, 1),
     (["exact", "--gamma", "1", "--p", "1", "--output", "{tmp}/missing-dir/out.json"], {}, 1),
+    (["tail", "--gamma", "0", "--alpha", "1.2", *_SMALL_MC], {}, 1),
+    (["small-dev", "--gamma", "0", *_SMALL_MC], {}, 1),
+    (["small-dev", "--gamma", "1e-200", *_SMALL_MC], {}, 1),
+    (["small-dev", "--gamma", "3", *_SMALL_MC], {}, 1),
+    (["small-dev", "--gamma=-1", *_SMALL_MC], {}, 1),
+    (["small-dev", "--gamma", "nan", *_SMALL_MC], {}, 1),
+    (["mc-moment", "--gamma", "1", "--p", "0.5", "--chi", "inf", *_SMALL_MC], {}, 1),
+    (["tail", "--gamma", "1", "--alpha", "1.2", "--u-count", "-1", *_SMALL_MC], {}, 1),
+    (["tail", "--gamma", "1", "--alpha", "1.2", "--u-min", "0", *_SMALL_MC], {}, 1),
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -260,6 +272,53 @@ _CLOSED_FORM_FLAGS = {
 def test_closed_form_argv_ends_in_exit_code(command, data):
     argv = [command] + [f"{flag}={data.draw(values, label=flag)}"
                         for flag, values in _CLOSED_FORM_FLAGS[command].items()]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 64, argv
+        else:
+            assert code in (0, 1, 2), argv
+
+
+# Each example starts from a valid argv and redraws up to three of its flags,
+# so that it gets past the first check.  Counts come from small sets, the
+# invalid -1, 0 and 99 among them, so that no example asks for unbounded
+# work; threads are only ever 1 or 2.
+_COUNT = st.sampled_from(["-1", "0", "99", "100", "200"])
+_MC_VALID = {"--seed": "7", "--replicates": "100", "--n-modes": "8", "--batches": "10",
+             "--cells-per-mode": "8", "--threads": "1"}
+_MC_DRAWS = {"--seed": st.sampled_from(["-1", "0", "7", str(2**70)]), "--replicates": _COUNT,
+             "--n-modes": st.sampled_from(["-1", "0", "99", "8", "32"]),
+             "--batches": st.sampled_from(["-1", "0", "99", "10", "20"]),
+             "--cells-per-mode": st.sampled_from(["-1", "0", "3", "4", "8"]),
+             "--threads": st.sampled_from(["1", "2"])}
+_GMC_VALID = {"--gamma": "1", "--p": "-0.5", "--a": "0.2", "--b": "0.1"}
+_STOCHASTIC_FLAGS = {  # command: (valid argv, values a redrawn flag takes)
+    "mc-moment": ({**_GMC_VALID, "--t": "-0.5", "--chi": "0.25", **_MC_VALID},
+                  {**_GMC, "--t": _FLOATS, "--chi": _FLOATS, **_MC_DRAWS}),
+    "tail": ({"--gamma": "1", "--alpha": "1.2", "--eta": "1", "--u-min": "0.5", "--u-max": "1",
+              "--u-count": "4", **_MC_VALID},
+             {"--gamma": _FLOATS, "--alpha": _FLOATS, "--eta": _FLOATS, "--u-min": _FLOATS,
+              "--u-max": _FLOATS, "--u-count": st.sampled_from(["-1", "0", "99", "2", "4"]),
+              **_MC_DRAWS}),
+    "small-dev": ({"--gamma": "1", "--eps": "0.5", **_MC_VALID},
+                  {"--gamma": _FLOATS, "--eps": _FLOATS, **_MC_DRAWS}),
+    "verify": ({"--suite": "observable", "--seed": "7", "--replicates": "100", "--n-modes": "8",
+                "--threads": "1"},
+               {flag: _MC_DRAWS[flag] for flag in ("--seed", "--replicates", "--n-modes",
+                                                   "--threads")}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STOCHASTIC_FLAGS))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_stochastic_argv_ends_in_exit_code(command, data):
+    valid, draws = _STOCHASTIC_FLAGS[command]
+    redrawn = data.draw(st.sets(st.sampled_from(sorted(draws)), max_size=3), label="redrawn")
+    argv = [command] + [f"{flag}={data.draw(draws[flag], label=flag) if flag in redrawn else value}"
+                        for flag, value in valid.items()]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)

@@ -9,19 +9,20 @@ from scipy.stats import ks_2samp
 
 from _oracles import (
     ChebFieldSample,
+    default_grid,
     eval_field,
     field_variance,
     gmc_integral,
     gmc_integral_batch_full_chunk,
     sample_field,
+    sample_y_gamma,
 )
 from gmcint.errors import DomainError, GridError
 from gmcint.field import (
     QuadGrid,
-    default_grid,
+    cell_weights,
     gmc_integral_batch,
     replicate_rng,
-    sample_y_gamma,
 )
 
 TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
@@ -30,6 +31,12 @@ TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 def make_sample(alpha, seed_tag=0):
     alpha = np.asarray(alpha, dtype=float)
     return ChebFieldSample(alpha, len(alpha) - 1, seed_tag)
+
+
+def one_weight(alphas, gamma, a, b, t, chi, grid, drop_mean=False, eta=1.0):
+    """Batch integrals against the single weight row of (a, b, t, chi, eta)."""
+    weights = cell_weights(grid, alphas.shape[1] - 1, a, b, t, chi, eta)
+    return gmc_integral_batch(alphas, gamma, weights[None], grid, drop_mean)[:, 0]
 
 
 def draw_alphas(seed, replicates, n_modes):
@@ -147,11 +154,11 @@ class TestGmcIntegral:
     def test_unit_mean_flat_weights(self):
         n_modes, reps = 256, 2000
         grid = default_grid(n_modes)
-        vals = gmc_integral_batch(draw_alphas(7, reps, n_modes), 1.0, 0.0, 0.0, 0.0, 0.0, grid)
+        vals = one_weight(draw_alphas(7, reps, n_modes), 1.0, 0.0, 0.0, 0.0, 0.0, grid)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - 1.0) <= 3.0 * se
         # normalization holds for the mean-free field as well
-        dropped = gmc_integral_batch(
+        dropped = one_weight(
             draw_alphas(7, reps, n_modes), 1.0, 0.0, 0.0, 0.0, 0.0, grid, drop_mean=True
         )
         se_d = dropped.std(ddof=1) / math.sqrt(reps)
@@ -160,7 +167,7 @@ class TestGmcIntegral:
     def test_beta_mean_with_weights(self):
         n_modes, reps = 256, 2000
         grid = default_grid(n_modes)
-        vals = gmc_integral_batch(
+        vals = one_weight(
             draw_alphas(8, reps, n_modes), 1.0, 0.5, 0.5, 0.0, 0.0, grid
         )
         se = vals.std(ddof=1) / math.sqrt(reps)
@@ -175,6 +182,10 @@ class TestGmcIntegral:
         s = make_sample(np.zeros(5))
         with pytest.raises(DomainError):
             gmc_integral(s, 1.0, -1.5, 0.0, 0.0, 0.0, default_grid(4))
+        for t, chi in ((0.5, 0.0), (math.nan, 0.0), (-math.inf, 0.0), (0.0, math.inf),
+                       (-0.5, math.nan)):
+            with pytest.raises(DomainError):
+                cell_weights(default_grid(4), 4, 0.0, 0.0, t, chi)
 
     def test_eta_truncation_zero_field(self):
         n_modes = 16
@@ -216,7 +227,7 @@ class TestStreamedBatch:
         )
         for gamma, (a, b), (t, chi), drop_mean, eta in settings:
             args = (alphas, gamma, a, b, t, chi, grid, drop_mean, eta)
-            got = gmc_integral_batch(*args)
+            got = one_weight(*args)
             want = gmc_integral_batch_full_chunk(*args)
             rel = float(np.max(np.abs(got - want) / want))
             assert rel <= 4e-15, (gamma, a, b, t, chi, drop_mean, eta, rel)
@@ -226,20 +237,45 @@ class TestStreamedBatch:
         grid = default_grid(n_modes)
         alphas = draw_alphas(17, 128, n_modes)
         args = (1.3, 0.2, 0.1, -0.5, 0.25, grid)
-        whole = gmc_integral_batch(alphas, *args)
+        whole = one_weight(alphas, *args)
         for size in (1, 7, 120):
-            parts = [gmc_integral_batch(alphas[i : i + size], *args)
+            parts = [one_weight(alphas[i : i + size], *args)
                      for i in range(0, len(alphas), size)]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("drop_mean", [False, True])
+    def test_weight_columns_equal_lone_weights(self, drop_mean):
+        from gmcint.field import _BLOCK_BYTES
+
+        n_modes = 300
+        grid = QuadGrid(2048)
+        block = _BLOCK_BYTES // (8 * grid.m_cells)
+        alphas = draw_alphas(43, block + 5, n_modes)  # a partial last block
+        settings = [(0.0, 0.0, 0.0, 0.0, 1.0), (0.5, -0.3, -0.5, 0.25, 1.0),
+                    (0.2, 0.1, -1e-6, 1.0, 0.6), (-0.6, 0.0, 0.0, 0.0, 0.6)]
+        weights = np.stack([cell_weights(grid, n_modes, *w) for w in settings])
+        together = gmc_integral_batch(alphas, 1.3, weights, grid, drop_mean)
+        assert together.shape == (len(alphas), len(settings))
+        for j, w in enumerate(settings):
+            np.testing.assert_array_equal(together[:, j],
+                                          one_weight(alphas, 1.3, *w[:4], grid, drop_mean, w[4]))
+
+    def test_weights_do_not_alias_the_cache(self):
+        grid = default_grid(4)
+        weights = cell_weights(grid, 4, 0.25, 0.5)
+        want = weights.copy()
+        weights *= 2.0
+        np.testing.assert_array_equal(cell_weights(grid, 4, 0.25, 0.5), want)
 
     def test_peak_memory_of_a_chunk_is_bounded(self):
         n_modes = 4096
         grid = default_grid(n_modes)
         alphas = draw_alphas(3, 128, n_modes)
-        gmc_integral_batch(alphas[:1], 1.0, 0.0, 0.0, 0.0, 0.0, grid)  # fill the layout caches
+        weights = cell_weights(grid, n_modes, 0.0, 0.0)[None]
+        gmc_integral_batch(alphas[:1], 1.0, weights, grid)  # fill the layout caches
         tracemalloc.start()
         try:
-            gmc_integral_batch(alphas, 1.0, 0.0, 0.0, 0.0, 0.0, grid)
+            gmc_integral_batch(alphas, 1.0, weights, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -284,13 +320,13 @@ class TestGlobalModeFactorization:
     def test_drop_mean_times_lognormal_matches_full(self):
         gamma, n_modes, reps = 1.0, 2**9, 10_000
         grid = default_grid(n_modes)
-        dropped = gmc_integral_batch(
+        dropped = one_weight(
             draw_alphas(1111, reps, n_modes), gamma, 0.0, 0.0, 0.0, 0.0, grid,
             drop_mean=True,
         )
         z = np.random.Generator(np.random.Philox(key=98765)).standard_normal(reps)
         factor = np.exp(gamma * math.sqrt(math.log(2.0)) * z - gamma**2 * math.log(2.0) / 2.0)
-        full = gmc_integral_batch(
+        full = one_weight(
             draw_alphas(2222, reps, n_modes), gamma, 0.0, 0.0, 0.0, 0.0, grid,
             drop_mean=False,
         )

@@ -5,12 +5,14 @@ import pytest
 
 from gmcint.errors import BoundsError, DomainError, GridError, ResolutionError
 from gmcint.exactlaw import GmcParams, exact_moment, selberg_product
-from gmcint.field import QuadGrid
+from gmcint.field import QuadGrid, cell_weights
 from gmcint.montecarlo import (
     McConfig,
     _resolve_threads,
+    _simulate_integrals,
     config_for,
     mc_moment,
+    mc_moments,
     mc_small_deviation,
     mc_tail_fit,
 )
@@ -162,3 +164,39 @@ class TestSmallDeviation:
         assert all(pt.count == 0 for pt in res.points)
         assert all(pt.log_prob == -math.inf for pt in res.points)
         assert res.envelope_c is None
+
+
+class TestOneSampler:
+    """Many weights on one set of simulated fields give the lone-weight values."""
+
+    TCHIS = [(0.0, 0.0), (-1e-6, 0.25), (-0.5, 1.0), (-2.0, 0.25), (-0.1, 1.0), (-0.5, 0.25),
+             (0.0, 1.0)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_moments_equal_lone_calls(self, k, threads):
+        params = GmcParams(1.0, -0.5, 0.2, 0.1)
+        cfg = small_cfg(41, replicates=300, n_modes=64, batches=10)  # a partial last chunk
+        ests = mc_moments(params, self.TCHIS[:k], cfg, threads)
+        assert ests == [mc_moment(params, t, chi, cfg, threads=threads)
+                        for t, chi in self.TCHIS[:k]]
+
+    def test_degraded_flag_applies_to_every_estimate(self):
+        ests = mc_moments(GmcParams(1.0, 2.0, 0.3, 0.3), self.TCHIS[:3],
+                          small_cfg(7, replicates=200, n_modes=64, batches=10))
+        assert [e.degraded_ci for e in ests] == [True] * 3
+
+    def test_tail_and_small_dev_are_reductions_of_the_sampler(self):
+        cfg = small_cfg(43, replicates=2000, n_modes=64)
+        gamma, alpha, eta = 1.0, 1.2, 0.6
+        other = cell_weights(cfg.grid, 64, 0.2, 0.1, -0.5, 0.25)
+        tail_row = cell_weights(cfg.grid, 64, -gamma * alpha / 2.0, 0.0, eta=eta)
+        vals = _simulate_integrals(cfg, gamma, np.stack([other, tail_row]), False, 2)[:, 1]
+        u_grid = np.geomspace(1.0, 4.0, 5)
+        fit = mc_tail_fit(gamma, alpha, eta, u_grid, cfg, threads=1)
+        assert fit.counts.tolist() == [int((vals > u).sum()) for u in u_grid]
+        mean_free = np.stack([cell_weights(cfg.grid, 64, 0.0, 0.0), other])
+        vals = _simulate_integrals(cfg, gamma, mean_free, True, 2)[:, 0]
+        eps_grid = [0.45, 0.5, 0.65, 0.9]
+        res = mc_small_deviation(gamma, np.array(eps_grid), cfg, threads=1)
+        assert [pt.count for pt in res.points] == [int((vals <= e).sum()) for e in eps_grid]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _oracles import gamma_fn
 from gmcint.errors import (
     ConvergenceError,
     DegenerateCError,
@@ -22,7 +23,6 @@ from gmcint.specfun import (
     beta22_log_moment,
     connection_coeffs,
     double_gamma_evaluator,
-    gamma_fn,
     gammaln_signed,
     hyp2f1_negative,
     log_double_gamma,

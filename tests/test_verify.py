@@ -145,6 +145,43 @@ class TestObservablePrediction:
         )
 
 
+    def test_failing_t_are_rerun_together(self, monkeypatch):
+        from dataclasses import replace
+
+        from gmcint import verify
+        from gmcint.montecarlo import mc_moment, mc_moments
+
+        params, kind = GmcParams(1.0, -0.5, 0.2, 0.1), ObservableKind.POWER_ONE
+        cfg = config_for(400, 256, 5, batches=40)
+        ts = [-1e-6, -0.5, -2.0]
+        # far outside the allowance at both replicate counts
+        shift = {-0.5: 1.15, -2.0: 0.9}
+        real_predict = verify.predict_observable
+        monkeypatch.setattr(verify, "predict_observable",
+                            lambda p, k, t: real_predict(p, k, t) * shift.get(t, 1.0))
+        calls = []
+
+        def recorded(params_, tchis, cfg_, threads=None):
+            calls.append(([t for t, _ in tchis], cfg_.replicates))
+            return mc_moments(params_, tchis, cfg_, threads)
+
+        monkeypatch.setattr(verify, "mc_moments", recorded)
+        reports = verify.verify_observable_prediction(params, kind, ts, cfg)
+        assert calls == [(ts, 400), ([-0.5, -2.0], 1600)]
+        assert [r.status for r in reports] == ["pass", "fail", "fail"]
+        # the same reports as one check per t, each rerun on its own
+        chi = kind.chi(params.gamma)
+        for t, rep in zip(ts, reports):
+            pred = verify.predict_observable(params, kind, t)
+            est = mc_moment(params, t, chi, cfg)
+            retried = abs(est.mean - pred) > 3.0 * est.stderr + verify.MC_REL_MARGIN * abs(pred)
+            if retried:
+                est = mc_moment(params, t, chi, replace(cfg, replicates=4 * cfg.replicates))
+            assert (rep.lhs, rep.rhs, rep.metadata["retried"], rep.metadata["replicates"],
+                    rep.metadata["stderr"]) == (est.mean, pred, str(retried).lower(),
+                                                str(est.replicates), verify.fmt(est.stderr))
+
+
 class TestSerialization:
     def test_json_shape(self, suite):
         rows = json.loads(reports_to_json(suite[:3]))
