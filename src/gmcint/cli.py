@@ -40,7 +40,7 @@ from .specfun import barnes_g, double_gamma_evaluator
 from .verify import IdentityGridSpec, fmt
 
 _KINDS = {k.value: k for k in ObservableKind}
-_MAX_TABLE_ROWS = 1_000_000  # bounds the memory and time of a dgamma or barnes table
+_MAX_TABLE_ROWS = 1_000_000  # bounds the memory and time of a table: dgamma, barnes, tail's u grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,9 +256,8 @@ def _cmd_dgamma(args) -> int:
 
 
 def _cmd_barnes(args) -> int:
-    rows = []
-    for x in np.linspace(args.x_min, args.x_max, args.count):
-        rows.append({"x": float(x), "value": barnes_g(float(x))})
+    xs = np.linspace(args.x_min, args.x_max, args.count)
+    rows = [{"x": x, "value": g} for x, g in zip(xs.tolist(), barnes_g(xs).tolist())]
     _emit(args, "barnes", {}, rows)
     return 0
 
@@ -302,8 +301,10 @@ def _cmd_mc_moment(args) -> int:
 def _cmd_tail(args) -> int:
     cfg = config_for(args.replicates, args.n_modes, args.seed,
                      batches=args.batches, cells_per_mode=args.cells_per_mode)
-    if not (0.0 < args.u_min < args.u_max < math.inf and args.u_count >= 2):
-        raise DomainError("tail needs 0 < --u-min < --u-max < inf and --u-count >= 2")
+    if not (0.0 < args.u_min < args.u_max < math.inf and 2 <= args.u_count <= _MAX_TABLE_ROWS):
+        raise DomainError(
+            f"tail needs 0 < --u-min < --u-max < inf and 2 <= --u-count <= {_MAX_TABLE_ROWS}"
+        )
     u_grid = np.geomspace(args.u_min, args.u_max, args.u_count)
     fit = mc_tail_fit(args.gamma, args.alpha, args.eta, u_grid, cfg, args.threads)
     q = args.gamma / 2.0 + 2.0 / args.gamma

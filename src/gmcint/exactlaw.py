@@ -21,7 +21,8 @@ from .errors import BoundsError, DegenerateParamsError, DomainError
 from .specfun import (
     Beta22Params,
     HypTriple,
-    beta22_log_moment,
+    beta22_args,
+    beta22_log_from_values,
     checked_exp,
     connection_coeffs,
     double_gamma_evaluator,
@@ -261,13 +262,15 @@ def law_decomposition_log_moment(params: GmcParams) -> float:
     x1 = Beta22Params(g, 1.0 + v * (1.0 + a), (b - a) * v / 2.0, (b - a) * v / 2.0)
     x2 = Beta22Params(g, 1.0 + v * (2.0 + a + b) / 2.0, 0.5, v / 2.0)
     x3 = Beta22Params(g, 1.0 + v, 0.5 + v * (1.0 + a + b) / 2.0, 0.5 + v * (1.0 + a + b) / 2.0)
+    args = np.concatenate([beta22_args(x, -p) for x in (x1, x2, x3)])
+    lv = double_gamma_evaluator(g).log_value(args).tolist()
     return (
         p * ln_const
         + ln_l
         + ln_y
-        + beta22_log_moment(x1, -p)
-        + beta22_log_moment(x2, -p)
-        + beta22_log_moment(x3, -p)
+        + beta22_log_from_values(lv[0:8])
+        + beta22_log_from_values(lv[8:16])
+        + beta22_log_from_values(lv[16:24])
     )
 
 

@@ -198,8 +198,9 @@ def mc_tail_fit(
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta!r}")
     u_grid = np.asarray(u_grid, dtype=float)
-    if u_grid.ndim != 1 or len(u_grid) < 2 or np.any(np.diff(u_grid) <= 0.0):
-        raise DomainError("u_grid must be strictly increasing with >= 2 points")
+    if (u_grid.ndim != 1 or len(u_grid) < 2 or not np.all(np.isfinite(u_grid))
+            or u_grid[0] <= 0.0 or np.any(np.diff(u_grid) <= 0.0)):
+        raise DomainError("u_grid must be finite, positive and strictly increasing, >= 2 points")
     weights = cell_weights(cfg.grid, cfg.n_modes, -gamma * alpha / 2.0, 0.0, eta=eta)
     vals = _simulate_integrals(cfg, gamma, weights[None], False, threads)[:, 0]
     counts = np.array([(vals > u).sum() for u in u_grid])

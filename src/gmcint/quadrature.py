@@ -7,7 +7,9 @@ caller lays them out geometrically.  Each round evaluates every pending
 panel of every row, at the 32 nodes and at the 16 nodes of the error
 estimate, in a single call of the integrand.  A panel whose two rules agree
 is accepted and the others are bisected for the next round, so the panels
-of one round all share a depth.
+of one round all share a depth.  ``panel_nodes`` and ``panel_rules`` are
+that round's nodes and acceptance test, for a caller that runs its own
+first round on fixed panels and passes only the failing ones on.
 """
 from __future__ import annotations
 
@@ -25,20 +27,37 @@ _MAX_DEPTH = 40
 
 
 def geometric_edges(a, b, ratio=3.0):
-    """Panel edges from a to each b with geometrically growing widths.
+    """One row of panel edges from a to b with geometrically growing widths.
 
-    b is a float or a 1-D array; the result has one row per b.  Row i runs
-    a, a*ratio, a*ratio**2, ... capped at b[i], and is padded at its end
-    with b[i], i.e. with zero-width panels, to the length of the longest row.
+    The row runs a, a*ratio, a*ratio**2, ... capped at b, and ends with b
+    repeated, i.e. with zero-width panels.
     """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if not (0.0 < a and np.all(a < b)):
+    if not 0.0 < a < b:
         raise ValueError("need 0 < a < b")
-    # one spare edge, so that rounding in the log cannot leave a row short of b
-    factors = np.full(math.ceil(math.log(float(b.max()) / a) / math.log(ratio)) + 2, ratio)
+    # one spare edge, so that rounding in the log cannot leave the row short of b
+    factors = np.full(math.ceil(math.log(b / a) / math.log(ratio)) + 2, ratio)
     factors[0] = a
     # running products, so that each edge is the previous one times ratio
-    return np.minimum(np.cumprod(factors), b[:, None])
+    return np.minimum(np.cumprod(factors), b)[None]
+
+
+def panel_nodes(lo, hi):
+    """Nodes of both rules on every panel [lo, hi], on a new last axis, and the half widths."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[..., None] + half[..., None] * _GL_X, half
+
+
+def panel_rules(vals, half, rel_tol, abs_floor):
+    """(32-node value, |32-node - 16-node| error, accepted error) of every panel.
+
+    vals holds the integrand at the ``panel_nodes`` of each panel.  A panel
+    passes when its error is at most the accepted one,
+    rel_tol * (abs_floor + |value|).  The rule sums run along the node axis
+    only, so a panel's numbers do not depend on the other panels.
+    """
+    v32 = half * (vals[..., :32] * _GL32_W).sum(axis=-1)
+    v16 = half * (vals[..., 32:] * _GL16_W).sum(axis=-1)
+    return v32, np.abs(v32 - v16), rel_tol * (abs_floor + np.abs(v32))
 
 
 def integrate_panels(f, edges, rel_tol=1e-13, abs_floor=1.0):
@@ -62,17 +81,12 @@ def integrate_panels(f, edges, rel_tol=1e-13, abs_floor=1.0):
     lo, hi = edges[:, :-1], edges[:, 1:]
     accepted = []
     for depth in range(_MAX_DEPTH + 1):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        vals = f(mid[..., None] + half[..., None] * _GL_X)
-        v32 = half * (vals[..., :32] * _GL32_W).sum(axis=-1)
-        v16 = half * (vals[..., 32:] * _GL16_W).sum(axis=-1)
+        t, half = panel_nodes(lo, hi)
+        v32, err, scale = panel_rules(f(t), half, rel_tol, abs_floor)
         bad = ~np.isfinite(v32)
         if bad.any():
             i = np.argmax(bad)
             raise ConvergenceError(f"non-finite panel integral on [{lo.flat[i]}, {hi.flat[i]}]")
-        err = np.abs(v32 - v16)
-        scale = rel_tol * (abs_floor + np.abs(v32))
         if depth == _MAX_DEPTH:
             stalled = err > 1e6 * scale
             if stalled.any():

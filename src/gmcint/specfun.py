@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import bernoulli, gammaln
 
 from .errors import ConvergenceError, DegenerateCError, DomainError, PoleError
-from .quadrature import geometric_edges, integrate_panels
+from .quadrature import integrate_panels, panel_nodes, panel_rules
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12  # absolute tolerance for nonpositive-integer detection
@@ -41,6 +41,19 @@ _MAX_SHIFT_STEPS = 10**8  # about 4 s of shift reduction; larger arguments are r
 _QUAD_REL_TOL = 1e-13  # relative tolerance of the double gamma window quadrature
 _SERIES_SWITCH = 1e-3  # the window integral's Taylor head covers [0, _SERIES_SWITCH]
 _X_FLOOR = 0.05  # window arguments below this are lifted by m-shifts
+# Panel edges _SERIES_SWITCH * 3^k of the window quadrature's first round,
+# shared by every gamma and x.  The top edge, 1594, is above the cutoff T of
+# every window argument (T = 960 at x = _X_FLOOR).
+_LADDER = np.cumprod(np.concatenate(([_SERIES_SWITCH], np.full(13, 3.0))))
+_LADDER_T, _LADDER_HALF = panel_nodes(_LADDER[:-1], _LADDER[1:])
+
+
+def _t_factors(t: np.ndarray) -> tuple:
+    """The factors of the window integrand that depend on t alone: e^{-t}/t, t^2."""
+    return np.exp(-t) / t, t**2
+
+
+_LADDER_T_FACTORS = _t_factors(_LADDER_T)
 
 
 def _sinpi(x: float) -> float:
@@ -220,12 +233,13 @@ class DoubleGamma:
     floor are lifted by the m-shift (the function has a simple pole at 0);
     the shift factors are lgamma sums, vectorized over index blocks.  On the
     window the defining integral is computed with a Taylor-series head below
-    _SERIES_SWITCH, adaptive Gauss-Legendre panels up to a cutoff T, and
-    the algebraic (x - q/2)/T tail added in closed form.  `log_value` takes
-    an array of arguments and integrates all of them in one batched panel
-    quadrature (`quadrature.integrate_panels`), each with its own panel
-    tree, so a value does not depend on the batch it was computed in.
-    Values are memoized per argument, up to _MEMO_SIZE of them.
+    _SERIES_SWITCH, Gauss-Legendre panels of the shared _LADDER up to a
+    cutoff T, and the algebraic (x - q/2)/T tail added in closed form.
+    `log_value` takes an array of arguments and integrates all of them in
+    one batched ladder round, whose failing panels share one refinement
+    (`quadrature.integrate_panels`); each row has its own panels and sum,
+    so a value does not depend on the batch it was computed in.  Values
+    are memoized per argument, up to _MEMO_SIZE of them.
     """
 
     gamma: float
@@ -241,33 +255,62 @@ class DoubleGamma:
         self._m = self.gamma / 2.0
         self._n = 2.0 / self.gamma
         self._head_weights = _dgamma_head_weights(self.q, _SERIES_SWITCH)
+        self._ladder_factors = (self._den(_LADDER_T), *_LADDER_T_FACTORS)
         self._cache = {}
 
-    def _integrand(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        q = self.q
-        gap = (0.5 * q - x) * t
-        near_zero = np.abs(gap) < 1.0
-        e_half_q = np.exp(-0.5 * q * t)
-        # expm1 form only where the two exponentials nearly cancel
-        with np.errstate(over="ignore", invalid="ignore"):
-            near = e_half_q * np.expm1(np.where(near_zero, gap, 0.0))
-        num = np.where(near_zero, near, np.exp(-x * t) - e_half_q)
-        den = np.expm1(-self._m * t) * np.expm1(-self._n * t)
-        return (num / den) / t - 0.5 * (0.5 * q - x) ** 2 * np.exp(-t) / t + (x - 0.5 * q) / t**2
+    def _den(self, t: np.ndarray) -> np.ndarray:
+        """The window integrand's denominator (1 - e^{-mt})(1 - e^{-nt})."""
+        return np.expm1(-self._m * t) * np.expm1(-self._n * t)
+
+    def _integrand(self, x: np.ndarray, t: np.ndarray, factors=None) -> np.ndarray:
+        """The window log-integrand at x (rows, 1, 1) and t.
+
+        factors are its x-free factors at t, (den, e^{-t}/t, t^2); they are
+        formed from t when not given.  Near t = 0 the first and last terms
+        are about d/t^2 and cancel to O(1), so each is rounded as few times
+        as it can be: (num / den) / t and d / t^2.
+        """
+        den, e_t, t2 = (self._den(t), *_t_factors(t)) if factors is None else factors
+        d = 0.5 * self.q - x
+        # e^{-xt} - e^{-qt/2} in one form, with no overflow and no cancellation
+        num = np.exp(-np.minimum(x, 0.5 * self.q) * t) * np.expm1(-np.abs(d) * t)
+        return np.copysign(num, d) / den / t - (0.5 * d * d) * e_t - d / t2
+
+    def _cutoff(self, x: np.ndarray) -> np.ndarray:
+        """The cutoff of each window x: beyond it the integrand is (x - q/2)/t^2 in doubles."""
+        mu = np.minimum(np.minimum(x, 0.5 * self.q), 1.0)
+        return np.maximum(45.0, (45.0 + np.log(np.maximum(1.0, 1.0 / mu))) / mu)
 
     def _ln_window(self, x: np.ndarray) -> np.ndarray:
+        """ln G(x) for x in the window: series head, ladder panels and the tail.
+
+        Row i integrates the ladder panels up to the first edge T_i at or
+        above its cutoff, and adds the algebraic tail (x - q/2)/T_i.  The
+        first round evaluates every row on the shared ladder, where the
+        x-free factors are the evaluator's; a panel whose 32- and 16-node
+        rules disagree is bisected and integrated by `integrate_panels`.
+        """
         w, v = self._head_weights
         j = np.arange(1, len(w) + 1)
         d = 0.5 * self.q - x
         head = (((-x[:, None]) ** j - (-0.5 * self.q) ** j) * w).sum(axis=1) - (d * d / 2.0) * v
-        mu = np.minimum(np.minimum(x, 0.5 * self.q), 1.0)
-        t_cut = np.maximum(45.0, (45.0 + np.log(np.maximum(1.0, 1.0 / mu))) / mu)
-        body = integrate_panels(
-            lambda t: self._integrand(x[:, None, None], t),
-            geometric_edges(_SERIES_SWITCH, t_cut),
-            rel_tol=_QUAD_REL_TOL,
-        )
-        return head + body + (x - 0.5 * self.q) / t_cut
+        n_panels = np.searchsorted(_LADDER, self._cutoff(x))
+        used = slice(0, int(n_panels.max()))
+        factors = tuple(col[used] for col in self._ladder_factors)
+        vals = self._integrand(x[:, None, None], _LADDER_T[used], factors)
+        v32, err, scale = panel_rules(vals, _LADDER_HALF[used], _QUAD_REL_TOL, 1.0)
+        live = np.arange(used.stop) < n_panels[:, None]
+        parts = np.where(live, v32, 0.0)
+        rows, cols = np.nonzero(live & ~(err <= scale))
+        if rows.size:
+            lo, hi = _LADDER[cols], _LADDER[cols + 1]
+            parts[rows, cols] = integrate_panels(
+                lambda t: self._integrand(x[rows, None, None], t),
+                np.stack((lo, 0.5 * (lo + hi), hi), axis=1),
+                rel_tol=_QUAD_REL_TOL,
+            )
+        body = np.array([math.fsum(row) for row in parts.tolist()])
+        return head + body + (x - 0.5 * self.q) / _LADDER[n_panels]
 
     def _ln_shift_m(self, y: np.ndarray) -> np.ndarray:
         """ln of Gamma_{m}(y)/Gamma_{m}(y+m) per the m-shift equation."""
@@ -350,13 +393,22 @@ def log_double_gamma(gamma: float, x):
     return double_gamma_evaluator(gamma).log_value(x)
 
 
-def barnes_g(x: float) -> float:
-    """Barnes G function for x > 0, through the gamma=2 double gamma."""
-    if not x > 0.0:
-        raise DomainError(f"Barnes G needs x > 0, got {x!r}")
+def barnes_g(x):
+    """Barnes G function for x > 0, through the gamma=2 double gamma.
+
+    x is a float or an array, and the result has its shape; the double gamma
+    values of an array come from one batched `log_value` call.
+    """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel().tolist()
+    for v in flat:
+        if not v > 0.0:
+            raise DomainError(f"Barnes G needs x > 0, got {v!r}")
     # G(x) = (2 pi)^(x/2 - 1/2) / Gamma_1(x)
-    logval = (0.5 * x - 0.5) * math.log(2.0 * math.pi) - log_double_gamma(2.0, x)
-    return checked_exp(logval, "Barnes G")
+    lv = np.ravel(log_double_gamma(2.0, xs)).tolist()
+    out = [checked_exp((0.5 * v - 0.5) * math.log(2.0 * math.pi) - g1, "Barnes G")
+           for v, g1 in zip(flat, lv)]
+    return out[0] if xs.ndim == 0 else np.array(out).reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -380,26 +432,38 @@ class Beta22Params:
             raise DomainError(f"b0 must be positive, got {self.b0!r}")
 
 
-def beta22_log_moment(params: Beta22Params, p: float) -> float:
-    """ln E[beta_{2,2}(1, 4/gamma^2; b0, b1, b2)^p], for p > -b0.
+def beta22_args(params: Beta22Params, p: float) -> np.ndarray:
+    """The eight double gamma arguments of ln E[beta_{2,2}^p], numerator ones first.
 
-    Eight double gamma values; every argument must be positive.
+    Raises DomainError unless p > -b0 and every argument is positive.
     """
     if not p > -params.b0:
         raise DomainError(f"need p > -b0, got p={p!r}, b0={params.b0!r}")
     m = params.gamma / 2.0
     b0, b1, b2 = params.b0, params.b1, params.b2
     b12 = b1 + b2  # grouped so the formula is bit-exact under b1 <-> b2
-    plus = (m * (p + b0), m * (b0 + b1), m * (b0 + b2), m * (p + (b0 + b12)))
-    minus = (m * b0, m * (p + (b0 + b1)), m * (p + (b0 + b2)), m * (b0 + b12))
-    for arg in plus + minus:
+    args = (
+        m * (p + b0), m * (b0 + b1), m * (b0 + b2), m * (p + (b0 + b12)),
+        m * b0, m * (p + (b0 + b1)), m * (p + (b0 + b2)), m * (b0 + b12),
+    )
+    for arg in args:
         if not arg > 0.0:
             raise DomainError(f"double gamma argument {arg!r} not positive")
-    lv = double_gamma_evaluator(params.gamma).log_value(np.array(plus + minus)).tolist()
-    return (
-        lv[0] + (lv[1] + lv[2]) + lv[3]
-        - lv[4] - (lv[5] + lv[6]) - lv[7]
-    )
+    return np.array(args)
+
+
+def beta22_log_from_values(lv) -> float:
+    """ln E[beta_{2,2}^p] from the double gamma values at its `beta22_args`."""
+    return lv[0] + (lv[1] + lv[2]) + lv[3] - lv[4] - (lv[5] + lv[6]) - lv[7]
+
+
+def beta22_log_moment(params: Beta22Params, p: float) -> float:
+    """ln E[beta_{2,2}(1, 4/gamma^2; b0, b1, b2)^p], for p > -b0.
+
+    Eight double gamma values; every argument must be positive.
+    """
+    args = beta22_args(params, p)
+    return beta22_log_from_values(double_gamma_evaluator(params.gamma).log_value(args).tolist())
 
 
 def connection_coeffs(params: HypTriple, d1: float, d2: float) -> tuple[float, float]:

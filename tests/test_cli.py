@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gmcint.cli import main
 from gmcint.exactlaw import GmcParams
+from gmcint.specfun import barnes_g
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +132,12 @@ class TestTables:
         assert float(row["value"]) == pytest.approx(24.0, rel=1e-9)
         assert float(row["barnes_form"]) == pytest.approx(24.0, rel=1e-9)
 
+    def test_barnes_table_rows_equal_scalar_calls(self, capsys):
+        doc = run_json(capsys, "barnes", "--x-min", "0.05", "--x-max", "7.5", "--count", "40")
+        assert len(doc["results"]) == 40
+        for row in doc["results"]:
+            assert float(row["value"]) == barnes_g(float(row["x"]))
+
     def test_law_decomp(self, capsys):
         doc = run_json(capsys, "law-decomp", "--gamma", "1", "--p", "-0.5", "--a", "0.2",
                        "--b", "0.1")
@@ -238,6 +245,7 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
     (["mc-moment", "--gamma", "1", "--p", "0.5", "--chi", "inf", *_SMALL_MC], {}, 1),
     (["tail", "--gamma", "1", "--alpha", "1.2", "--u-count", "-1", *_SMALL_MC], {}, 1),
     (["tail", "--gamma", "1", "--alpha", "1.2", "--u-min", "0", *_SMALL_MC], {}, 1),
+    (["tail", "--gamma", "1", "--alpha", "1.2", "--u-count", "1000001", *_SMALL_MC], {}, 1),
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -25,7 +25,7 @@ from gmcint.exactlaw import (
     selberg_product,
     shift_ratio,
 )
-from gmcint.specfun import barnes_g
+from gmcint.specfun import Beta22Params, barnes_g, beta22_log_moment
 
 
 def ulp_distance(x: float, y: float) -> int:
@@ -235,6 +235,30 @@ class TestLawDecomposition:
         assert law_decomposition_log_moment(params) == pytest.approx(
             log_exact_moment(params), abs=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "g,p,a,b",
+        [(1.0, -0.5, 0.2, 0.1), (1.2, -0.8, 0.1, 0.4), (0.7, 0.6, -0.3, 0.5), (1.9, 0.2, 0.0, 0.0)],
+    )
+    def test_one_batch_equals_three_beta_moments(self, g, p, a, b):
+        # the five-law product with one beta22_log_moment call per beta law
+        v = 4.0 / (g * g)
+        ln_const = (math.log(2.0 * math.pi)
+                    - (3.0 * (1.0 + g * g / 4.0) + 2.0 * (a + b)) * math.log(2.0))
+        ln_l = p * p * g * g * math.log(2.0) / 2.0
+        ln_y = math.lgamma(1.0 - p * g * g / 4.0) - p * math.lgamma(1.0 - g * g / 4.0)
+        x1 = Beta22Params(g, 1.0 + v * (1.0 + a), (b - a) * v / 2.0, (b - a) * v / 2.0)
+        x2 = Beta22Params(g, 1.0 + v * (2.0 + a + b) / 2.0, 0.5, v / 2.0)
+        x3 = Beta22Params(g, 1.0 + v, 0.5 + v * (1.0 + a + b) / 2.0, 0.5 + v * (1.0 + a + b) / 2.0)
+        want = (
+            p * ln_const
+            + ln_l
+            + ln_y
+            + beta22_log_moment(x1, -p)
+            + beta22_log_moment(x2, -p)
+            + beta22_log_moment(x3, -p)
+        )
+        assert law_decomposition_log_moment(GmcParams(g, p, a, b)) == want
 
     def test_lognormal_factor(self):
         # the constant-mode factor contributes p^2 gamma^2 ln2 / 2 in log

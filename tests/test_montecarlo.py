@@ -147,6 +147,16 @@ class TestTailFit:
         with pytest.raises(DomainError):
             mc_tail_fit(1.0, 1.2, 1.0, np.array([2.0, 1.0]), cfg)
 
+    @pytest.mark.parametrize("u_grid", [
+        [-2.0, -1.0], [0.0, 1.0], [-1.0, 2.0], [1.0, math.inf], [1.0, math.nan, 3.0],
+        [math.nan, 1.0], [-math.inf, 1.0],
+    ])
+    def test_u_grid_domain(self, u_grid, capfd):
+        # refused before simulating: no LinAlgError, nothing from LAPACK on stderr
+        with pytest.raises(DomainError):
+            mc_tail_fit(1.0, 1.2, 1.0, np.array(u_grid), small_cfg(22, replicates=200))
+        assert capfd.readouterr().err == ""
+
 
 class TestSmallDeviation:
     def test_monotone_and_envelope(self):

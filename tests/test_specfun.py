@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import gamma_fn
+from gmcint import specfun
 from gmcint.errors import (
     ConvergenceError,
     DegenerateCError,
@@ -65,6 +66,17 @@ ORACLE_GRID = {
         0.4048476024426259349, 0.91893853320467274178,
         2.9921770869363055492, -6.4393028337105482122, -1644.9179111950543323,
     ),
+}
+
+# The same oracle at the window quadrature's edge cases, frozen.  Per gamma:
+# x = 0.05 (the longest panel ladder), x = 0.999 and 1.001 (either side of
+# the switch in the cutoff T) and x = q/2 (where the numerator changes sign).
+LADDER_EDGE_GRID = {
+    0.1: (-14.793260319678553927, -44.518697811330099512, -44.547655732966383368,
+          6.3006972798584299418e-15),
+    1.0: (2.4236861559831575086, -0.1345548656770864937, -0.13390465018833744293, 0.0),
+    1.99: (2.0768623536362524895, -0.00050548413170719544343,
+           0.00049449850878910384631, 4.318226735186358067e-18),
 }
 
 
@@ -186,6 +198,23 @@ class TestDoubleGamma:
         refs = np.array(ORACLE_GRID[gamma])
         assert np.all(np.abs(ev.log_value(xs) - refs) <= 2e-13 * np.maximum(1.0, np.abs(refs)))
 
+    @pytest.mark.parametrize("gamma", sorted(LADDER_EDGE_GRID))
+    def test_ladder_edge_cases_against_oracle(self, gamma):
+        ev = DoubleGamma(gamma)
+        xs = np.array([0.05, 0.999, 1.001, ev.q / 2.0])
+        refs = np.array(LADDER_EDGE_GRID[gamma])
+        assert np.all(np.abs(ev.log_value(xs) - refs) <= 2e-13 * np.maximum(1.0, np.abs(refs)))
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 1.99])
+    def test_rows_of_different_ladder_lengths(self, gamma):
+        # the cutoffs of these x end on four different ladder edges, 1594 down to 59
+        xs = np.array([0.05, 0.2, 0.5, 0.999, 1.001, 1.7])
+        lengths = np.searchsorted(specfun._LADDER, DoubleGamma(gamma)._cutoff(xs))
+        assert len(set(lengths.tolist())) == 4
+        scalar = [DoubleGamma(gamma).log_value(float(x)) for x in xs]
+        assert np.array_equal(DoubleGamma(gamma).log_value(xs), scalar)
+        assert np.array_equal(DoubleGamma(gamma).log_value(xs[::-1]), scalar[::-1])
+
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 1.9, 2.0])
     def test_batch_matches_scalar_bit_for_bit(self, gamma):
         rng = np.random.default_rng(5)
@@ -227,8 +256,6 @@ class TestDoubleGamma:
         )
 
     def test_caches_are_bounded(self, monkeypatch):
-        from gmcint import specfun
-
         monkeypatch.setattr(specfun, "_MEMO_SIZE", 8)
         ev = DoubleGamma(1.0)
         xs = np.linspace(0.1, 3.0, 20)
