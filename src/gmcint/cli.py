@@ -34,6 +34,7 @@ from .exactlaw import (
     reflection_bulk_2d,
     selberg_product,
     shift_ratio,
+    tail_exponent,
 )
 from .montecarlo import config_for, mc_moment, mc_small_deviation, mc_tail_fit
 from .specfun import barnes_g, double_gamma_evaluator
@@ -264,12 +265,18 @@ def _cmd_barnes(args) -> int:
 
 def _cmd_martingale(args) -> int:
     value = derivative_martingale_moment(args.p)
-    g_form = (barnes_g(4.0 - 2.0 * args.p)
-              / (barnes_g(1.0 - args.p) * barnes_g(2.0 - args.p) ** 2
-                 * barnes_g(4.0 - args.p)))
+    g_num, g1, g2, g4 = barnes_g(np.array([4.0 - 2.0 * args.p, 1.0 - args.p, 2.0 - args.p,
+                                           4.0 - args.p])).tolist()
+    g_form = g_num / (g1 * g2**2 * g4)
     _emit(args, "martingale-moment", {"p": args.p},
           [{"value": value, "barnes_form": g_form}])
     return 0
+
+
+def _mc_echo(args) -> dict:
+    """The echo of the simulation-plan flags, each of which changes the estimates."""
+    return {"n_modes": args.n_modes, "batches": args.batches,
+            "cells_per_mode": args.cells_per_mode}
 
 
 def _cmd_mc_moment(args) -> int:
@@ -294,7 +301,7 @@ def _cmd_mc_moment(args) -> int:
     _emit(args, "mc-moment",
           {"gamma": args.gamma, "p": args.p, "a": args.a, "b": args.b,
            "t": args.t, "chi": args.chi, "seed": args.seed,
-           "replicates": args.replicates, "n_modes": args.n_modes}, [row])
+           "replicates": args.replicates, **_mc_echo(args)}, [row])
     return 0
 
 
@@ -307,8 +314,7 @@ def _cmd_tail(args) -> int:
         )
     u_grid = np.geomspace(args.u_min, args.u_max, args.u_count)
     fit = mc_tail_fit(args.gamma, args.alpha, args.eta, u_grid, cfg, args.threads)
-    q = args.gamma / 2.0 + 2.0 / args.gamma
-    slope_closed = -2.0 * (q - args.alpha) / args.gamma
+    slope_closed = -tail_exponent(args.gamma, args.alpha)[1]
     ln_refl = math.log(reflection_boundary_1d(args.gamma, args.alpha))
     rows = []
     for i, u in enumerate(fit.u_grid):
@@ -326,8 +332,7 @@ def _cmd_tail(args) -> int:
         })
     _emit(args, "tail",
           {"gamma": args.gamma, "alpha": args.alpha, "eta": args.eta,
-           "seed": args.seed, "replicates": args.replicates,
-           "n_modes": args.n_modes}, rows)
+           "seed": args.seed, "replicates": args.replicates, **_mc_echo(args)}, rows)
     return 0
 
 
@@ -347,7 +352,7 @@ def _cmd_small_dev(args) -> int:
         })
     _emit(args, "small-dev",
           {"gamma": args.gamma, "seed": args.seed, "replicates": args.replicates,
-           "n_modes": args.n_modes}, rows)
+           **_mc_echo(args)}, rows)
     return 0
 
 

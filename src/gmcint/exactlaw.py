@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .specfun import (
 _INT_GUARD = 1e-9  # distance to the nearest integer below which the basis degenerates
 _LARGE_T_SWITCH = -100.0  # beyond this the mapped series argument is too close to 1
 _LOG_CANCEL_LIMIT = math.log(1e8)  # max tolerated cancellation between the two basis terms
+_MAX_SELBERG_ORDER = 10**6  # one loop step per order: about 1.2 s at the cap
 
 # the double gamma factors of the exact moment, in exact_moment_factors order
 EXACT_DG_FACTORS = ("num_a", "num_b", "num_ab", "num_p", "den_base", "den_a", "den_b", "den_ab")
@@ -143,6 +144,8 @@ def selberg_product(gamma: float, p: int, a: float, b: float) -> float:
     """
     if p != int(p) or p < 0:
         raise DomainError(f"p must be a nonnegative integer, got {p!r}")
+    if p > _MAX_SELBERG_ORDER:
+        raise DomainError(f"p must be at most {_MAX_SELBERG_ORDER}, got {p!r}")
     p = int(p)
     if not (a > -1.0 and b > -1.0):
         raise DomainError("selberg product needs a, b > -1")
@@ -178,21 +181,34 @@ def c_of_p(gamma: float, p: float) -> float:
     return checked_exp(logval, "normalization constant")
 
 
+def shifted_params(params: GmcParams, kind: ShiftKind) -> GmcParams:
+    """The point that the shift equation of `kind` relates to params.
+
+    `shift_ratio` is M(shifted)/M(params) for the two a-shifts; for
+    P_MINUS_ONE_TO_P it is M(p)/M(p-1), that is M(params)/M(shifted).
+    """
+    if kind is ShiftKind.A_PLUS_GAMMA_SQ_OVER_4:
+        return replace(params, a=params.a + params.gamma * params.gamma / 4.0)
+    if kind is ShiftKind.A_PLUS_ONE:
+        return replace(params, a=params.a + 1.0)
+    if kind is ShiftKind.P_MINUS_ONE_TO_P:
+        return replace(params, p=params.p - 1.0)
+    raise DomainError(f"unknown shift kind {kind!r}")
+
+
 def shift_ratio(params: GmcParams, kind: ShiftKind) -> float:
-    """Closed-form ratio of the moment at shifted parameters to the base one."""
+    """Closed-form moment ratio of a shift equation; see `shifted_params`."""
+    shifted = shifted_params(params, kind)
     g, p, a, b = params.gamma, params.p, params.a, params.b
     u = g * g / 4.0
     v = 4.0 / (g * g)
     if kind is ShiftKind.A_PLUS_GAMMA_SQ_OVER_4:
-        shifted = GmcParams(g, p, a + u, b)
         args_num = (1.0 + a + u, 2.0 + a + b - (2.0 * p - 2.0) * u)
         args_den = (1.0 + a - (p - 1.0) * u, 2.0 + a + b - (p - 2.0) * u)
     elif kind is ShiftKind.A_PLUS_ONE:
-        shifted = GmcParams(g, p, a + 1.0, b)
         args_num = (v * (1.0 + a) + 1.0, v * (2.0 + a + b) - (2.0 * p - 2.0))
         args_den = (v * (1.0 + a) - (p - 1.0), v * (2.0 + a + b) - (p - 2.0))
-    elif kind is ShiftKind.P_MINUS_ONE_TO_P:
-        shifted = GmcParams(g, p - 1.0, a, b)
+    else:
         args_num = (
             1.0 - p * u,
             1.0 + a - (p - 1.0) * u,
@@ -204,26 +220,32 @@ def shift_ratio(params: GmcParams, kind: ShiftKind) -> float:
             2.0 + a + b - (2.0 * p - 3.0) * u,
             2.0 + a + b - (2.0 * p - 2.0) * u,
         )
-    else:
-        raise DomainError(f"unknown shift kind {kind!r}")
     _require_bounds(params)
     _require_bounds(shifted)
     return gamma_ratio(args_num, args_den)
 
 
-def reflection_boundary_1d(gamma: float, alpha: float) -> float:
-    """Tail constant of GMC with a boundary insertion of strength alpha."""
+def tail_exponent(gamma: float, alpha: float) -> tuple[float, float]:
+    """(Q - alpha, s): s = (2/gamma)(Q - alpha) is the tail exponent of an alpha insertion.
+
+    Raises DomainError unless gamma is in (0, 2) and gamma/2 < alpha < Q.
+    """
     _check_gamma(gamma)
     q = gamma / 2.0 + 2.0 / gamma
     if not gamma / 2.0 < alpha < q:
         raise DomainError(f"alpha must lie in (gamma/2, Q), got {alpha!r}")
-    s = (2.0 / gamma) * (q - alpha)  # tail exponent
-    args = np.array([alpha - gamma / 2.0, q - alpha])
+    return q - alpha, (2.0 / gamma) * (q - alpha)
+
+
+def reflection_boundary_1d(gamma: float, alpha: float) -> float:
+    """Tail constant of GMC with a boundary insertion of strength alpha."""
+    q_alpha, s = tail_exponent(gamma, alpha)
+    args = np.array([alpha - gamma / 2.0, q_alpha])
     dg_low, dg_high = double_gamma_evaluator(gamma).log_value(args).tolist()
     logval = (
         (s - 0.5) * math.log(2.0 * math.pi)
-        + ((gamma / 2.0) * (q - alpha) - 0.5) * math.log(2.0 / gamma)
-        - math.log(q - alpha)
+        + ((gamma / 2.0) * q_alpha - 0.5) * math.log(2.0 / gamma)
+        - math.log(q_alpha)
         - s * math.lgamma(1.0 - gamma * gamma / 4.0)
         + dg_low
         - dg_high
@@ -233,17 +255,11 @@ def reflection_boundary_1d(gamma: float, alpha: float) -> float:
 
 def reflection_bulk_2d(gamma: float, alpha: float) -> float:
     """Tail constant of two-dimensional GMC with a bulk insertion."""
-    _check_gamma(gamma)
-    q = gamma / 2.0 + 2.0 / gamma
-    if not gamma / 2.0 < alpha < q:
-        raise DomainError(f"alpha must lie in (gamma/2, Q), got {alpha!r}")
-    s = (2.0 / gamma) * (q - alpha)
+    q_alpha, s = tail_exponent(gamma, alpha)
     logval = s * (math.log(math.pi) + math.lgamma(gamma * gamma / 4.0))
     logval -= s * math.lgamma(1.0 - gamma * gamma / 4.0)
-    logval += math.log(gamma / (2.0 * (q - alpha)))
-    lg, sign = log_gamma_ratio(
-        (-(gamma / 2.0) * (q - alpha),), ((gamma / 2.0) * (q - alpha), (2.0 / gamma) * (q - alpha))
-    )
+    logval += math.log(gamma / (2.0 * q_alpha))
+    lg, sign = log_gamma_ratio((-(gamma / 2.0) * q_alpha,), ((gamma / 2.0) * q_alpha, s))
     return -sign * checked_exp(logval + lg, "reflection coefficient")
 
 

@@ -2,14 +2,15 @@
 
 One kernel, shared by the double gamma evaluator and the integral identity
 checks, integrates a batch of rows at once.  Row i is the integral of the
-integrand over the panels between consecutive entries of ``edges[i]``; the
-caller lays them out geometrically.  Each round evaluates every pending
-panel of every row, at the 32 nodes and at the 16 nodes of the error
-estimate, in a single call of the integrand.  A panel whose two rules agree
-is accepted and the others are bisected for the next round, so the panels
-of one round all share a depth.  ``panel_nodes`` and ``panel_rules`` are
-that round's nodes and acceptance test, for a caller that runs its own
-first round on fixed panels and passes only the failing ones on.
+integrand over the panels between consecutive entries of ``edges[i]``,
+which every caller takes from the one geometric ``LADDER``.  Each round
+evaluates every pending panel of every row, at the 32 nodes and at the 16
+nodes of the error estimate, in a single call of the integrand.  A panel
+whose two rules agree is accepted and the others are bisected for the next
+round, so the panels of one round all share a depth.  ``panel_nodes`` and
+``panel_rules`` are that round's nodes and acceptance test, for a caller
+that runs its own first round on the ladder and passes only the failing
+ones on.
 """
 from __future__ import annotations
 
@@ -24,21 +25,8 @@ _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL_X = np.concatenate((_GL32_X, _GL16_X))  # both rules in one integrand call
 
 _MAX_DEPTH = 40
-
-
-def geometric_edges(a, b, ratio=3.0):
-    """One row of panel edges from a to b with geometrically growing widths.
-
-    The row runs a, a*ratio, a*ratio**2, ... capped at b, and ends with b
-    repeated, i.e. with zero-width panels.
-    """
-    if not 0.0 < a < b:
-        raise ValueError("need 0 < a < b")
-    # one spare edge, so that rounding in the log cannot leave the row short of b
-    factors = np.full(math.ceil(math.log(b / a) / math.log(ratio)) + 2, ratio)
-    factors[0] = a
-    # running products, so that each edge is the previous one times ratio
-    return np.minimum(np.cumprod(factors), b)[None]
+_REL_TOL = 1e-13  # a panel passes when its two rules agree to _REL_TOL * (_ABS_FLOOR + |value|)
+_ABS_FLOOR = 1.0  # makes the test an absolute one for near-zero panels
 
 
 def panel_nodes(lo, hi):
@@ -47,20 +35,26 @@ def panel_nodes(lo, hi):
     return (0.5 * (lo + hi))[..., None] + half[..., None] * _GL_X, half
 
 
-def panel_rules(vals, half, rel_tol, abs_floor):
+# The panel layout of every caller: edges 1e-3 * 3^k, k = 0 .. 13 (top edge
+# 1594), and both rules' nodes and half widths on each ladder panel.
+LADDER = np.cumprod(np.concatenate(([1e-3], np.full(13, 3.0))))
+LADDER_T, LADDER_HALF = panel_nodes(LADDER[:-1], LADDER[1:])
+
+
+def panel_rules(vals, half):
     """(32-node value, |32-node - 16-node| error, accepted error) of every panel.
 
     vals holds the integrand at the ``panel_nodes`` of each panel.  A panel
     passes when its error is at most the accepted one,
-    rel_tol * (abs_floor + |value|).  The rule sums run along the node axis
-    only, so a panel's numbers do not depend on the other panels.
+    _REL_TOL * (_ABS_FLOOR + |value|).  The rule sums run along the node
+    axis only, so a panel's numbers do not depend on the other panels.
     """
     v32 = half * (vals[..., :32] * _GL32_W).sum(axis=-1)
     v16 = half * (vals[..., 32:] * _GL16_W).sum(axis=-1)
-    return v32, np.abs(v32 - v16), rel_tol * (abs_floor + np.abs(v32))
+    return v32, np.abs(v32 - v16), _REL_TOL * (_ABS_FLOOR + np.abs(v32))
 
 
-def integrate_panels(f, edges, rel_tol=1e-13, abs_floor=1.0):
+def integrate_panels(f, edges):
     """Integrate a smooth vectorized integrand over each row of panels.
 
     ``edges`` has shape (rows, n_edges).  f takes t shaped (rows, panels,
@@ -70,11 +64,10 @@ def integrate_panels(f, edges, rel_tol=1e-13, abs_floor=1.0):
     they sit at the row's last edge, where f must be finite, and count 0.
     Returns the integral of every row.
 
-    A panel is accepted when the 32- vs 16-node Gauss-Legendre results
-    agree within rel_tol * (abs_floor + |value|); otherwise it is bisected.
-    abs_floor makes the criterion an absolute one for near-zero panels.  A
-    row's accepted panels are added with math.fsum, so its integral does
-    not depend on the other rows of the batch.
+    A panel is accepted when its 32- and 16-node Gauss-Legendre results
+    pass `panel_rules`; otherwise it is bisected.  A row's accepted panels
+    are added with math.fsum, so its integral does not depend on the other
+    rows of the batch.
     """
     edges = np.asarray(edges, dtype=float)
     idle = edges[:, -1:]
@@ -82,7 +75,7 @@ def integrate_panels(f, edges, rel_tol=1e-13, abs_floor=1.0):
     accepted = []
     for depth in range(_MAX_DEPTH + 1):
         t, half = panel_nodes(lo, hi)
-        v32, err, scale = panel_rules(f(t), half, rel_tol, abs_floor)
+        v32, err, scale = panel_rules(f(t), half)
         bad = ~np.isfinite(v32)
         if bad.any():
             i = np.argmax(bad)

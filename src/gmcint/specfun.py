@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import bernoulli, gammaln
 
 from .errors import ConvergenceError, DegenerateCError, DomainError, PoleError
-from .quadrature import integrate_panels, panel_nodes, panel_rules
+from .quadrature import LADDER, LADDER_HALF, LADDER_T, integrate_panels, panel_rules
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12  # absolute tolerance for nonpositive-integer detection
@@ -38,14 +38,11 @@ _EVALUATORS_KEPT = 128  # per-gamma evaluators kept by double_gamma_evaluator
 _BATCH_ROWS = 128  # arguments per batched window quadrature, which bounds its memory
 _SHIFT_BLOCK = 1 << 16  # lgamma terms formed at once by the shift reduction
 _MAX_SHIFT_STEPS = 10**8  # about 4 s of shift reduction; larger arguments are refused
-_QUAD_REL_TOL = 1e-13  # relative tolerance of the double gamma window quadrature
-_SERIES_SWITCH = 1e-3  # the window integral's Taylor head covers [0, _SERIES_SWITCH]
+# The window integral's Taylor head covers [0, _SERIES_SWITCH] and its panels
+# the quadrature LADDER from there on.  The top ladder edge, 1594, is above
+# the cutoff T of every window argument (T = 960 at x = _X_FLOOR).
+_SERIES_SWITCH = float(LADDER[0])
 _X_FLOOR = 0.05  # window arguments below this are lifted by m-shifts
-# Panel edges _SERIES_SWITCH * 3^k of the window quadrature's first round,
-# shared by every gamma and x.  The top edge, 1594, is above the cutoff T of
-# every window argument (T = 960 at x = _X_FLOOR).
-_LADDER = np.cumprod(np.concatenate(([_SERIES_SWITCH], np.full(13, 3.0))))
-_LADDER_T, _LADDER_HALF = panel_nodes(_LADDER[:-1], _LADDER[1:])
 
 
 def _t_factors(t: np.ndarray) -> tuple:
@@ -53,7 +50,7 @@ def _t_factors(t: np.ndarray) -> tuple:
     return np.exp(-t) / t, t**2
 
 
-_LADDER_T_FACTORS = _t_factors(_LADDER_T)
+_LADDER_T_FACTORS = _t_factors(LADDER_T)
 
 
 def _sinpi(x: float) -> float:
@@ -233,8 +230,8 @@ class DoubleGamma:
     floor are lifted by the m-shift (the function has a simple pole at 0);
     the shift factors are lgamma sums, vectorized over index blocks.  On the
     window the defining integral is computed with a Taylor-series head below
-    _SERIES_SWITCH, Gauss-Legendre panels of the shared _LADDER up to a
-    cutoff T, and the algebraic (x - q/2)/T tail added in closed form.
+    _SERIES_SWITCH, Gauss-Legendre panels of the shared quadrature LADDER up
+    to a cutoff T, and the algebraic (x - q/2)/T tail added in closed form.
     `log_value` takes an array of arguments and integrates all of them in
     one batched ladder round, whose failing panels share one refinement
     (`quadrature.integrate_panels`); each row has its own panels and sum,
@@ -255,7 +252,7 @@ class DoubleGamma:
         self._m = self.gamma / 2.0
         self._n = 2.0 / self.gamma
         self._head_weights = _dgamma_head_weights(self.q, _SERIES_SWITCH)
-        self._ladder_factors = (self._den(_LADDER_T), *_LADDER_T_FACTORS)
+        self._ladder_factors = (self._den(LADDER_T), *_LADDER_T_FACTORS)
         self._cache = {}
 
     def _den(self, t: np.ndarray) -> np.ndarray:
@@ -294,23 +291,22 @@ class DoubleGamma:
         j = np.arange(1, len(w) + 1)
         d = 0.5 * self.q - x
         head = (((-x[:, None]) ** j - (-0.5 * self.q) ** j) * w).sum(axis=1) - (d * d / 2.0) * v
-        n_panels = np.searchsorted(_LADDER, self._cutoff(x))
+        n_panels = np.searchsorted(LADDER, self._cutoff(x))
         used = slice(0, int(n_panels.max()))
         factors = tuple(col[used] for col in self._ladder_factors)
-        vals = self._integrand(x[:, None, None], _LADDER_T[used], factors)
-        v32, err, scale = panel_rules(vals, _LADDER_HALF[used], _QUAD_REL_TOL, 1.0)
+        vals = self._integrand(x[:, None, None], LADDER_T[used], factors)
+        v32, err, scale = panel_rules(vals, LADDER_HALF[used])
         live = np.arange(used.stop) < n_panels[:, None]
         parts = np.where(live, v32, 0.0)
         rows, cols = np.nonzero(live & ~(err <= scale))
         if rows.size:
-            lo, hi = _LADDER[cols], _LADDER[cols + 1]
+            lo, hi = LADDER[cols], LADDER[cols + 1]
             parts[rows, cols] = integrate_panels(
                 lambda t: self._integrand(x[rows, None, None], t),
                 np.stack((lo, 0.5 * (lo + hi), hi), axis=1),
-                rel_tol=_QUAD_REL_TOL,
             )
         body = np.array([math.fsum(row) for row in parts.tolist()])
-        return head + body + (x - 0.5 * self.q) / _LADDER[n_panels]
+        return head + body + (x - 0.5 * self.q) / LADDER[n_panels]
 
     def _ln_shift_m(self, y: np.ndarray) -> np.ndarray:
         """ln of Gamma_{m}(y)/Gamma_{m}(y+m) per the m-shift equation."""
@@ -358,7 +354,8 @@ class DoubleGamma:
 
         x is a float or an array, and the result has its shape.  Memoized
         values are looked up per element; the others are reduced into the
-        window and evaluated together, _BATCH_ROWS per quadrature call.
+        window and evaluated together, _BATCH_ROWS per quadrature call.  A
+        value that comes out non-finite raises DomainError and is not kept.
         """
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel().tolist()
@@ -375,7 +372,13 @@ class DoubleGamma:
             for i in range(0, len(misses), _BATCH_ROWS):
                 batch = np.array(misses[i : i + _BATCH_ROWS])
                 y, shift = self._reduce(batch)
-                fresh.update(zip(batch.tolist(), (self._ln_window(y) + shift).tolist()))
+                values = self._ln_window(y) + shift
+                if not np.isfinite(values).all():
+                    bad = batch[np.argmin(np.isfinite(values))]
+                    raise DomainError(
+                        f"double gamma is not finite at gamma={self.gamma!r}, x={float(bad)!r}"
+                    )
+                fresh.update(zip(batch.tolist(), values.tolist()))
             out = [fresh[v] if o is None else o for v, o in zip(flat, out)]
             cache.update(fresh)
             while len(cache) > _MEMO_SIZE:

@@ -22,15 +22,17 @@ from .exactlaw import (
     bounds_check,
     c_of_p,
     exact_moment,
+    hyp_triple,
     law_decomposition_log_moment,
     log_exact_moment,
     predict_observable,
     selberg_product,
     shift_ratio,
+    shifted_params,
 )
 from .montecarlo import McConfig, mc_moments
-from .quadrature import geometric_edges, integrate_panels
-from .specfun import gamma_ratio, log_gamma_ratio
+from .quadrature import LADDER, integrate_panels
+from .specfun import connection_coeffs, gamma_ratio, log_gamma_ratio
 
 SELBERG_TOL = 1e-9
 FUBINI_TOL = 1e-10
@@ -63,6 +65,10 @@ class IdentityGridSpec:
     seed: int = 20240601
     n_random: int = 20
     margin: float = 0.05
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"grid seed must be nonnegative, got {self.seed!r}")
 
 
 def _passfail(ok: bool) -> str:
@@ -178,16 +184,10 @@ def _fubini_check(params: GmcParams):
 
 
 def _shift_check(params: GmcParams, kind: ShiftKind):
-    if kind is ShiftKind.A_PLUS_GAMMA_SQ_OVER_4:
-        shifted = replace(params, a=params.a + params.gamma**2 / 4.0)
-    elif kind is ShiftKind.A_PLUS_ONE:
-        shifted = replace(params, a=params.a + 1.0)
-    else:
-        shifted = replace(params, p=params.p - 1.0)
-    lhs = math.exp(log_exact_moment(shifted) - log_exact_moment(params))
+    ln_ratio = log_exact_moment(shifted_params(params, kind)) - log_exact_moment(params)
     if kind is ShiftKind.P_MINUS_ONE_TO_P:
-        lhs = 1.0 / lhs  # ratio is moment(p) over moment(p-1)
-    return lhs, shift_ratio(params, kind)
+        ln_ratio = -ln_ratio  # the ratio is M(p) / M(p-1)
+    return math.exp(ln_ratio), shift_ratio(params, kind)
 
 
 def _c_ratio_check(params: GmcParams):
@@ -218,14 +218,11 @@ def _c2_from_fusion(g: float, p: float, a: float):
 
 
 def _c2_from_connection(g: float, p: float, a: float):
-    """Gamma(C-1) Gamma(A-B+1) / (Gamma(A) Gamma(C-B)) * M(p, a, 0)."""
-    u = g * g / 4.0
-    big_a = -p * u
-    big_b = -(a + 1.0) - (2.0 - p) * u
-    big_c = -a - u
-    logv, sign = log_gamma_ratio((big_c - 1.0, big_a - big_b + 1.0), (big_a, big_c - big_b))
-    logv += log_exact_moment(GmcParams(g, p, a, 0.0))
-    return sign, math.exp(logv)
+    """The c2 that `predict_observable` forms at b = 0: the connection of (M(p, a, 0), 0)."""
+    params = GmcParams(g, p, a, 0.0)
+    triple = hyp_triple(params, ObservableKind.POWER_GAMMA_SQ_OVER_4)
+    c2 = connection_coeffs(triple, exact_moment(params), 0.0)[1]
+    return math.copysign(1.0, c2), abs(c2)
 
 
 def verify_observable_prediction(params: GmcParams, kind: ObservableKind, t_list, cfg: McConfig,
@@ -289,7 +286,9 @@ def quadrature_identity_check(a: float, p: float) -> CheckReport:
     if not admissible:
         return CheckReport(f"quadrature/a={a:g}/p={p:g}", "skipped",
                            math.nan, math.nan, math.nan, QUADRATURE_TOL, meta)
-    lo, hi = 1e-3, 32.0
+    # the ladder panels up to its first edge at or above 32
+    edges = LADDER[: np.searchsorted(LADDER, 32.0) + 1]
+    lo, hi = edges[0], edges[-1]
     # series head on [0, lo]: sum_k binom(p, k) lo^(a+k) / (a+k)
     head = 0.0
     for k, coeff in _binom_series(p):
@@ -301,7 +300,7 @@ def quadrature_identity_check(a: float, p: float) -> CheckReport:
     def integrand(u):
         return np.expm1(p * np.log1p(u)) * u ** (a - 1.0)
 
-    body = integrate_panels(integrand, geometric_edges(lo, hi), rel_tol=1e-13)[0]
+    body = integrate_panels(integrand, edges[None])[0]
     # algebraic tail: finite part of -int_T u^{a-1} plus the binomial tail
     tail = hi**a / a
     for k, coeff in _binom_series(p, max_terms=400):

@@ -187,6 +187,23 @@ class TestStochasticCommands:
         assert len(rows) == 4
         assert float(rows[0]["slope_closed_form"]) == pytest.approx(-2.6, rel=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ["mc-moment", "--gamma", "1", "--p", "-1"],
+        ["tail", "--gamma", "1", "--alpha", "1.2", "--u-min", "0.5", "--u-max", "1",
+         "--u-count", "2"],
+        ["small-dev", "--gamma", "1", "--eps", "1"],
+    ])
+    def test_plan_flags_are_echoed(self, capsys, argv):
+        # both flags change the estimates, so two runs that differ in them must say so
+        for batches, cells in ((10, 4), (20, 8)):
+            doc = run_json(capsys, *argv, "--seed", "3", "--replicates", "200", "--n-modes",
+                           "64", "--batches", str(batches), "--cells-per-mode", str(cells))
+            keys = list(doc["parameters"])
+            at = keys.index("n_modes") + 1
+            assert keys[at : at + 2] == ["batches", "cells_per_mode"]
+            for echo in (doc["parameters"], *doc["results"]):
+                assert (echo["batches"], echo["cells_per_mode"]) == (batches, cells)
+
     def test_verify_identities_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--format", "json")
         _, out2, _ = run_cli(capsys, "verify", "--suite", "identities", "--format", "json")
@@ -246,11 +263,16 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
     (["tail", "--gamma", "1", "--alpha", "1.2", "--u-count", "-1", *_SMALL_MC], {}, 1),
     (["tail", "--gamma", "1", "--alpha", "1.2", "--u-min", "0", *_SMALL_MC], {}, 1),
     (["tail", "--gamma", "1", "--alpha", "1.2", "--u-count", "1000001", *_SMALL_MC], {}, 1),
+    (["verify", "--grid-seed", "-1"], {}, 1),
+    (["selberg", "--gamma", "1e-150", "--p", "100000000000000000000"], {}, 1),
+    (["exact", "--gamma", "1e-30", "--p", "0.5"], {}, 1),
+    (["law-decomp", "--gamma", "1e-30", "--p", "0.5"], {}, 1),
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
+    # a timeout, so that an argv that never ends fails the test instead of hanging it
     proc = subprocess.run([sys.executable, "-m", "gmcint.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, **env})
+                          text=True, env={**os.environ, **env}, timeout=60)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if code:

@@ -111,6 +111,8 @@ class TestSelberg:
             selberg_product(1.0, 1.5, 0.0, 0.0)
         with pytest.raises(DomainError):
             selberg_product(1.0, -1, 0.0, 0.0)
+        with pytest.raises(DomainError):  # inside the bounds, but one loop step per order
+            selberg_product(1e-150, 10**6 + 1, 0.0, 0.0)
 
 
 class TestCOfP:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import gamma_fn
-from gmcint import specfun
+from gmcint import quadrature, specfun
 from gmcint.errors import (
     ConvergenceError,
     DegenerateCError,
@@ -209,7 +209,7 @@ class TestDoubleGamma:
     def test_rows_of_different_ladder_lengths(self, gamma):
         # the cutoffs of these x end on four different ladder edges, 1594 down to 59
         xs = np.array([0.05, 0.2, 0.5, 0.999, 1.001, 1.7])
-        lengths = np.searchsorted(specfun._LADDER, DoubleGamma(gamma)._cutoff(xs))
+        lengths = np.searchsorted(quadrature.LADDER, DoubleGamma(gamma)._cutoff(xs))
         assert len(set(lengths.tolist())) == 4
         scalar = [DoubleGamma(gamma).log_value(float(x)) for x in xs]
         assert np.array_equal(DoubleGamma(gamma).log_value(xs), scalar)
@@ -274,6 +274,13 @@ class TestDoubleGamma:
             DoubleGamma(2.5)
         with pytest.raises(DomainError):
             DoubleGamma(0.0)
+
+    def test_non_finite_value_is_refused_and_not_kept(self):
+        with np.errstate(all="ignore"):
+            ev = DoubleGamma(1e-30)  # the series head's weights overflow at this gamma
+            with pytest.raises(DomainError, match="gamma=1e-30, x=0.5"):
+                ev.log_value(np.array([0.5, 2e30]))
+        assert ev._cache == {}
 
     def test_q_stored_exactly(self):
         ev = DoubleGamma(1.5)
