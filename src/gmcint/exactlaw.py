@@ -142,7 +142,7 @@ def selberg_product(gamma: float, p: int, a: float, b: float) -> float:
     The independent route against which the analytic continuation is
     checked; all arguments are positive whenever the bounds hold.
     """
-    if p != int(p) or p < 0:
+    if not 0 <= p < math.inf or p != int(p):
         raise DomainError(f"p must be a nonnegative integer, got {p!r}")
     if p > _MAX_SELBERG_ORDER:
         raise DomainError(f"p must be at most {_MAX_SELBERG_ORDER}, got {p!r}")
@@ -329,7 +329,7 @@ def _check_generic(triple: HypTriple) -> None:
 
 
 def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> float:
-    """Value of the auxiliary observable at t <= 0, from the exact moment.
+    """Value of the auxiliary observable at a finite t <= 0, from the exact moment.
 
     The expansion-at-infinity constants are (exact moment, 0); the
     connection matrix maps them to the expansion-at-zero basis, which is
@@ -340,8 +340,8 @@ def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> flo
     below -100, where the mapped series argument approaches 1 and would
     exhaust the term cap.
     """
-    if t > 0.0:
-        raise DomainError(f"observable defined for t <= 0, got {t!r}")
+    if not -math.inf < t <= 0.0:
+        raise DomainError(f"observable defined for finite t <= 0, got {t!r}")
     _require_bounds(params)
     chi = kind.chi(params.gamma)
     _require_bounds(GmcParams(params.gamma, params.p, params.a + chi, params.b))

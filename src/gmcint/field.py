@@ -20,6 +20,10 @@ value therefore depends on its own row and weight alone, never on the chunk
 or block it was computed in or on the other weights, and a batch call's
 memory does not grow with its rows.
 
+SciPy (the DCT and the incomplete Beta function) is imported inside the
+functions that call it, so that importing gmcint, and every closed form,
+does without it.
+
 Replicate r of a run draws its coefficients from an own counter-based
 stream keyed by seed XOR r, so results do not depend on worker count or
 scheduling.
@@ -31,8 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
-from scipy.special import betainc, betaln
 
 from .errors import DomainError, GridError
 
@@ -67,6 +69,7 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _grid_workspace(n_modes: int, m_cells: int):
     """Midpoints, edges and truncated variance on the angle-uniform grid."""
+    from scipy import fft
     theta_edges = np.linspace(0.0, math.pi, m_cells + 1)
     x_edges = 0.5 * (1.0 - np.cos(theta_edges))
     theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
@@ -78,13 +81,14 @@ def _grid_workspace(n_modes: int, m_cells: int):
     coef[0] = _FOUR_LN2 + 2.0 * float(np.sum(1.0 / np.arange(1, n_modes + 1)))
     d = coef.copy()
     d[1:] *= 0.5
-    var_mid = _fft.dct(d, type=3)
+    var_mid = fft.dct(d, type=3)
     return x_mid, x_edges, var_mid
 
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _cell_masses(m_cells: int, a: float, b: float, eta: float = 1.0) -> np.ndarray:
     """Exact integrals of x^a (1-x)^b over each cell, truncated at eta."""
+    from scipy.special import betainc, betaln
     x_edges = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, m_cells + 1)))
     xe = np.minimum(x_edges, eta)
     scale = math.exp(betaln(a + 1.0, b + 1.0))
@@ -93,7 +97,7 @@ def _cell_masses(m_cells: int, a: float, b: float, eta: float = 1.0) -> np.ndarr
 
 def cell_weights(grid: QuadGrid, n_modes: int, a: float, b: float, t: float = 0.0,
                  chi: float = 0.0, eta: float = 1.0) -> np.ndarray:
-    """Weight of every cell for the mass of (x-t)^chi x^a (1-x)^b on [0, eta]."""
+    """Weight of every cell for the mass of (x-t)^chi x^a (1-x)^b on [0, eta], 0 < eta <= 1."""
     m_cells = grid.m_cells
     if m_cells < 4 * n_modes:
         raise GridError(f"m_cells={m_cells} < 4*n_modes={4 * n_modes}")
@@ -101,6 +105,8 @@ def cell_weights(grid: QuadGrid, n_modes: int, a: float, b: float, t: float = 0.
         raise DomainError("quadrature needs a, b > -1")
     if not (-math.inf < t <= 0.0 and math.isfinite(chi)):
         raise DomainError(f"insertion needs finite chi and t <= 0, got t={t!r}, chi={chi!r}")
+    if not 0.0 < eta <= 1.0:
+        raise DomainError(f"eta must lie in (0, 1], got {eta!r}")
     x_mid = _grid_workspace(n_modes, m_cells)[0]
     # a new array, never the cached masses; at chi = 0 the factor is exactly 1
     return _cell_masses(m_cells, a, b, eta) * (x_mid - t) ** chi
@@ -115,6 +121,7 @@ def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, gr
     but the last is multiplied into a spare block, the last in place, and
     every product is summed over its row alone in fixed (pairwise) order.
     """
+    from scipy import fft
     n_rows, n_coef = alphas.shape
     n_modes = n_coef - 1
     m_cells = grid.m_cells
@@ -133,7 +140,7 @@ def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, gr
         coef[:, 0] = 0.0 if drop_mean else _TWO_SQRT_LN2 * rows[:, 0]
         np.multiply(rows[:, 1:], mode_scale, out=coef[:, 1:n_coef])
         coef[:, n_coef:] = 0.0
-        dens = _fft.dct(coef, type=3, axis=1, overwrite_x=True)
+        dens = fft.dct(coef, type=3, axis=1, overwrite_x=True)
         dens *= 0.5 * gamma
         dens -= shift
         np.exp(dens, out=dens)

@@ -147,8 +147,10 @@ def mc_moments(params: GmcParams, tchis, cfg: McConfig,
     existence bounds the population variance is infinite, so the batch
     spread is only indicative and the estimates are flagged degraded_ci.
     """
-    weights = np.stack([cell_weights(cfg.grid, cfg.n_modes, params.a, params.b, t, chi)
-                        for t, chi in tchis])
+    rows = [cell_weights(cfg.grid, cfg.n_modes, params.a, params.b, t, chi) for t, chi in tchis]
+    if not rows:
+        raise DomainError("need at least one (t, chi) to estimate")
+    weights = np.stack(rows)
     if not bounds_check(params):
         raise BoundsError(f"moment does not exist for {params}")
     vals = _simulate_integrals(cfg, params.gamma, weights, False, threads)
@@ -195,8 +197,6 @@ def mc_tail_fit(
     _check_gamma(gamma)
     if not gamma / 2.0 < alpha < 2.0 / gamma:
         raise DomainError(f"alpha must lie in (gamma/2, 2/gamma), got {alpha!r}")
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"eta must lie in (0, 1], got {eta!r}")
     u_grid = np.asarray(u_grid, dtype=float)
     if (u_grid.ndim != 1 or len(u_grid) < 2 or not np.all(np.isfinite(u_grid))
             or u_grid[0] <= 0.0 or np.any(np.diff(u_grid) <= 0.0)):
@@ -235,12 +235,16 @@ def mc_small_deviation(
 ) -> SmallDeviationResult:
     """Empirical lower-tail probabilities of the mean-free GMC mass.
 
-    Unresolved grid points (no events) are reported with log_prob = -inf
-    and count 0.  The envelope constant c in P <= exp(-c eps^(-4/gamma^2))
-    is fitted from the two smallest resolvable eps.
+    Every eps must be finite and positive.  Unresolved grid points (no
+    events) are reported with log_prob = -inf and count 0.  The envelope
+    constant c in P <= exp(-c eps^(-4/gamma^2)) is fitted from the two
+    smallest resolvable eps.
     """
     _check_gamma(gamma)
     eps_grid = np.asarray(eps_grid, dtype=float)
+    bad = eps_grid[~((eps_grid > 0.0) & (eps_grid < math.inf))]
+    if bad.size:
+        raise DomainError(f"eps must be finite and positive, got {float(bad[0])!r}")
     weights = cell_weights(cfg.grid, cfg.n_modes, 0.0, 0.0)
     vals = _simulate_integrals(cfg, gamma, weights[None], True, threads)[:, 0]
     points = []

@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# imported with the package, not on the first draw, so that the identity
+# suite's first run does not also pay the ~20 ms load of numpy.random
+from numpy.random import default_rng
 
 from .errors import DomainError, GmcError
 from .exactlaw import (
@@ -124,7 +127,7 @@ def run_identity_suite(grid: IdentityGridSpec | None = None) -> list[CheckReport
     grazes a Gamma pole) is reported as a failure, never as an exception.
     """
     grid = grid or IdentityGridSpec()
-    rng = np.random.default_rng(grid.seed)
+    rng = default_rng(grid.seed)
     reports: list[CheckReport] = []
 
     # integer moments against the finite product

@@ -267,6 +267,12 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
     (["selberg", "--gamma", "1e-150", "--p", "100000000000000000000"], {}, 1),
     (["exact", "--gamma", "1e-30", "--p", "0.5"], {}, 1),
     (["law-decomp", "--gamma", "1e-30", "--p", "0.5"], {}, 1),
+    (["predict-u", "--gamma", "1.1", "--p", "0.45", "--a", "0.3", "--b", "0.2", "--kind", "one",
+      "--t=-inf"], {}, 1),
+    (["predict-u", "--gamma", "1.1", "--p", "0.45", "--a", "0.3", "--b", "0.2", "--kind", "one",
+      "--t=nan"], {}, 1),
+    (["small-dev", "--gamma", "1", "--eps=-1", "--eps=nan", "--eps=inf", "--seed", "1",
+      "--replicates", "100", "--n-modes", "8", "--batches", "10"], {}, 1),
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -356,6 +362,24 @@ def test_stochastic_argv_ends_in_exit_code(command, data):
             assert exc.code == 64, argv
         else:
             assert code in (0, 1, 2), argv
+
+
+def test_closed_forms_load_no_scipy():
+    # SciPy is half of a cold start; only the Monte Carlo commands may load it
+    script = """
+import contextlib, io, sys
+import gmcint.cli
+for argv in (["exact", "--gamma", "1.2", "--p", "0.5"], ["law-decomp", "--gamma", "1.2", "--p", "0.5"],
+             ["reflection", "--dim", "1", "--gamma", "1.2", "--alpha", "1"],
+             ["dgamma", "--gamma", "1.2"], ["verify", "--suite", "identities"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gmcint.cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestThreadEnvFallback:

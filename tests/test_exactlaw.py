@@ -113,6 +113,9 @@ class TestSelberg:
             selberg_product(1.0, -1, 0.0, 0.0)
         with pytest.raises(DomainError):  # inside the bounds, but one loop step per order
             selberg_product(1e-150, 10**6 + 1, 0.0, 0.0)
+        for p in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                selberg_product(1.0, p, 0.0, 0.0)
 
 
 class TestCOfP:
@@ -336,6 +339,12 @@ class TestPredictObservable:
         assert np.all(np.isfinite(vals))
         jumps = np.abs(np.diff(vals)) / np.maximum(np.abs(vals[:-1]), 1e-12)
         assert np.max(jumps) < 0.05
+
+    @pytest.mark.parametrize("t", [-math.inf, math.nan, 0.5])
+    def test_t_domain(self, t):
+        for kind in ObservableKind:
+            with pytest.raises(DomainError):
+                predict_observable(BASE, kind, t)
 
     def test_generic_guard(self):
         from gmcint.errors import DegenerateCError

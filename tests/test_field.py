@@ -186,6 +186,9 @@ class TestGmcIntegral:
                        (-0.5, math.nan)):
             with pytest.raises(DomainError):
                 cell_weights(default_grid(4), 4, 0.0, 0.0, t, chi)
+        for eta in (math.nan, 0.0, -0.5, 1.5, math.inf):
+            with pytest.raises(DomainError):
+                cell_weights(default_grid(4), 4, 0.0, 0.0, eta=eta)
 
     def test_eta_truncation_zero_field(self):
         n_modes = 16

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gmcint import montecarlo
 from gmcint.errors import BoundsError, DomainError, GridError, ResolutionError
 from gmcint.exactlaw import GmcParams, exact_moment, selberg_product
 from gmcint.field import QuadGrid, cell_weights
@@ -175,6 +176,14 @@ class TestSmallDeviation:
         assert all(pt.log_prob == -math.inf for pt in res.points)
         assert res.envelope_c is None
 
+    @pytest.mark.parametrize("eps", [[-1.0], [math.nan], [math.inf], [0.5, 0.0], [0.5, -math.inf]])
+    def test_eps_domain(self, eps, capfd, monkeypatch):
+        # refused before simulating, with nothing on stderr
+        monkeypatch.setattr(montecarlo, "_simulate_integrals", None)
+        with pytest.raises(DomainError):
+            mc_small_deviation(1.0, np.array(eps), small_cfg(32, replicates=200, n_modes=64))
+        assert capfd.readouterr().err == ""
+
 
 class TestOneSampler:
     """Many weights on one set of simulated fields give the lone-weight values."""
@@ -190,6 +199,17 @@ class TestOneSampler:
         ests = mc_moments(params, self.TCHIS[:k], cfg, threads)
         assert ests == [mc_moment(params, t, chi, cfg, threads=threads)
                         for t, chi in self.TCHIS[:k]]
+
+    def test_no_weights_are_refused(self):
+        with pytest.raises(DomainError):
+            mc_moments(GmcParams(1.0, -0.5, 0.2, 0.1), [], small_cfg(7, replicates=200))
+
+    @pytest.mark.parametrize("eta", [math.nan, 0.0, 1.5])
+    def test_tail_eta_domain(self, eta, monkeypatch):
+        # the check lives in cell_weights, before any field is simulated
+        monkeypatch.setattr(montecarlo, "_simulate_integrals", None)
+        with pytest.raises(DomainError):
+            mc_tail_fit(1.0, 1.2, eta, np.array([1.0, 2.0]), small_cfg(7, replicates=200))
 
     def test_degraded_flag_applies_to_every_estimate(self):
         ests = mc_moments(GmcParams(1.0, 2.0, 0.3, 0.3), self.TCHIS[:3],

@@ -1,5 +1,7 @@
 import math
 import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,8 +135,10 @@ class TestHyp2f1:
             HypTriple(0.3, 0.7, -2.0)
 
     def test_positive_argument_rejected(self):
-        with pytest.raises(DomainError):
-            hyp2f1_negative(HypTriple(0.3, 0.7, 1.1), 0.5)
+        # a nan t would otherwise run the whole term cap before failing to converge
+        for t in (0.5, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                hyp2f1_negative(HypTriple(0.3, 0.7, 1.1), t)
 
     def test_term_cap(self):
         # mapped argument 1 - 1e-12 needs ~1e12 terms
@@ -254,6 +258,40 @@ class TestDoubleGamma:
             -math.log(0.5 * 1e-320) + ev.log_value(0.5) + 0.5 * math.log(0.5) - LOG_SQRT_2PI,
             rel=1e-15,
         )
+
+    def test_shift_pieces_do_not_depend_on_the_batch(self, monkeypatch):
+        xs = np.array([0.001, 7.3, 40.0, 1e3, 0.02, 55.5])
+        want = DoubleGamma(0.5).log_value(xs)
+        # pieces of 7 terms: long reductions span several pieces and lgamma calls
+        monkeypatch.setattr(specfun, "_SHIFT_BLOCK", 7)
+        scalar = [DoubleGamma(0.5).log_value(float(x)) for x in xs]
+        assert np.array_equal(DoubleGamma(0.5).log_value(xs), scalar)
+        assert np.array_equal(DoubleGamma(0.5).log_value(xs[::-1]), scalar[::-1])
+        assert_allclose(scalar, want, rtol=1e-13)  # only the order of the sums changed
+
+    def test_reduction_warns_about_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            DoubleGamma(1.0).log_value(np.array([1e-320, 0.01, 0.7, 7.3, 1e3]))
+            DoubleGamma(0.05).log_value(np.array([1e-3, 45.0, 1e4]))
+
+    def test_lgamma_against_oracle(self):
+        # 40-digit mpmath over [5e-324, 1e9], with points near the zeros at 1 and 2
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        z = np.concatenate((np.exp(rng.uniform(math.log(5e-324), math.log(1e9), 300)),
+                            1.0 + rng.uniform(-0.05, 0.05, 60), 2.0 + rng.uniform(-0.05, 0.05, 60),
+                            rng.uniform(0.0, 20.0, 60), [5e-324, 1e-320, 1.0, 2.0, 1e9]))
+        with mp.workdps(40):
+            ref = np.array([float(mp.loggamma(mp.mpf(v))) for v in z.tolist()])
+        assert np.all(np.abs(specfun._lgamma(z) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    def test_series_head_uses_exact_bernoulli_numbers(self):
+        b = specfun._bernoulli(11)
+        assert b[:5] == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
+        assert b[6:] == [Fraction(1, 42), 0, Fraction(-1, 30), 0, Fraction(5, 66), 0]
+        # u / (1 - e^-u) = sum_k (-1)^k B_k u^k / k!, each coefficient correctly rounded
+        assert specfun._INV_H[:7].tolist() == [1.0, 0.5, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240]
 
     def test_caches_are_bounded(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MEMO_SIZE", 8)
