@@ -37,7 +37,7 @@ from .exactlaw import (
     tail_exponent,
 )
 from .montecarlo import config_for, mc_moment, mc_small_deviation, mc_tail_fit
-from .specfun import barnes_g, double_gamma_evaluator
+from .specfun import barnes_g, checked_exp, double_gamma_evaluator
 from .verify import IdentityGridSpec, fmt
 
 _KINDS = {k.value: k for k in ObservableKind}
@@ -196,7 +196,8 @@ def build_parser() -> _Parser:
 
 def _cmd_exact(args) -> int:
     params = GmcParams(args.gamma, args.p, args.a, args.b)
-    row = {"value": exact_moment(params), "log_value": log_exact_moment(params)}
+    log_value = log_exact_moment(params)
+    row = {"value": checked_exp(log_value, "moment"), "log_value": log_value}
     ln_num, ln_den, dg_args = exact_moment_factors(params)
     row["log_prefactor"] = ln_num - ln_den
     logs = double_gamma_evaluator(args.gamma).log_value(dg_args).tolist()

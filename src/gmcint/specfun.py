@@ -3,8 +3,8 @@
 Euler Gamma (with reflection to negative arguments), the Gauss
 hypergeometric function restricted to nonpositive argument, the double
 gamma function (over an array of arguments at once), Barnes G, moments of
-the generalized beta law, and the 2x2 connection matrix between
-hypergeometric solution bases.
+the generalized beta law, and the first column of the connection matrix
+between hypergeometric solution bases.
 
 Everything here is a pure function of its arguments; evaluator objects are
 immutable after construction apart from an internal, bounded memo cache,
@@ -101,8 +101,8 @@ def _sinpi(x: float) -> float:
     return s if (n % 2 == 0) else -s
 
 
-def is_nonpositive_integer(x: float, tol: float = _POLE_TOL) -> bool:
-    return x <= 0.5 and math.isfinite(x) and abs(x - round(x)) <= tol
+def is_nonpositive_integer(x: float) -> bool:
+    return x <= 0.5 and math.isfinite(x) and abs(x - round(x)) <= _POLE_TOL
 
 
 def gammaln_signed(x: float) -> tuple[float, float]:
@@ -513,18 +513,14 @@ def beta22_log_moment(params: Beta22Params, p: float) -> float:
     return beta22_log_from_values(double_gamma_evaluator(params.gamma).log_value(args).tolist())
 
 
-def connection_coeffs(params: HypTriple, d1: float, d2: float) -> tuple[float, float]:
-    """Map expansion-at-infinity constants (d1, d2) to expansion-at-zero ones.
+def connection_coeffs(params: HypTriple, d1: float) -> tuple[float, float]:
+    """Map expansion-at-infinity constants (d1, 0) to expansion-at-zero ones.
 
-    Change of basis between the two solution families of the hypergeometric
-    equation, valid when c, a-b and the matrix Gamma arguments avoid
-    nonpositive integers.
+    The first column of the change of basis between the two solution
+    families of the hypergeometric equation, valid when c, a-b and the
+    matrix Gamma arguments avoid nonpositive integers.
     """
     a, b, c = params.a_param, params.b_param, params.c_param
     m11 = gamma_ratio((1.0 - c, a - b + 1.0), (a - c + 1.0, 1.0 - b))
     m21 = gamma_ratio((c - 1.0, a - b + 1.0), (a, c - b))
-    if d2 == 0.0:
-        return m11 * d1, m21 * d1
-    m12 = gamma_ratio((1.0 - c, b - a + 1.0), (b - c + 1.0, 1.0 - a))
-    m22 = gamma_ratio((c - 1.0, b - a + 1.0), (b, c - a))
-    return m11 * d1 + m12 * d2, m21 * d1 + m22 * d2
+    return m11 * d1, m21 * d1

@@ -45,6 +45,7 @@ C2_TOL = 1e-8
 LAW_TOL_ABS = 1e-8
 QUADRATURE_TOL = 1e-8
 MC_REL_MARGIN = 0.02
+GRID_MARGIN = 0.05  # sampled identity points keep this distance from the bounds
 
 _SELBERG_GAMMAS = (0.8, 1.0, 1.3, math.sqrt(2.0), 1.7)
 _SELBERG_AB = (0.0, 0.3, 0.7)
@@ -67,7 +68,6 @@ class IdentityGridSpec:
 
     seed: int = 20240601
     n_random: int = 20
-    margin: float = 0.05
 
     def __post_init__(self):
         if self.seed < 0:
@@ -100,15 +100,15 @@ def _guarded(reports: list[CheckReport], check_id: str, tol: float, metadata: di
         reports.append(_report(check_id, lhs, rhs, tol, metadata, absolute))
 
 
-def sample_valid_params(rng: np.random.Generator, margin: float = 0.05) -> GmcParams:
-    """Rejection-sample a parameter point strictly inside the valid region."""
+def sample_valid_params(rng: np.random.Generator) -> GmcParams:
+    """Rejection-sample a parameter point GRID_MARGIN inside the valid region."""
     while True:
         g = rng.uniform(0.5, 1.8)
         p = rng.uniform(-2.0, 1.0)
         a = rng.uniform(-0.5, 1.0)
         b = rng.uniform(-0.5, 1.0)
         candidate = GmcParams(g, p, a, b)
-        padded = GmcParams(g, p + margin, a - margin, b - margin)
+        padded = GmcParams(g, p + GRID_MARGIN, a - GRID_MARGIN, b - GRID_MARGIN)
         if bounds_check(candidate) and bounds_check(padded):
             return candidate
 
@@ -143,19 +143,19 @@ def run_identity_suite(grid: IdentityGridSpec | None = None) -> list[CheckReport
 
     # first moment reduces to an Euler Beta value
     for i in range(grid.n_random):
-        params = replace(sample_valid_params(rng, grid.margin), p=1.0)
+        params = replace(sample_valid_params(rng), p=1.0)
         _guarded(reports, f"fubini/{i:03d}", FUBINI_TOL, _meta(params), _fubini_check, params)
 
     # shift-equation closure at fractional p, all three kinds
     for i in range(grid.n_random):
-        params = sample_valid_params(rng, grid.margin)
+        params = sample_valid_params(rng)
         for kind in ShiftKind:
             _guarded(reports, f"shift/{kind.value}/{i:03d}", SHIFT_TOL,
                      _meta(params, kind=kind.value), _shift_check, params, kind)
 
     # recursion of the normalization constant in the moment order
     for i in range(grid.n_random):
-        params = sample_valid_params(rng, grid.margin)
+        params = sample_valid_params(rng)
         _guarded(reports, f"c-ratio/{i:03d}", C_RATIO_TOL, _meta(params), _c_ratio_check, params)
 
     # the two routes to the subleading expansion constant, b = 0
@@ -168,7 +168,7 @@ def run_identity_suite(grid: IdentityGridSpec | None = None) -> list[CheckReport
 
     # product-of-laws decomposition agrees with the exact moment in log
     for i in range(grid.n_random):
-        params = sample_valid_params(rng, grid.margin)
+        params = sample_valid_params(rng)
         _guarded(reports, f"law-decomp/{i:03d}", LAW_TOL_ABS, _meta(params), _law_check, params,
                  absolute=True)
 
@@ -203,29 +203,26 @@ def _c_ratio_check(params: GmcParams):
 
 
 def _c2_check(g: float, p: float, a: float):
-    lhs_sign, lhs = _c2_from_fusion(g, p, a)
-    rhs_sign, rhs = _c2_from_connection(g, p, a)
-    return lhs_sign * lhs, rhs_sign * rhs
+    return _c2_from_fusion(g, p, a), _c2_from_connection(g, p, a)
 
 
 def _law_check(params: GmcParams):
     return law_decomposition_log_moment(params), log_exact_moment(params)
 
 
-def _c2_from_fusion(g: float, p: float, a: float):
+def _c2_from_fusion(g: float, p: float, a: float) -> float:
     """p Gamma(a+1) Gamma(-a-g^2/4-1) / Gamma(-g^2/4) * M(p-1, a-g^2/4, 0)."""
     u = g * g / 4.0
     logv, sign = log_gamma_ratio((a + 1.0, -a - u - 1.0), (-u,))
     logv += math.log(abs(p)) + log_exact_moment(GmcParams(g, p - 1.0, a - u, 0.0))
-    return sign * math.copysign(1.0, p), math.exp(logv)
+    return sign * math.copysign(1.0, p) * math.exp(logv)
 
 
-def _c2_from_connection(g: float, p: float, a: float):
+def _c2_from_connection(g: float, p: float, a: float) -> float:
     """The c2 that `predict_observable` forms at b = 0: the connection of (M(p, a, 0), 0)."""
     params = GmcParams(g, p, a, 0.0)
     triple = hyp_triple(params, ObservableKind.POWER_GAMMA_SQ_OVER_4)
-    c2 = connection_coeffs(triple, exact_moment(params), 0.0)[1]
-    return math.copysign(1.0, c2), abs(c2)
+    return connection_coeffs(triple, exact_moment(params))[1]
 
 
 def verify_observable_prediction(params: GmcParams, kind: ObservableKind, t_list, cfg: McConfig,

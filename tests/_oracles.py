@@ -88,6 +88,59 @@ def exact_moment(g, p, a, b):
     return mp.e ** (num - den)
 
 
+def _hyp2f1_series(a, b, c, z):
+    """The defining series of 2F1(a, b; c; z) at |z| <= 0.8, and its largest term in size.
+
+    Summed at the working precision, always past the largest parameter in
+    size: before that a factor a + k, b + k or c + k near 0 can make the
+    terms small for a while and large again (mpmath's own sum stops there).
+    """
+    term = total = big = mp.mpf(1)
+    past = max(abs(a), abs(b), abs(c)) + 2
+    k = 0
+    while k <= past or abs(term) > mp.eps * abs(total):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+        big = max(big, abs(term))
+        k += 1
+    return total, big
+
+
+def observable_tail(a, b, c, d1, t, digits=40):
+    """d1 |t|^-a 2F1(a, 1+a-c; 1+a-b; 1/t) at t < 0, to about `digits` digits.
+
+    Defining series only, summed by hand: mpmath's hyp2f1 returns wrong
+    values at some of the large parameters that small gamma gives.  For
+    t <= -1/4 the Pfaff transform d1 (1-t)^-a 2F1(a, c-b; 1+a-b; 1/(1-t));
+    above it the connection of the constants (1, 0) at infinity to the
+    basis at 0 (DLMF 15.8.2), two series in t.  The digits lost to
+    cancellation are those of the largest term over the result, and the
+    working precision is raised until it exceeds them by `digits` + 5.
+    """
+    dps = digits + 10
+    while True:
+        with mp.workdps(dps):
+            a_, b_, c_, t_ = (mp.mpf(v) for v in (a, b, c, t))
+            if t <= -0.25:
+                f, big = _hyp2f1_series(a_, c_ - b_, 1 + a_ - b_, 1 / (1 - t_))
+                scale = (1 - t_) ** -a_
+                value, big = scale * f, scale * big
+            else:
+                f1, big1 = _hyp2f1_series(a_, b_, c_, t_)
+                f2, big2 = _hyp2f1_series(1 + a_ - c_, 1 + b_ - c_, 2 - c_, t_)
+                m1 = mp.gammaprod([1 - c_, a_ - b_ + 1], [a_ - c_ + 1, 1 - b_])
+                m2 = mp.gammaprod([c_ - 1, a_ - b_ + 1], [a_, c_ - b_]) * (-t_) ** (1 - c_)
+                value = m1 * f1 + m2 * f2
+                big = max(abs(m1) * big1, abs(m2) * big2)
+            # a sum that cancels to exactly 0 has lost every digit
+            lost = int(mp.log10(big / abs(value))) + 1 if value else dps
+            if lost + digits + 5 <= dps:
+                return mp.mpf(d1) * value
+        if dps > 4000:
+            raise ArithmeticError(f"observable oracle lost {lost} digits at t={t!r}")
+        dps = digits + lost + 15
+
+
 # ---------------------------------------------------------------------------
 # pointwise field
 

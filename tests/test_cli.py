@@ -150,6 +150,14 @@ class TestTables:
             1.6247213682678735, rel=1e-10
         )
 
+    def test_predict_u_where_the_basis_at_zero_cancels(self, capsys):
+        doc = run_json(capsys, "predict-u", "--gamma", "0.8", "--p", "1.2", "--a", "-0.4",
+                       "--b", "0", "--kind", "one", "--t=-30")
+        # the 40-digit value of test_exactlaw; summed in the basis at 0 it came out 131.5
+        assert float(doc["results"][0]["predicted"]) == pytest.approx(
+            118.82412623535389689, rel=1e-12
+        )
+
 
 class TestStochasticCommands:
     def test_mc_moment_deterministic_across_threads(self, capsys):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import gamma_fn
-from gmcint.errors import BoundsError, DegenerateParamsError, DomainError
+from gmcint.errors import BoundsError, DegenerateParamsError, DomainError, GmcError
 from gmcint.exactlaw import (
     GmcParams,
     ObservableKind,
@@ -318,19 +319,58 @@ class TestPredictObservable:
             assert ratio == pytest.approx(exact_moment(BASE), rel=1e-3)
 
     @pytest.mark.parametrize(
-        "kind,t,expected,tol",
+        "kind,t,expected",
         [
-            (ObservableKind.POWER_GAMMA_SQ_OVER_4, -0.1, 1.7472003413817458314, 1e-11),
-            (ObservableKind.POWER_GAMMA_SQ_OVER_4, -0.5, 1.6247213682678735074, 1e-11),
-            (ObservableKind.POWER_GAMMA_SQ_OVER_4, -2.0, 1.4450777364712640826, 1e-9),
-            (ObservableKind.POWER_ONE, -0.1, 2.1075126091180173493, 1e-11),
-            (ObservableKind.POWER_ONE, -0.5, 1.6190138657648513541, 1e-8),
-            # the two basis terms cancel to ~8 digits here; tolerance reflects that
-            (ObservableKind.POWER_ONE, -2.0, 1.0227923127553285567, 1e-5),
+            (ObservableKind.POWER_GAMMA_SQ_OVER_4, -0.1, 1.7472003413817458314),
+            (ObservableKind.POWER_GAMMA_SQ_OVER_4, -0.5, 1.6247213682678735074),
+            (ObservableKind.POWER_GAMMA_SQ_OVER_4, -2.0, 1.4450777364712640826),
+            (ObservableKind.POWER_ONE, -0.1, 2.1075126091180173493),
+            (ObservableKind.POWER_ONE, -0.5, 1.6190138657648513541),
+            (ObservableKind.POWER_ONE, -2.0, 1.0227923127553285567),
         ],
     )
-    def test_frozen_values(self, kind, t, expected, tol):
-        assert predict_observable(BASE, kind, t) == pytest.approx(expected, rel=tol)
+    def test_frozen_values(self, kind, t, expected):
+        assert predict_observable(BASE, kind, t) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "params,t,expected",
+        [
+            # _oracles.exact_moment times _oracles.observable_tail, kind one
+            (GmcParams(0.8, 1.2, -0.4, 0.0), -30.0, 118.82412623535389689),
+            (GmcParams(0.8, -1.5, -0.4, 0.3), -2.0, 0.49009413488923021034),
+            (GmcParams(0.3, -0.5, 0.0, -0.4), -0.5, 0.75219652374215164318),
+        ],
+    )
+    def test_points_where_the_basis_at_zero_cancels(self, params, t, expected):
+        assert predict_observable(params, ObservableKind.POWER_ONE, t) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    def test_against_oracle_over_the_domain(self):
+        """Seeded points inside the bounds: each value within 1e-10 of the oracle, or refused."""
+        rng = np.random.default_rng(1804)
+        points = []
+        while len(points) < 100:
+            g, p = rng.uniform(0.1, 1.95), rng.uniform(-3.0, 3.0)
+            a, b = rng.uniform(-1.4, 3.0, 2).tolist()
+            kind = list(ObservableKind)[rng.integers(2)]
+            params = GmcParams(g, p, a, b)
+            if bounds_check(params) and bounds_check(GmcParams(g, p, a + kind.chi(g), b)):
+                points.append((params, kind))
+        off = []
+        for params, kind in points:
+            tri = hyp_triple(params, kind)
+            for t in (-np.geomspace(1e-4, 1e3, 16)).tolist():
+                try:
+                    val = predict_observable(params, kind, t)
+                except GmcError:
+                    continue
+                ref = _oracles.observable_tail(
+                    tri.a_param, tri.b_param, tri.c_param, exact_moment(params), t
+                )
+                if not abs(val - ref) <= 1e-10 * abs(ref):
+                    off.append((params, kind.value, t, val, float(ref)))
+        assert not off
 
     @pytest.mark.parametrize("kind", list(ObservableKind))
     def test_finite_and_continuous(self, kind):
@@ -374,9 +414,7 @@ class TestC2Identity:
     def test_two_expressions_agree(self, g, p, a):
         from gmcint.verify import _c2_from_connection, _c2_from_fusion
 
-        s1, v1 = _c2_from_fusion(g, p, a)
-        s2, v2 = _c2_from_connection(g, p, a)
-        assert s1 * v1 == pytest.approx(s2 * v2, rel=1e-9)
+        assert _c2_from_fusion(g, p, a) == pytest.approx(_c2_from_connection(g, p, a), rel=1e-9)
 
 
 @st.composite

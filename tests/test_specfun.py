@@ -382,23 +382,17 @@ class TestBeta22:
 
 class TestConnectionCoeffs:
     def test_linear_in_zero(self):
-        assert connection_coeffs(HypTriple(0.3, 0.7, 1.1), 0.0, 0.0) == (0.0, 0.0)
+        assert connection_coeffs(HypTriple(0.3, 0.7, 1.1), 0.0) == (0.0, 0.0)
 
     def test_first_column(self):
         # matrix entries against direct Gamma-ratio evaluation
         a, b, c = 0.125, -1.925, -0.45
-        c1, c2 = connection_coeffs(HypTriple(a, b, c), 1.0, 0.0)
+        c1, c2 = connection_coeffs(HypTriple(a, b, c), 1.0)
         m11 = gamma_fn(1 - c) * gamma_fn(a - b + 1) / (gamma_fn(a - c + 1) * gamma_fn(1 - b))
         m21 = gamma_fn(c - 1) * gamma_fn(a - b + 1) / (gamma_fn(a) * gamma_fn(c - b))
         assert c1 == pytest.approx(m11, rel=1e-13)
         assert c2 == pytest.approx(m21, rel=1e-13)
 
-    def test_second_column_used(self):
-        a, b, c = 0.125, -1.925, -0.45
-        c1_full, _ = connection_coeffs(HypTriple(a, b, c), 0.0, 2.0)
-        m12 = gamma_fn(1 - c) * gamma_fn(b - a + 1) / (gamma_fn(b - c + 1) * gamma_fn(1 - a))
-        assert c1_full == pytest.approx(2.0 * m12, rel=1e-13)
-
     def test_pole_propagates(self):
         with pytest.raises(PoleError):
-            connection_coeffs(HypTriple(0.0, 0.7, 1.1), 1.0, 0.0)  # Gamma(a=0)
+            connection_coeffs(HypTriple(0.0, 0.7, 1.1), 1.0)  # Gamma(a=0)
