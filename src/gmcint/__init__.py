@@ -50,7 +50,6 @@ from .specfun import (
     DoubleGamma,
     HypTriple,
     barnes_g,
-    beta22_log_moment,
     connection_coeffs,
     double_gamma_evaluator,
     gammaln_signed,

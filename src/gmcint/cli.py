@@ -71,11 +71,19 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, command: str, parameters: dict, rows: list[dict]) -> None:
-    parameters = {k: fmt(v) for k, v in parameters.items()}
+def _emit(args, rows: list[dict]) -> int:
+    """Write the table of args.command, each row led by the parameter echo.
+
+    The echo is every parsed flag in declaration order, less --format and
+    --output, --threads (the output is the same for any count) and the
+    command's row flags, whose values every row already carries.
+    """
+    skip = {"command", "format", "output", "threads", "row_flags",
+            *getattr(args, "row_flags", ())}
+    parameters = {k: fmt(v) for k, v in vars(args).items() if k not in skip}
     rows = [{**parameters, **{k: fmt(v) for k, v in row.items()}} for row in rows]
     if args.format == "json":
-        text = json.dumps({"command": command, "parameters": parameters,
+        text = json.dumps({"command": args.command, "parameters": parameters,
                            "results": rows}, indent=2) + "\n"
     else:
         columns = list(rows[0].keys()) if rows else list(parameters.keys())
@@ -84,6 +92,7 @@ def _emit(args, command: str, parameters: dict, rows: list[dict]) -> None:
             lines.append(",".join(str(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     _write(args, text)
+    return 0
 
 
 def _add_output_opts(p):
@@ -138,12 +147,14 @@ def build_parser() -> _Parser:
     p.add_argument("--x-min", type=float, default=0.1)
     p.add_argument("--x-max", type=float, default=5.0)
     p.add_argument("--count", type=_table_rows, default=50)
+    p.set_defaults(row_flags=("x_min", "x_max", "count"))  # every row carries x: see _emit
     _add_output_opts(p)
 
     p = sub.add_parser("barnes", help="Barnes G table")
     p.add_argument("--x-min", type=float, default=0.5)
     p.add_argument("--x-max", type=float, default=4.0)
     p.add_argument("--count", type=_table_rows, default=50)
+    p.set_defaults(row_flags=("x_min", "x_max", "count"))
     _add_output_opts(p)
 
     p = sub.add_parser("martingale-moment", help="derivative martingale moment")
@@ -164,6 +175,7 @@ def build_parser() -> _Parser:
     p.add_argument("--u-min", type=float, default=18.0)
     p.add_argument("--u-max", type=float, default=52.0)
     p.add_argument("--u-count", type=int, default=8)
+    p.set_defaults(row_flags=("u_min", "u_max", "u_count"))
     _add_mc_opts(p, replicates=100_000, n_modes=1024)
     _add_output_opts(p)
 
@@ -171,6 +183,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eps", type=float, action="append", default=None,
                    help="repeatable; default grid 0.25..2")
+    p.set_defaults(row_flags=("eps",))
     _add_mc_opts(p, replicates=100_000, n_modes=1024)
     _add_output_opts(p)
 
@@ -178,6 +191,7 @@ def build_parser() -> _Parser:
     _add_gmc_params(p)
     p.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p.add_argument("--t", type=float, action="append", required=True)
+    p.set_defaults(row_flags=("t",))
     _add_output_opts(p)
 
     p = sub.add_parser("verify", help="cross-verification suites")
@@ -194,33 +208,35 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _gmc_params(args) -> GmcParams:
+    return GmcParams(args.gamma, args.p, args.a, args.b)
+
+
+def _mc_config(args):
+    return config_for(args.replicates, args.n_modes, args.seed,
+                      batches=args.batches, cells_per_mode=args.cells_per_mode)
+
+
 def _cmd_exact(args) -> int:
-    params = GmcParams(args.gamma, args.p, args.a, args.b)
+    params = _gmc_params(args)
     log_value = log_exact_moment(params)
     row = {"value": checked_exp(log_value, "moment"), "log_value": log_value}
     ln_num, ln_den, dg_args = exact_moment_factors(params)
     row["log_prefactor"] = ln_num - ln_den
     logs = double_gamma_evaluator(args.gamma).log_value(dg_args).tolist()
     row.update((f"log_dg_{name}", lv) for name, lv in zip(EXACT_DG_FACTORS, logs))
-    _emit(args, "exact", {"gamma": args.gamma, "p": args.p, "a": args.a, "b": args.b}, [row])
-    return 0
+    return _emit(args, [row])
 
 
 def _cmd_selberg(args) -> int:
     value = selberg_product(args.gamma, args.p, args.a, args.b)
-    _emit(args, "selberg", {"gamma": args.gamma, "p": args.p, "a": args.a, "b": args.b},
-          [{"value": value}])
-    return 0
+    return _emit(args, [{"value": value}])
 
 
 def _cmd_shift(args) -> int:
-    params = GmcParams(args.gamma, args.p, args.a, args.b)
-    rows = []
-    for kind in ShiftKind:
-        rows.append({"kind": kind.value, "ratio": shift_ratio(params, kind)})
-    _emit(args, "shift", {"gamma": args.gamma, "p": args.p, "a": args.a, "b": args.b},
-          rows)
-    return 0
+    params = _gmc_params(args)
+    return _emit(args, [{"kind": kind.value, "ratio": shift_ratio(params, kind)}
+                        for kind in ShiftKind])
 
 
 def _cmd_reflection(args) -> int:
@@ -228,20 +244,15 @@ def _cmd_reflection(args) -> int:
     value = fn(args.gamma, args.alpha)
     if not value > 0.0:  # underflowed, so its logarithm is lost
         raise DomainError(f"reflection coefficient {value!r} is not a positive double")
-    _emit(args, "reflection",
-          {"dim": args.dim, "gamma": args.gamma, "alpha": args.alpha},
-          [{"value": value, "log_value": math.log(value)}])
-    return 0
+    return _emit(args, [{"value": value, "log_value": math.log(value)}])
 
 
 def _cmd_law_decomp(args) -> int:
-    params = GmcParams(args.gamma, args.p, args.a, args.b)
+    params = _gmc_params(args)
     lhs = law_decomposition_log_moment(params)
     rhs = log_exact_moment(params)
-    _emit(args, "law-decomp", {"gamma": args.gamma, "p": args.p, "a": args.a, "b": args.b},
-          [{"log_moment_decomposition": lhs, "log_moment_exact": rhs,
-            "abs_diff": abs(lhs - rhs)}])
-    return 0
+    return _emit(args, [{"log_moment_decomposition": lhs, "log_moment_exact": rhs,
+                         "abs_diff": abs(lhs - rhs)}])
 
 
 def _cmd_dgamma(args) -> int:
@@ -253,15 +264,13 @@ def _cmd_dgamma(args) -> int:
         except OverflowError:
             value = "inf"  # log_value still carries the number
         rows.append({"x": x, "log_value": lv, "value": value})
-    _emit(args, "dgamma", {"gamma": args.gamma}, rows)
-    return 0
+    return _emit(args, rows)
 
 
 def _cmd_barnes(args) -> int:
     xs = np.linspace(args.x_min, args.x_max, args.count)
     rows = [{"x": x, "value": g} for x, g in zip(xs.tolist(), barnes_g(xs).tolist())]
-    _emit(args, "barnes", {}, rows)
-    return 0
+    return _emit(args, rows)
 
 
 def _cmd_martingale(args) -> int:
@@ -269,22 +278,12 @@ def _cmd_martingale(args) -> int:
     g_num, g1, g2, g4 = barnes_g(np.array([4.0 - 2.0 * args.p, 1.0 - args.p, 2.0 - args.p,
                                            4.0 - args.p])).tolist()
     g_form = g_num / (g1 * g2**2 * g4)
-    _emit(args, "martingale-moment", {"p": args.p},
-          [{"value": value, "barnes_form": g_form}])
-    return 0
-
-
-def _mc_echo(args) -> dict:
-    """The echo of the simulation-plan flags, each of which changes the estimates."""
-    return {"n_modes": args.n_modes, "batches": args.batches,
-            "cells_per_mode": args.cells_per_mode}
+    return _emit(args, [{"value": value, "barnes_form": g_form}])
 
 
 def _cmd_mc_moment(args) -> int:
-    params = GmcParams(args.gamma, args.p, args.a, args.b)
-    cfg = config_for(args.replicates, args.n_modes, args.seed,
-                     batches=args.batches, cells_per_mode=args.cells_per_mode)
-    est = mc_moment(params, args.t, args.chi, cfg, args.threads)
+    params = _gmc_params(args)
+    est = mc_moment(params, args.t, args.chi, _mc_config(args), args.threads)
     closed = None
     if args.chi == 0.0:
         closed = exact_moment(params)  # the moving weight is identically 1
@@ -299,16 +298,11 @@ def _cmd_mc_moment(args) -> int:
     row = {"mean": est.mean, "stderr": est.stderr,
            "degraded_ci": str(est.degraded_ci).lower()}
     row["closed_form"] = closed if closed is not None else "n/a"
-    _emit(args, "mc-moment",
-          {"gamma": args.gamma, "p": args.p, "a": args.a, "b": args.b,
-           "t": args.t, "chi": args.chi, "seed": args.seed,
-           "replicates": args.replicates, **_mc_echo(args)}, [row])
-    return 0
+    return _emit(args, [row])
 
 
 def _cmd_tail(args) -> int:
-    cfg = config_for(args.replicates, args.n_modes, args.seed,
-                     batches=args.batches, cells_per_mode=args.cells_per_mode)
+    cfg = _mc_config(args)
     if not (0.0 < args.u_min < args.u_max < math.inf and 2 <= args.u_count <= _MAX_TABLE_ROWS):
         raise DomainError(
             f"tail needs 0 < --u-min < --u-max < inf and 2 <= --u-count <= {_MAX_TABLE_ROWS}"
@@ -331,17 +325,12 @@ def _cmd_tail(args) -> int:
             "slope_closed_form": slope_closed,
             "ln_reflection_1d": ln_refl,
         })
-    _emit(args, "tail",
-          {"gamma": args.gamma, "alpha": args.alpha, "eta": args.eta,
-           "seed": args.seed, "replicates": args.replicates, **_mc_echo(args)}, rows)
-    return 0
+    return _emit(args, rows)
 
 
 def _cmd_small_dev(args) -> int:
     eps = args.eps if args.eps else [0.25, 0.3, 0.45, 0.5, 0.75, 1.0, 1.5, 2.0]
-    cfg = config_for(args.replicates, args.n_modes, args.seed,
-                     batches=args.batches, cells_per_mode=args.cells_per_mode)
-    result = mc_small_deviation(args.gamma, np.asarray(eps), cfg, args.threads)
+    result = mc_small_deviation(args.gamma, np.asarray(eps), _mc_config(args), args.threads)
     rows = []
     for pt in result.points:
         rows.append({
@@ -351,21 +340,14 @@ def _cmd_small_dev(args) -> int:
             "envelope_c": result.envelope_c if result.envelope_c is not None else "n/a",
             "envelope_exponent": -4.0 / (args.gamma * args.gamma),
         })
-    _emit(args, "small-dev",
-          {"gamma": args.gamma, "seed": args.seed, "replicates": args.replicates,
-           **_mc_echo(args)}, rows)
-    return 0
+    return _emit(args, rows)
 
 
 def _cmd_predict_u(args) -> int:
-    params = GmcParams(args.gamma, args.p, args.a, args.b)
+    params = _gmc_params(args)
     kind = _KINDS[args.kind]
-    rows = [{"t": t, "predicted": predict_observable(params, kind, t)}
-            for t in args.t]
-    _emit(args, "predict-u",
-          {"gamma": args.gamma, "p": args.p, "a": args.a, "b": args.b,
-           "kind": args.kind}, rows)
-    return 0
+    return _emit(args, [{"t": t, "predicted": predict_observable(params, kind, t)}
+                        for t in args.t])
 
 
 def _cmd_verify(args) -> int:

@@ -165,21 +165,16 @@ def selberg_product(gamma: float, p: int, a: float, b: float) -> float:
 
 
 def c_of_p(gamma: float, p: float) -> float:
-    """Normalization constant of the moment formula at weight exponents 0."""
-    _check_gamma(gamma)
-    m = gamma / 2.0
-    n = 2.0 / gamma
+    """Normalization constant of the moment formula at weight exponents 0.
+
+    The moment's prefactor times its a,b-free double gamma factors
+    Gamma_gamma(n - p m) / Gamma_gamma(n), from `exact_moment_factors`.
+    """
+    ln_num, ln_den, args = exact_moment_factors(GmcParams(gamma, p, 0.0, 0.0))
     if not p < 4.0 / (gamma * gamma):
         raise DomainError(f"need p < 4/gamma^2, got p={p!r}")
-    dg_p, dg_n = double_gamma_evaluator(gamma).log_value(np.array([n - p * m, n])).tolist()
-    logval = (
-        p * math.log(2.0 * math.pi)
-        - p * math.lgamma(1.0 - gamma * gamma / 4.0)
-        + p * (gamma * gamma / 4.0) * math.log(n)
-        + dg_p
-        - dg_n
-    )
-    return checked_exp(logval, "normalization constant")
+    dg_p, dg_n = double_gamma_evaluator(gamma).log_value(args[3:5]).tolist()
+    return checked_exp(ln_num - ln_den + dg_p - dg_n, "normalization constant")
 
 
 def shifted_params(params: GmcParams, kind: ShiftKind) -> GmcParams:
@@ -342,7 +337,8 @@ def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> flo
     1.95, p in (-3, 3), a and b in (-1.4, 3), both kinds) and 16 or 22
     values of t in [-1e3, -1e-4], the worst error is 9.1e-13 relative.
     Kind one with a near -1 at small gamma is the exception: there both
-    bases lose digits for |t| near the switch.
+    bases lose digits for |t| near the switch.  A value that is not a
+    finite double, as when |t|^-a overflows, raises DomainError.
     """
     if not -math.inf < t <= 0.0:
         raise DomainError(f"observable defined for finite t <= 0, got {t!r}")
@@ -353,12 +349,19 @@ def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> flo
     _check_generic(triple)
     a, b, c = triple.a_param, triple.b_param, triple.c_param
     d1 = exact_moment(params)
-    if t <= -_BASIS_SWITCH:
-        tail = hyp2f1_negative(HypTriple(a, 1.0 + a - c, 1.0 + a - b), 1.0 / t)
-        return d1 * abs(t) ** (-a) * tail
-    c1, c2 = connection_coeffs(triple, d1)
-    first = c1 * hyp2f1_negative(triple, t)
-    second = c2 * abs(t) ** (1.0 - c) * hyp2f1_negative(
-        HypTriple(1.0 + a - c, 1.0 + b - c, 2.0 - c), t
-    )
-    return first + second
+    try:
+        if t <= -_BASIS_SWITCH:
+            tail = hyp2f1_negative(HypTriple(a, 1.0 + a - c, 1.0 + a - b), 1.0 / t)
+            value = d1 * abs(t) ** (-a) * tail
+        else:
+            c1, c2 = connection_coeffs(triple, d1)
+            first = c1 * hyp2f1_negative(triple, t)
+            second = c2 * abs(t) ** (1.0 - c) * hyp2f1_negative(
+                HypTriple(1.0 + a - c, 1.0 + b - c, 2.0 - c), t
+            )
+            value = first + second
+    except OverflowError:  # a float power overflowed
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"observable is not a finite double at t={t!r}")
+    return value

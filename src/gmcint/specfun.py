@@ -504,15 +504,6 @@ def beta22_log_from_values(lv) -> float:
     return lv[0] + (lv[1] + lv[2]) + lv[3] - lv[4] - (lv[5] + lv[6]) - lv[7]
 
 
-def beta22_log_moment(params: Beta22Params, p: float) -> float:
-    """ln E[beta_{2,2}(1, 4/gamma^2; b0, b1, b2)^p], for p > -b0.
-
-    Eight double gamma values; every argument must be positive.
-    """
-    args = beta22_args(params, p)
-    return beta22_log_from_values(double_gamma_evaluator(params.gamma).log_value(args).tolist())
-
-
 def connection_coeffs(params: HypTriple, d1: float) -> tuple[float, float]:
     """Map expansion-at-infinity constants (d1, 0) to expansion-at-zero ones.
 

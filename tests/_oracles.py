@@ -3,13 +3,17 @@
 The high-precision oracles are computed with mpmath from the defining
 integrals and series, never through the package code paths they are used to
 check; gamma_fn is the plain Euler Gamma the closed-form tests compare
-against.  The pointwise field code evaluates one field sample and its
-variance by the three-term Chebyshev recurrence, against which the tests
-check the DCT route of gmcint.field.  The full-chunk batch integral is the
-array pipeline that gmcint.field streams in blocks: it shares the package's
-grid and cell masses but forms every density row at once and reduces them
-with a BLAS matrix-vector product.  sample_y_gamma draws from the exact
-circle-mass law.
+against.  beta22_log_moment is no oracle: it composes the package's own
+double gamma and beta-argument code for one generalized beta law, and the
+tests use it to check the batched five-law product against three
+single-law calls and that law's own moment properties.  The pointwise
+field code evaluates one field sample and its variance by the three-term
+Chebyshev recurrence, against which the tests check the DCT route of
+gmcint.field.  The full-chunk batch integral is the array pipeline that
+gmcint.field streams in blocks: it shares the package's grid and cell
+masses but forms every density row at once and reduces them with a BLAS
+matrix-vector product.  sample_y_gamma draws from the exact circle-mass
+law.
 """
 import math
 from dataclasses import dataclass
@@ -26,7 +30,13 @@ from gmcint.field import (
     cell_weights,
     gmc_integral_batch,
 )
-from gmcint.specfun import gammaln_signed
+from gmcint.specfun import (
+    Beta22Params,
+    beta22_args,
+    beta22_log_from_values,
+    double_gamma_evaluator,
+    gammaln_signed,
+)
 
 mp.mp.dps = 40
 
@@ -38,6 +48,15 @@ def gamma_fn(x: float) -> float:
     """Euler Gamma for real non-pole arguments."""
     logval, sign = gammaln_signed(x)
     return sign * math.exp(logval)
+
+
+def beta22_log_moment(params: Beta22Params, p: float) -> float:
+    """ln E[beta_{2,2}(1, 4/gamma^2; b0, b1, b2)^p], for p > -b0.
+
+    Eight double gamma values; every argument must be positive.
+    """
+    args = beta22_args(params, p)
+    return beta22_log_from_values(double_gamma_evaluator(params.gamma).log_value(args).tolist())
 
 
 def ln_dgamma(gamma, x):

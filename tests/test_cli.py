@@ -243,6 +243,55 @@ class TestVerifyFailurePath:
         assert json.loads(out)[1]["status"] == "fail"
 
 
+_GMC_ECHO = "gamma,p,a,b"
+_PLAN_ECHO = "seed,replicates,n_modes,batches,cells_per_mode"
+_ECHO_MC = ["--seed", "3", "--replicates", "200", "--n-modes", "64", "--batches", "10",
+            "--threads", "2"]
+
+
+# The echo of each table subcommand: every flag but --format, --output,
+# --threads and the flags whose values each row carries (dgamma's and
+# barnes' x grid, tail's u grid, predict-u's t and small-dev's eps).
+_ECHO_CASES = [
+    (["exact", "--gamma", "1", "--p", "-0.5"], _GMC_ECHO,
+     f"{_GMC_ECHO},value,log_value,log_prefactor,log_dg_num_a,log_dg_num_b,log_dg_num_ab,"
+     "log_dg_num_p,log_dg_den_base,log_dg_den_a,log_dg_den_b,log_dg_den_ab"),
+    (["selberg", "--gamma", "1", "--p", "2"], _GMC_ECHO, f"{_GMC_ECHO},value"),
+    (["shift", "--gamma", "1", "--p", "1"], _GMC_ECHO, f"{_GMC_ECHO},kind,ratio"),
+    (["reflection", "--dim", "1", "--gamma", "1", "--alpha", "1.5"], "dim,gamma,alpha",
+     "dim,gamma,alpha,value,log_value"),
+    (["law-decomp", "--gamma", "1", "--p", "-0.5"], _GMC_ECHO,
+     f"{_GMC_ECHO},log_moment_decomposition,log_moment_exact,abs_diff"),
+    (["dgamma", "--gamma", "1", "--count", "2"], "gamma", "gamma,x,log_value,value"),
+    (["barnes", "--count", "2"], "", "x,value"),
+    (["martingale-moment", "--p", "0.5"], "p", "p,value,barnes_form"),
+    (["mc-moment", "--gamma", "1", "--p", "-1", "--t=-0.5", *_ECHO_MC],
+     f"{_GMC_ECHO},t,chi,{_PLAN_ECHO}",
+     f"{_GMC_ECHO},t,chi,{_PLAN_ECHO},mean,stderr,degraded_ci,closed_form"),
+    (["tail", "--gamma", "1", "--alpha", "1.2", "--u-min", "0.5", "--u-max", "1",
+      "--u-count", "2", *_ECHO_MC], f"gamma,alpha,eta,{_PLAN_ECHO}",
+     f"gamma,alpha,eta,{_PLAN_ECHO},u,log_survival,count,wilson_low,wilson_high,slope,"
+     "intercept,r_squared,slope_closed_form,ln_reflection_1d"),
+    (["small-dev", "--gamma", "1", "--eps", "1", *_ECHO_MC], f"gamma,{_PLAN_ECHO}",
+     f"gamma,{_PLAN_ECHO},eps,log_prob,count,envelope_c,envelope_exponent"),
+    (["predict-u", "--gamma", "1", "--p", "-0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
+      "--t=-0.5", "--t=-2"], f"{_GMC_ECHO},kind", f"{_GMC_ECHO},kind,t,predicted"),
+]
+
+
+@pytest.mark.parametrize("argv,echo,header", _ECHO_CASES, ids=[c[0][0] for c in _ECHO_CASES])
+def test_parameter_echo_is_frozen(capsys, argv, echo, header):
+    doc = run_json(capsys, *argv)
+    assert doc["command"] == argv[0]
+    assert ",".join(doc["parameters"]) == echo
+    for row in doc["results"]:
+        assert ",".join(row) == header
+        assert all(row[k] == v for k, v in doc["parameters"].items())
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert out.splitlines()[0] == header
+
+
 _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches", "10"]
 
 
@@ -281,6 +330,10 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
       "--t=nan"], {}, 1),
     (["small-dev", "--gamma", "1", "--eps=-1", "--eps=nan", "--eps=inf", "--seed", "1",
       "--replicates", "100", "--n-modes", "8", "--batches", "10"], {}, 1),
+    (["predict-u", "--gamma", "1", "--p", "1.2", "--a", "0.2", "--b", "0.1", "--kind", "one",
+      "--t=-1e300"], {}, 1),
+    (["predict-u", "--gamma", "1", "--p", "1.2", "--a", "-0.9", "--b", "-0.9", "--kind", "one",
+      "--t=-5e256"], {}, 1),
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]

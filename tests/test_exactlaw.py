@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import gamma_fn
+from _oracles import beta22_log_moment, gamma_fn
 from gmcint.errors import BoundsError, DegenerateParamsError, DomainError, GmcError
 from gmcint.exactlaw import (
     GmcParams,
@@ -26,7 +26,7 @@ from gmcint.exactlaw import (
     selberg_product,
     shift_ratio,
 )
-from gmcint.specfun import Beta22Params, barnes_g, beta22_log_moment
+from gmcint.specfun import Beta22Params, barnes_g
 
 
 def ulp_distance(x: float, y: float) -> int:
@@ -385,6 +385,14 @@ class TestPredictObservable:
         for kind in ObservableKind:
             with pytest.raises(DomainError):
                 predict_observable(BASE, kind, t)
+
+    @pytest.mark.parametrize("params,t", [
+        (GmcParams(1.0, 1.2, 0.2, 0.1), -1e300),  # |t|^-a overflows: a = -1.2
+        (GmcParams(1.0, 1.2, -0.9, -0.9), -5e256),  # the product overflows to inf
+    ])
+    def test_overflow_is_a_domain_error(self, params, t):
+        with pytest.raises(DomainError, match="not a finite double"):
+            predict_observable(params, ObservableKind.POWER_ONE, t)
 
     def test_generic_guard(self):
         from gmcint.errors import DegenerateCError

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _oracles import gamma_fn
+from _oracles import beta22_log_moment, gamma_fn
 from gmcint import quadrature, specfun
 from gmcint.errors import (
     ConvergenceError,
@@ -23,7 +23,6 @@ from gmcint.specfun import (
     HypTriple,
     _hyp2f1_series,
     barnes_g,
-    beta22_log_moment,
     connection_coeffs,
     double_gamma_evaluator,
     gammaln_signed,
