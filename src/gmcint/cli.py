@@ -71,25 +71,27 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, rows: list[dict]) -> int:
+def _emit(args, rows) -> int:
     """Write the table of args.command, each row led by the parameter echo.
 
-    The echo is every parsed flag in declaration order, less --format and
-    --output, --threads (the output is the same for any count) and the
-    command's row flags, whose values every row already carries.
+    Each row holds its values in the order of the command's columns, which
+    its parser declares with ``set_defaults(columns=...)``.  The echo is
+    every parsed flag in declaration order, less --format and --output,
+    --threads (the output is the same for any count) and the command's row
+    flags, whose values every row already carries.  The CSV header is the
+    echo keys and then the columns, at any row count.
     """
-    skip = {"command", "format", "output", "threads", "row_flags",
+    skip = {"command", "format", "output", "threads", "row_flags", "columns",
             *getattr(args, "row_flags", ())}
     parameters = {k: fmt(v) for k, v in vars(args).items() if k not in skip}
-    rows = [{**parameters, **{k: fmt(v) for k, v in row.items()}} for row in rows]
+    columns = [*parameters, *args.columns]
+    rows = [[*parameters.values(), *map(fmt, row)] for row in rows]
     if args.format == "json":
         text = json.dumps({"command": args.command, "parameters": parameters,
-                           "results": rows}, indent=2) + "\n"
+                           "results": [dict(zip(columns, row)) for row in rows]},
+                          indent=2) + "\n"
     else:
-        columns = list(rows[0].keys()) if rows else list(parameters.keys())
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(str(row[c]) for c in columns))
+        lines = [",".join(columns), *(",".join(map(str, row)) for row in rows)]
         text = "\n".join(lines) + "\n"
     _write(args, text)
     return 0
@@ -122,24 +124,30 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("exact", help="exact fractional moment with factor breakdown")
     _add_gmc_params(p)
+    p.set_defaults(columns=("value", "log_value", "log_prefactor",
+                            *(f"log_dg_{name}" for name in EXACT_DG_FACTORS)))
     _add_output_opts(p)
 
     p = sub.add_parser("selberg", help="integer moment as the finite Gamma product")
     _add_gmc_params(p, integer_p=True)
+    p.set_defaults(columns=("value",))
     _add_output_opts(p)
 
     p = sub.add_parser("shift", help="all three shift-equation ratios")
     _add_gmc_params(p)
+    p.set_defaults(columns=("kind", "ratio"))
     _add_output_opts(p)
 
     p = sub.add_parser("reflection", help="tail reflection coefficients")
     p.add_argument("--dim", type=int, choices=(1, 2), required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
+    p.set_defaults(columns=("value", "log_value"))
     _add_output_opts(p)
 
     p = sub.add_parser("law-decomp", help="product-of-laws log moment vs exact")
     _add_gmc_params(p)
+    p.set_defaults(columns=("log_moment_decomposition", "log_moment_exact", "abs_diff"))
     _add_output_opts(p)
 
     p = sub.add_parser("dgamma", help="double gamma table")
@@ -147,24 +155,27 @@ def build_parser() -> _Parser:
     p.add_argument("--x-min", type=float, default=0.1)
     p.add_argument("--x-max", type=float, default=5.0)
     p.add_argument("--count", type=_table_rows, default=50)
-    p.set_defaults(row_flags=("x_min", "x_max", "count"))  # every row carries x: see _emit
+    # every row carries x: see _emit
+    p.set_defaults(row_flags=("x_min", "x_max", "count"), columns=("x", "log_value", "value"))
     _add_output_opts(p)
 
     p = sub.add_parser("barnes", help="Barnes G table")
     p.add_argument("--x-min", type=float, default=0.5)
     p.add_argument("--x-max", type=float, default=4.0)
     p.add_argument("--count", type=_table_rows, default=50)
-    p.set_defaults(row_flags=("x_min", "x_max", "count"))
+    p.set_defaults(row_flags=("x_min", "x_max", "count"), columns=("x", "value"))
     _add_output_opts(p)
 
     p = sub.add_parser("martingale-moment", help="derivative martingale moment")
     p.add_argument("--p", type=float, required=True)
+    p.set_defaults(columns=("value", "barnes_form"))
     _add_output_opts(p)
 
     p = sub.add_parser("mc-moment", help="Monte Carlo moment vs closed form")
     _add_gmc_params(p)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--chi", type=float, default=0.0)
+    p.set_defaults(columns=("mean", "stderr", "degraded_ci", "closed_form"))
     _add_mc_opts(p, replicates=10_000, n_modes=4096)
     _add_output_opts(p)
 
@@ -175,7 +186,9 @@ def build_parser() -> _Parser:
     p.add_argument("--u-min", type=float, default=18.0)
     p.add_argument("--u-max", type=float, default=52.0)
     p.add_argument("--u-count", type=int, default=8)
-    p.set_defaults(row_flags=("u_min", "u_max", "u_count"))
+    p.set_defaults(row_flags=("u_min", "u_max", "u_count"),
+                   columns=("u", "log_survival", "count", "wilson_low", "wilson_high", "slope",
+                            "intercept", "r_squared", "slope_closed_form", "ln_reflection_1d"))
     _add_mc_opts(p, replicates=100_000, n_modes=1024)
     _add_output_opts(p)
 
@@ -183,7 +196,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eps", type=float, action="append", default=None,
                    help="repeatable; default grid 0.25..2")
-    p.set_defaults(row_flags=("eps",))
+    p.set_defaults(row_flags=("eps",),
+                   columns=("eps", "log_prob", "count", "envelope_c", "envelope_exponent"))
     _add_mc_opts(p, replicates=100_000, n_modes=1024)
     _add_output_opts(p)
 
@@ -191,7 +205,7 @@ def build_parser() -> _Parser:
     _add_gmc_params(p)
     p.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p.add_argument("--t", type=float, action="append", required=True)
-    p.set_defaults(row_flags=("t",))
+    p.set_defaults(row_flags=("t",), columns=("t", "predicted"))
     _add_output_opts(p)
 
     p = sub.add_parser("verify", help="cross-verification suites")
@@ -220,23 +234,20 @@ def _mc_config(args):
 def _cmd_exact(args) -> int:
     params = _gmc_params(args)
     log_value = log_exact_moment(params)
-    row = {"value": checked_exp(log_value, "moment"), "log_value": log_value}
+    value = checked_exp(log_value, "moment")
     ln_num, ln_den, dg_args = exact_moment_factors(params)
-    row["log_prefactor"] = ln_num - ln_den
     logs = double_gamma_evaluator(args.gamma).log_value(dg_args).tolist()
-    row.update((f"log_dg_{name}", lv) for name, lv in zip(EXACT_DG_FACTORS, logs))
-    return _emit(args, [row])
+    return _emit(args, [(value, log_value, ln_num - ln_den, *logs)])
 
 
 def _cmd_selberg(args) -> int:
     value = selberg_product(args.gamma, args.p, args.a, args.b)
-    return _emit(args, [{"value": value}])
+    return _emit(args, [(value,)])
 
 
 def _cmd_shift(args) -> int:
     params = _gmc_params(args)
-    return _emit(args, [{"kind": kind.value, "ratio": shift_ratio(params, kind)}
-                        for kind in ShiftKind])
+    return _emit(args, [(kind.value, shift_ratio(params, kind)) for kind in ShiftKind])
 
 
 def _cmd_reflection(args) -> int:
@@ -244,15 +255,14 @@ def _cmd_reflection(args) -> int:
     value = fn(args.gamma, args.alpha)
     if not value > 0.0:  # underflowed, so its logarithm is lost
         raise DomainError(f"reflection coefficient {value!r} is not a positive double")
-    return _emit(args, [{"value": value, "log_value": math.log(value)}])
+    return _emit(args, [(value, math.log(value))])
 
 
 def _cmd_law_decomp(args) -> int:
     params = _gmc_params(args)
     lhs = law_decomposition_log_moment(params)
     rhs = log_exact_moment(params)
-    return _emit(args, [{"log_moment_decomposition": lhs, "log_moment_exact": rhs,
-                         "abs_diff": abs(lhs - rhs)}])
+    return _emit(args, [(lhs, rhs, abs(lhs - rhs))])
 
 
 def _cmd_dgamma(args) -> int:
@@ -263,14 +273,13 @@ def _cmd_dgamma(args) -> int:
             value = math.exp(lv)
         except OverflowError:
             value = "inf"  # log_value still carries the number
-        rows.append({"x": x, "log_value": lv, "value": value})
+        rows.append((x, lv, value))
     return _emit(args, rows)
 
 
 def _cmd_barnes(args) -> int:
     xs = np.linspace(args.x_min, args.x_max, args.count)
-    rows = [{"x": x, "value": g} for x, g in zip(xs.tolist(), barnes_g(xs).tolist())]
-    return _emit(args, rows)
+    return _emit(args, zip(xs.tolist(), barnes_g(xs).tolist()))
 
 
 def _cmd_martingale(args) -> int:
@@ -278,7 +287,7 @@ def _cmd_martingale(args) -> int:
     g_num, g1, g2, g4 = barnes_g(np.array([4.0 - 2.0 * args.p, 1.0 - args.p, 2.0 - args.p,
                                            4.0 - args.p])).tolist()
     g_form = g_num / (g1 * g2**2 * g4)
-    return _emit(args, [{"value": value, "barnes_form": g_form}])
+    return _emit(args, [(value, g_form)])
 
 
 def _cmd_mc_moment(args) -> int:
@@ -295,10 +304,8 @@ def _cmd_mc_moment(args) -> int:
                 except GmcError:
                     closed = None  # estimate still stands without a reference
                 break
-    row = {"mean": est.mean, "stderr": est.stderr,
-           "degraded_ci": str(est.degraded_ci).lower()}
-    row["closed_form"] = closed if closed is not None else "n/a"
-    return _emit(args, [row])
+    return _emit(args, [(est.mean, est.stderr, str(est.degraded_ci).lower(),
+                         closed if closed is not None else "n/a")])
 
 
 def _cmd_tail(args) -> int:
@@ -313,41 +320,25 @@ def _cmd_tail(args) -> int:
     ln_refl = math.log(reflection_boundary_1d(args.gamma, args.alpha))
     rows = []
     for i, u in enumerate(fit.u_grid):
-        rows.append({
-            "u": float(u),
-            "log_survival": float(fit.log_survival[i]),
-            "count": int(fit.counts[i]),
-            "wilson_low": float(fit.wilson_low[i]),
-            "wilson_high": float(fit.wilson_high[i]),
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "slope_closed_form": slope_closed,
-            "ln_reflection_1d": ln_refl,
-        })
+        rows.append((float(u), float(fit.log_survival[i]), int(fit.counts[i]),
+                     float(fit.wilson_low[i]), float(fit.wilson_high[i]), fit.slope,
+                     fit.intercept, fit.r_squared, slope_closed, ln_refl))
     return _emit(args, rows)
 
 
 def _cmd_small_dev(args) -> int:
     eps = args.eps if args.eps else [0.25, 0.3, 0.45, 0.5, 0.75, 1.0, 1.5, 2.0]
     result = mc_small_deviation(args.gamma, np.asarray(eps), _mc_config(args), args.threads)
-    rows = []
-    for pt in result.points:
-        rows.append({
-            "eps": pt.eps,
-            "log_prob": pt.log_prob if math.isfinite(pt.log_prob) else "-inf",
-            "count": pt.count,
-            "envelope_c": result.envelope_c if result.envelope_c is not None else "n/a",
-            "envelope_exponent": -4.0 / (args.gamma * args.gamma),
-        })
-    return _emit(args, rows)
+    envelope_c = result.envelope_c if result.envelope_c is not None else "n/a"
+    return _emit(args, [(pt.eps, pt.log_prob if math.isfinite(pt.log_prob) else "-inf",
+                         pt.count, envelope_c, -4.0 / (args.gamma * args.gamma))
+                        for pt in result.points])
 
 
 def _cmd_predict_u(args) -> int:
     params = _gmc_params(args)
     kind = _KINDS[args.kind]
-    return _emit(args, [{"t": t, "predicted": predict_observable(params, kind, t)}
-                        for t in args.t])
+    return _emit(args, [(t, predict_observable(params, kind, t)) for t in args.t])
 
 
 def _cmd_verify(args) -> int:

@@ -68,10 +68,9 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _grid_workspace(n_modes: int, m_cells: int):
-    """Midpoints, edges and truncated variance on the angle-uniform grid."""
+    """Midpoints and truncated variance on the angle-uniform grid."""
     from scipy import fft
     theta_edges = np.linspace(0.0, math.pi, m_cells + 1)
-    x_edges = 0.5 * (1.0 - np.cos(theta_edges))
     theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
     x_mid = 0.5 * (1.0 - np.cos(theta_mid))
     # Var_N on the midpoints: 4 ln2 + 2 H_N + sum (2/n) cos(2n theta)
@@ -82,7 +81,7 @@ def _grid_workspace(n_modes: int, m_cells: int):
     d = coef.copy()
     d[1:] *= 0.5
     var_mid = fft.dct(d, type=3)
-    return x_mid, x_edges, var_mid
+    return x_mid, var_mid
 
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
@@ -125,7 +124,7 @@ def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, gr
     n_rows, n_coef = alphas.shape
     n_modes = n_coef - 1
     m_cells = grid.m_cells
-    _, _, var_mid = _grid_workspace(n_modes, m_cells)
+    _, var_mid = _grid_workspace(n_modes, m_cells)
     var = var_mid - _FOUR_LN2 if drop_mean else var_mid
     shift = (gamma * gamma / 8.0) * var
     # DCT-III input of mode n: (2 / sqrt(n)) alpha_n, halved; halving is exact

@@ -2,8 +2,10 @@
 
 Euler Gamma (with reflection to negative arguments), the Gauss
 hypergeometric function restricted to nonpositive argument, the double
-gamma function (over an array of arguments at once), Barnes G, moments of
-the generalized beta law, and the first column of the connection matrix
+gamma function (over an array of arguments at once, its defining integral
+taken by `quadrature.integrate_panels` on the panel ladder; this module
+runs no quadrature round of its own), Barnes G, moments of the
+generalized beta law, and the first column of the connection matrix
 between hypergeometric solution bases.
 
 Everything here is a pure function of its arguments; evaluator objects are
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateCError, DomainError, PoleError
-from .quadrature import LADDER, LADDER_HALF, LADDER_T, integrate_panels, panel_rules
+from .quadrature import LADDER, integrate_panels
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12  # absolute tolerance for nonpositive-integer detection
@@ -56,14 +58,6 @@ _MAX_SHIFT_STEPS = 10**8  # about 5 s of shift reduction; larger arguments are r
 # the cutoff T of every window argument (T = 960 at x = _X_FLOOR).
 _SERIES_SWITCH = float(LADDER[0])
 _X_FLOOR = 0.05  # window arguments below this are lifted by m-shifts
-
-
-def _t_factors(t: np.ndarray) -> tuple:
-    """The factors of the window integrand that depend on t alone: e^{-t}/t, t^2."""
-    return np.exp(-t) / t, t**2
-
-
-_LADDER_T_FACTORS = _t_factors(LADDER_T)
 
 # ln Gamma by Lanczos's approximation (SIAM J. Numer. Anal. B 1, 1964) with
 # g = 7 and nine coefficients: Gamma(z) = sqrt(2 pi) t^(z - 1/2) e^(-t) A(z),
@@ -262,11 +256,13 @@ class DoubleGamma:
     window the defining integral is computed with a Taylor-series head below
     _SERIES_SWITCH, Gauss-Legendre panels of the shared quadrature LADDER up
     to a cutoff T, and the algebraic (x - q/2)/T tail added in closed form.
-    `log_value` takes an array of arguments and integrates all of them in
-    one batched ladder round, whose failing panels share one refinement
-    (`quadrature.integrate_panels`); each row has its own panels and sum,
-    so a value does not depend on the batch it was computed in.  Values
-    are memoized per argument, up to _MEMO_SIZE of them.
+    `log_value` takes an array of arguments and integrates each batch of
+    them in one call of `quadrature.integrate_panels`, the package's one
+    ladder kernel: its round 0 evaluates every row on the shared ladder
+    nodes, and the failing panels of all rows share one refinement.  Each
+    row has its own panels and sum, so a value does not depend on the
+    batch it was computed in.  Values are memoized per argument, up to
+    _MEMO_SIZE of them.
     """
 
     gamma: float
@@ -282,26 +278,20 @@ class DoubleGamma:
         self._m = self.gamma / 2.0
         self._n = 2.0 / self.gamma
         self._head_weights = _dgamma_head_weights(self.q, _SERIES_SWITCH)
-        self._ladder_factors = (self._den(LADDER_T), *_LADDER_T_FACTORS)
         self._cache = {}
 
-    def _den(self, t: np.ndarray) -> np.ndarray:
-        """The window integrand's denominator (1 - e^{-mt})(1 - e^{-nt})."""
-        return np.expm1(-self._m * t) * np.expm1(-self._n * t)
-
-    def _integrand(self, x: np.ndarray, t: np.ndarray, factors=None) -> np.ndarray:
+    def _integrand(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The window log-integrand at x (rows, 1, 1) and t.
 
-        factors are its x-free factors at t, (den, e^{-t}/t, t^2); they are
-        formed from t when not given.  Near t = 0 the first and last terms
-        are about d/t^2 and cancel to O(1), so each is rounded as few times
-        as it can be: (num / den) / t and d / t^2.
+        Near t = 0 the first and last terms are about d/t^2 and cancel to
+        O(1), so each is rounded as few times as it can be: (num / den) / t
+        and d / t^2, with den = (1 - e^{-mt})(1 - e^{-nt}).
         """
-        den, e_t, t2 = (self._den(t), *_t_factors(t)) if factors is None else factors
+        den = np.expm1(-self._m * t) * np.expm1(-self._n * t)
         d = 0.5 * self.q - x
         # e^{-xt} - e^{-qt/2} in one form, with no overflow and no cancellation
         num = np.exp(-np.minimum(x, 0.5 * self.q) * t) * np.expm1(-np.abs(d) * t)
-        return np.copysign(num, d) / den / t - (0.5 * d * d) * e_t - d / t2
+        return np.copysign(num, d) / den / t - (0.5 * d * d) * (np.exp(-t) / t) - d / t**2
 
     def _cutoff(self, x: np.ndarray) -> np.ndarray:
         """The cutoff of each window x: beyond it the integrand is (x - q/2)/t^2 in doubles."""
@@ -312,30 +302,14 @@ class DoubleGamma:
         """ln G(x) for x in the window: series head, ladder panels and the tail.
 
         Row i integrates the ladder panels up to the first edge T_i at or
-        above its cutoff, and adds the algebraic tail (x - q/2)/T_i.  The
-        first round evaluates every row on the shared ladder, where the
-        x-free factors are the evaluator's; a panel whose 32- and 16-node
-        rules disagree is bisected and integrated by `integrate_panels`.
+        above its cutoff, and adds the algebraic tail (x - q/2)/T_i.
         """
         w, v = self._head_weights
         j = np.arange(1, len(w) + 1)
         d = 0.5 * self.q - x
         head = (((-x[:, None]) ** j - (-0.5 * self.q) ** j) * w).sum(axis=1) - (d * d / 2.0) * v
         n_panels = np.searchsorted(LADDER, self._cutoff(x))
-        used = slice(0, int(n_panels.max()))
-        factors = tuple(col[used] for col in self._ladder_factors)
-        vals = self._integrand(x[:, None, None], LADDER_T[used], factors)
-        v32, err, scale = panel_rules(vals, LADDER_HALF[used])
-        live = np.arange(used.stop) < n_panels[:, None]
-        parts = np.where(live, v32, 0.0)
-        rows, cols = np.nonzero(live & ~(err <= scale))
-        if rows.size:
-            lo, hi = LADDER[cols], LADDER[cols + 1]
-            parts[rows, cols] = integrate_panels(
-                lambda t: self._integrand(x[rows, None, None], t),
-                np.stack((lo, 0.5 * (lo + hi), hi), axis=1),
-            )
-        body = np.array([math.fsum(row) for row in parts.tolist()])
+        body = integrate_panels(lambda t: self._integrand(x[:, None, None], t), n_panels)
         return head + body + (x - 0.5 * self.q) / LADDER[n_panels]
 
     def _reduce(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

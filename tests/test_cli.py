@@ -292,6 +292,19 @@ def test_parameter_echo_is_frozen(capsys, argv, echo, header):
     assert out.splitlines()[0] == header
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["barnes"], ["x,value", "0.5,0.60324428120944873"]),
+    (["dgamma", "--gamma", "1"],
+     ["gamma,x,log_value,value", "1,0.10000000000000001,1.6837966175222967,5.3859656543032521"]),
+], ids=["barnes", "dgamma"])
+@pytest.mark.parametrize("count", [0, 1])
+def test_csv_header_at_any_row_count(capsys, argv, want, count):
+    # the header comes from the echo and the declared columns, not from a row
+    code, out, err = run_cli(capsys, *argv, "--count", str(count), "--format", "csv")
+    assert code == 0, err
+    assert out == "\n".join(want[: 1 + count]) + "\n"
+
+
 _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches", "10"]
 
 

@@ -113,7 +113,7 @@ class TestFieldVariance:
         from gmcint.field import _grid_workspace
 
         n_modes, m_cells = 32, 256
-        x_mid, _, var_mid = _grid_workspace(n_modes, m_cells)
+        x_mid, var_mid = _grid_workspace(n_modes, m_cells)
         direct = field_variance(n_modes, x_mid)
         np.testing.assert_allclose(var_mid, direct, rtol=1e-12)
 

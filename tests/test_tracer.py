@@ -1,0 +1,46 @@
+"""The benchmark's layer tracer still finds and wraps every name it traces.
+
+``perfbench/tracer.py`` patches the package's entry points by name.  If a
+refactor renames or re-binds one of them, its per-layer metrics read zero
+without any error, so these tests fail instead.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from gmcint import exactlaw, quadrature, specfun, verify
+
+_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_traces_the_quadrature_and_specfun_layers(tracer):
+    specfun.double_gamma_evaluator.cache_clear()  # so the moment needs fresh double gamma values
+    tr = tracer.install()
+    patches = list(tr._patches)
+    try:
+        assert tr.missing == []
+        exactlaw.exact_moment(exactlaw.GmcParams(0.3, 0.5, 0.0, 0.0))
+        verify.quadrature_identity_check(0.5, -1.0)
+    finally:
+        tr.uninstall()
+    layers = {span[3] for span in tr.spans}
+    assert {"quadrature", "specfun", "exactlaw", "verify"} <= layers
+    totals = tracer.summarize(tr.spans)
+    assert totals["specfun.dgamma_fresh"] > 0  # a log_value span with a quadrature child
+    assert totals["quadrature.calls"] > 0 and totals["quadrature.integrand_evals"] > 0
+    # uninstall puts every original back
+    assert patches
+    for owner, attr, original in patches:
+        current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert current is original
+    assert specfun.integrate_panels is quadrature.integrate_panels
+    assert verify.integrate_panels is quadrature.integrate_panels
