@@ -290,22 +290,26 @@ def _cmd_martingale(args) -> int:
     return _emit(args, [(value, g_form)])
 
 
+def _closed_form(fn, *args):
+    """fn(*args), or "n/a" when it raises GmcError: a finished estimate stands without it."""
+    try:
+        return fn(*args)
+    except GmcError:
+        return "n/a"
+
+
 def _cmd_mc_moment(args) -> int:
     params = _gmc_params(args)
     est = mc_moment(params, args.t, args.chi, _mc_config(args), args.threads)
-    closed = None
+    closed = "n/a"
     if args.chi == 0.0:
-        closed = exact_moment(params)  # the moving weight is identically 1
+        closed = _closed_form(exact_moment, params)  # the moving weight is identically 1
     else:
         for kind in ObservableKind:
             if math.isclose(args.chi, kind.chi(args.gamma), rel_tol=0.0, abs_tol=1e-12):
-                try:
-                    closed = predict_observable(params, kind, args.t)
-                except GmcError:
-                    closed = None  # estimate still stands without a reference
+                closed = _closed_form(predict_observable, params, kind, args.t)
                 break
-    return _emit(args, [(est.mean, est.stderr, str(est.degraded_ci).lower(),
-                         closed if closed is not None else "n/a")])
+    return _emit(args, [(est.mean, est.stderr, str(est.degraded_ci).lower(), closed)])
 
 
 def _cmd_tail(args) -> int:
@@ -317,7 +321,7 @@ def _cmd_tail(args) -> int:
     u_grid = np.geomspace(args.u_min, args.u_max, args.u_count)
     fit = mc_tail_fit(args.gamma, args.alpha, args.eta, u_grid, cfg, args.threads)
     slope_closed = -tail_exponent(args.gamma, args.alpha)[1]
-    ln_refl = math.log(reflection_boundary_1d(args.gamma, args.alpha))
+    ln_refl = _closed_form(lambda: math.log(reflection_boundary_1d(args.gamma, args.alpha)))
     rows = []
     for i, u in enumerate(fit.u_grid):
         rows.append((float(u), float(fit.log_survival[i]), int(fit.counts[i]),

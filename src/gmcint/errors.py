@@ -18,7 +18,7 @@ class BoundsError(GmcError):
 
 
 class ConvergenceError(GmcError):
-    """A series or adaptive integration failed to converge."""
+    """A series failed to converge, or a quadrature panel failed its error test."""
 
 
 class DegenerateCError(GmcError):

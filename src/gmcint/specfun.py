@@ -2,11 +2,11 @@
 
 Euler Gamma (with reflection to negative arguments), the Gauss
 hypergeometric function restricted to nonpositive argument, the double
-gamma function (over an array of arguments at once, its defining integral
-taken by `quadrature.integrate_panels` on the panel ladder; this module
-runs no quadrature round of its own), Barnes G, moments of the
-generalized beta law, and the first column of the connection matrix
-between hypergeometric solution bases.
+gamma function (over an array of arguments at once, for gamma in
+[0.05, 2]: a Taylor series head on [0, 2.7e-2], then its defining integral
+taken by `quadrature.integrate_panels` on the panel ladder in one round),
+Barnes G, moments of the generalized beta law, and the first column of
+the connection matrix between hypergeometric solution bases.
 
 Everything here is a pure function of its arguments; evaluator objects are
 immutable after construction apart from an internal, bounded memo cache,
@@ -30,7 +30,7 @@ _POLE_TOL = 1e-12  # absolute tolerance for nonpositive-integer detection
 _SERIES_TOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
 
-_HEAD_TERMS = 10  # Taylor terms of the double gamma series head
+_HEAD_TERMS = 20  # Taylor terms of the double gamma series head
 _FACTORIAL = np.cumprod(np.concatenate(([1.0], np.arange(1.0, _HEAD_TERMS + 3))))
 
 
@@ -53,10 +53,14 @@ _BATCH_ROWS = 128  # arguments per batched window quadrature, which bounds its m
 # blocks run slower, as their temporaries are mapped afresh on every call
 _SHIFT_BLOCK = 1 << 12
 _MAX_SHIFT_STEPS = 10**8  # about 5 s of shift reduction; larger arguments are refused
-# The window integral's Taylor head covers [0, _SERIES_SWITCH] and its panels
-# the quadrature LADDER from there on.  The top ladder edge, 1594, is above
-# the cutoff T of every window argument (T = 960 at x = _X_FLOOR).
-_SERIES_SWITCH = float(LADDER[0])
+# The window integral's Taylor head covers the first _HEAD_PANELS ladder
+# panels, [0, _SERIES_SWITCH] = [0, 2.7e-2], and the quadrature LADDER the
+# rest.  The top ladder edge, 1594, is above the cutoff T of every window
+# argument (T = 960 at x = _X_FLOOR).  The head's series converges for
+# t < pi gamma; _GAMMA_FLOOR keeps the switch within 0.17 of that radius.
+_HEAD_PANELS = 3
+_SERIES_SWITCH = float(LADDER[_HEAD_PANELS])
+_GAMMA_FLOOR = 0.05
 _X_FLOOR = 0.05  # window arguments below this are lifted by m-shifts
 
 # ln Gamma by Lanczos's approximation (SIAM J. Numer. Anal. B 1, 1964) with
@@ -245,9 +249,11 @@ def _lgamma_sums(pieces: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DoubleGamma:
-    """Evaluator for the double gamma function at fixed gamma in (0, 2].
+    """Evaluator for the double gamma function at fixed gamma in [0.05, 2].
 
     gamma = 2 is admitted solely as the bridge to the Barnes G function.
+    Below _GAMMA_FLOOR the series head would lose accuracy, so such gamma
+    are refused.
     The quasi-periods are m = gamma/2 and n = 2/gamma with m*n = 1, and
     q = m + n.  Evaluation strategy: arguments above q are reduced into the
     base window with the two shift equations and arguments below a small
@@ -258,11 +264,10 @@ class DoubleGamma:
     to a cutoff T, and the algebraic (x - q/2)/T tail added in closed form.
     `log_value` takes an array of arguments and integrates each batch of
     them in one call of `quadrature.integrate_panels`, the package's one
-    ladder kernel: its round 0 evaluates every row on the shared ladder
-    nodes, and the failing panels of all rows share one refinement.  Each
-    row has its own panels and sum, so a value does not depend on the
-    batch it was computed in.  Values are memoized per argument, up to
-    _MEMO_SIZE of them.
+    ladder kernel, which evaluates every row on the shared ladder nodes in
+    a single round.  Each row has its own panels and sum, so a value does
+    not depend on the batch it was computed in.  Values are memoized per
+    argument, up to _MEMO_SIZE of them.
     """
 
     gamma: float
@@ -270,11 +275,11 @@ class DoubleGamma:
     _cache: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 2.0:
-            raise DomainError(f"gamma must be in (0, 2], got {self.gamma!r}")
+        if not _GAMMA_FLOOR <= self.gamma <= 2.0:
+            raise DomainError(
+                f"double gamma needs gamma in [{_GAMMA_FLOOR}, 2], got {self.gamma!r}"
+            )
         self.q = self.gamma / 2.0 + 2.0 / self.gamma
-        if not math.isfinite(self.q):
-            raise DomainError(f"Q = gamma/2 + 2/gamma overflows at gamma={self.gamma!r}")
         self._m = self.gamma / 2.0
         self._n = 2.0 / self.gamma
         self._head_weights = _dgamma_head_weights(self.q, _SERIES_SWITCH)
@@ -301,16 +306,17 @@ class DoubleGamma:
     def _ln_window(self, x: np.ndarray) -> np.ndarray:
         """ln G(x) for x in the window: series head, ladder panels and the tail.
 
-        Row i integrates the ladder panels up to the first edge T_i at or
-        above its cutoff, and adds the algebraic tail (x - q/2)/T_i.
+        Row i integrates the ladder panels from _SERIES_SWITCH up to the
+        first edge T_i at or above its cutoff, and adds the algebraic tail
+        (x - q/2)/T_i.
         """
         w, v = self._head_weights
         j = np.arange(1, len(w) + 1)
         d = 0.5 * self.q - x
         head = (((-x[:, None]) ** j - (-0.5 * self.q) ** j) * w).sum(axis=1) - (d * d / 2.0) * v
-        n_panels = np.searchsorted(LADDER, self._cutoff(x))
-        body = integrate_panels(lambda t: self._integrand(x[:, None, None], t), n_panels)
-        return head + body + (x - 0.5 * self.q) / LADDER[n_panels]
+        stop = np.searchsorted(LADDER, self._cutoff(x))
+        body = integrate_panels(lambda t: self._integrand(x[:, None, None], t), _HEAD_PANELS, stop)
+        return head + body + (x - 0.5 * self.q) / LADDER[stop]
 
     def _reduce(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Window arguments y and shifts with ln G(x) = ln G(y) + shift.

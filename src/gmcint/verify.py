@@ -300,7 +300,7 @@ def quadrature_identity_check(a: float, p: float) -> CheckReport:
     def integrand(u):
         return np.expm1(p * np.log1p(u)) * u ** (a - 1.0)
 
-    body = integrate_panels(integrand, [n_panels])[0]
+    body = integrate_panels(integrand, 0, [n_panels])[0]
     # algebraic tail: finite part of -int_T u^{a-1} plus the binomial tail
     tail = hi**a / a
     for k, coeff in _binom_series(p, max_terms=400):

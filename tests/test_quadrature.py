@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -8,9 +7,9 @@ from gmcint.errors import ConvergenceError
 from gmcint.quadrature import LADDER, integrate_panels
 
 
-def exp_integral(n):
-    """The integral of e^{-t} over the first n ladder panels, without cancellation."""
-    return -math.exp(-LADDER[0]) * math.expm1(LADDER[0] - LADDER[n])
+def exp_integral(first, stop):
+    """The integral of e^{-t} over ladder panels first .. stop - 1, without cancellation."""
+    return -math.exp(-LADDER[first]) * math.expm1(LADDER[first] - LADDER[stop])
 
 
 def counted(f):
@@ -25,58 +24,60 @@ def counted(f):
 
 
 def test_rows_of_unequal_length():
-    # the shorter rows have their panels past their own count masked out
-    n_panels = [13, 5, 1, 9]
-    got = integrate_panels(lambda t: np.exp(-t), n_panels)
-    want = [exp_integral(n) for n in n_panels]
-    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # the shorter rows have their panels past their own stop masked out
+    for first in (0, 3):
+        stop = [13, 5, first + 1, 9]
+        got = integrate_panels(lambda t: np.exp(-t), first, stop)
+        want = [exp_integral(first, n) for n in stop]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-def test_round_zero_runs_once_on_the_shared_nodes():
-    # a smooth integrand passes on the ladder, so round 0 is the only call
-    f, shapes = counted(lambda t: np.exp(-t) * np.array([[[1.0]], [[2.0]]]))
-    got = integrate_panels(f, [3, 5])
-    assert shapes == [(1, 5, 48)]
-    want = [exp_integral(3), 2.0 * exp_integral(5)]
-    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+def test_one_call_on_the_shared_nodes():
+    for first in (0, 3):
+        f, shapes = counted(lambda t: np.exp(-t) * np.array([[[1.0]], [[2.0]]]))
+        got = integrate_panels(f, first, [first + 3, first + 5])
+        assert shapes == [(1, 5, 48)]
+        want = [exp_integral(first, first + 3), 2.0 * exp_integral(first, first + 5)]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-def test_kink_forces_refinement():
-    # the kink at 0.5 lies inside the ladder panel [0.243, 0.729], so it is bisected
+def test_masked_panels_are_not_checked():
+    # row 0 is infinite past its own stop, where it is masked out
+    scale = np.array([math.inf, 1.0])[:, None, None]
+    got = integrate_panels(lambda t: np.where(t > LADDER[3], scale, 1.0), 0, [3, 5])
+    np.testing.assert_allclose(got, LADDER[[3, 5]] - LADDER[0], rtol=1e-15)
+
+
+def test_kink_fails_its_panel():
+    # the kink at 0.5 lies inside ladder panel 5, [0.243, 0.729]; nothing bisects it
     assert LADDER[5] < 0.5 < LADDER[6]
     f, shapes = counted(lambda t: np.abs(t - 0.5))
-    got = integrate_panels(f, [7])[0]
-    assert len(shapes) > 1
-    assert shapes[1][0] == 1 and shapes[1][2] == 48
-    assert got == pytest.approx((0.5 - LADDER[0]) ** 2 / 2.0 + (LADDER[7] - 0.5) ** 2 / 2.0,
-                                rel=1e-14)
+    with pytest.raises(ConvergenceError, match=r"ladder panel 5, \[0\.243.*32/16-node test"):
+        integrate_panels(f, 0, [7])
+    assert len(shapes) == 1
 
 
-def test_row_alone_equals_row_in_batch():
-    # kinks at different places give the rows different refinement depths
-    kinks = np.array([0.5, 1.0 / 3.0, 0.9, 2.0])
-    n_panels = np.array([7, 6, 8, 7])
-
-    def integrand(c):
-        return lambda t: np.abs(t - c[:, None, None]) + np.sin(3.0 * t)
-
-    f, shapes = counted(integrand(kinks))
-    batch = integrate_panels(f, n_panels)
-    assert len(shapes) > 2
-    for i in range(len(kinks)):
-        alone = integrate_panels(integrand(kinks[i : i + 1]), n_panels[i : i + 1])
-        assert alone[0] == batch[i]
+def test_singularity_fails_its_panel():
+    # an integrable 1/sqrt singularity at 1/3, inside ladder panel 5
+    with pytest.raises(ConvergenceError, match=r"ladder panel 5, .*32/16-node test"):
+        integrate_panels(lambda t: 1.0 / np.sqrt(np.abs(t - 1.0 / 3.0)), 3, [6])
 
 
 def test_non_finite_integrand():
-    with pytest.raises(ConvergenceError, match="non-finite"), np.errstate(invalid="ignore"):
-        integrate_panels(lambda t: np.where(t > 0.7, np.inf, 1.0), [7])
+    # the first panel with a node above 0.7 is panel 5
+    with pytest.raises(ConvergenceError, match=r"ladder panel 5, .*non-finite"), \
+            np.errstate(invalid="ignore"):
+        integrate_panels(lambda t: np.where(t > 0.7, np.inf, 1.0), 0, [7])
 
 
-def test_singularity_stalls():
-    # an integrable 1/sqrt singularity never passes the panel test, so the
-    # bisection runs to its depth cap and gives up there, quickly
-    t0 = time.monotonic()
-    with pytest.raises(ConvergenceError, match="stalled"):
-        integrate_panels(lambda t: 1.0 / np.sqrt(np.abs(t - 1.0 / 3.0)), [6])
-    assert time.monotonic() - t0 < 5.0
+def test_row_alone_equals_row_in_batch():
+    c = np.array([0.5, 1.0 / 3.0, 0.9, 2.0])
+    stop = np.array([7, 6, 13, 4])
+
+    def integrand(c):
+        return lambda t: np.exp(-c[:, None, None] * t) + 1.0 / (1.0 + t)
+
+    batch = integrate_panels(integrand(c), 3, stop)
+    for i in range(len(c)):
+        alone = integrate_panels(integrand(c[i : i + 1]), 3, stop[i : i + 1])
+        assert alone[0] == batch[i]

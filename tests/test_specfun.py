@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import beta22_log_moment, gamma_fn
-from gmcint import quadrature, specfun
+from gmcint import exactlaw, quadrature, specfun
 from gmcint.errors import (
     ConvergenceError,
     DegenerateCError,
@@ -79,6 +79,14 @@ LADDER_EDGE_GRID = {
     1.99: (2.0768623536362524895, -0.00050548413170719544343,
            0.00049449850878910384631, 4.318226735186358067e-18),
 }
+
+# The same oracle at gamma = 0.05, the least gamma the evaluator accepts,
+# frozen at x = 0.05, 0.3, 0.999, 1.001, 7.3, q/2, 32.9 and q.
+FLOOR_GRID = (
+    -194.81761959255905272, -223.58569138787853196, -265.01322182435817621,
+    -265.09445126114967882, -254.41105400662958325, 5.5311272394005635885e-15,
+    0.26794091283140249509, -187.43791557328454949,
+)
 
 
 class TestGammaFn:
@@ -208,6 +216,31 @@ class TestDoubleGamma:
         refs = np.array(LADDER_EDGE_GRID[gamma])
         assert np.all(np.abs(ev.log_value(xs) - refs) <= 2e-13 * np.maximum(1.0, np.abs(refs)))
 
+    def test_gamma_floor_against_oracle(self):
+        ev = DoubleGamma(0.05)
+        xs = np.array([0.05, 0.3, 0.999, 1.001, 7.3, ev.q / 2.0, 32.9, ev.q])
+        refs = np.array(FLOOR_GRID)
+        assert np.all(np.abs(ev.log_value(xs) - refs) <= 2e-13 * np.maximum(1.0, np.abs(refs)))
+
+    def test_window_sweep_passes_every_panel(self):
+        # one round, no refinement: every ladder panel of every window x must
+        # pass its 32/16-node test, or log_value raises ConvergenceError
+        for gamma in np.concatenate((np.linspace(0.05, 2.0, 97), [0.0500001, 0.051, 1.999])):
+            ev = DoubleGamma(float(gamma))
+            xs = np.concatenate((np.linspace(0.05, ev.q, 60), [0.999, 1.001, ev.q / 2.0]))
+            assert np.all(np.isfinite(ev.log_value(xs)))
+
+    def test_gamma_below_the_floor_is_refused(self):
+        with pytest.raises(DomainError, match=r"gamma in \[0\.05, 2\]"):
+            DoubleGamma(0.0499)
+        params = exactlaw.GmcParams(0.01, 0.5, 0.0, 0.0)  # the Monte Carlo side still takes it
+        for closed_form in (lambda: log_double_gamma(0.01, 1.0),
+                            lambda: exactlaw.exact_moment(params),
+                            lambda: exactlaw.law_decomposition_log_moment(params),
+                            lambda: exactlaw.reflection_boundary_1d(0.01, 1.0)):
+            with pytest.raises(DomainError, match="got 0.01"):
+                closed_form()
+
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 1.99])
     def test_rows_of_different_ladder_lengths(self, gamma):
         # the cutoffs of these x end on four different ladder edges, 1594 down to 59
@@ -312,11 +345,12 @@ class TestDoubleGamma:
         with pytest.raises(DomainError):
             DoubleGamma(0.0)
 
-    def test_non_finite_value_is_refused_and_not_kept(self):
-        with np.errstate(all="ignore"):
-            ev = DoubleGamma(1e-30)  # the series head's weights overflow at this gamma
-            with pytest.raises(DomainError, match="gamma=1e-30, x=0.5"):
-                ev.log_value(np.array([0.5, 2e30]))
+    def test_non_finite_value_is_refused_and_not_kept(self, monkeypatch):
+        ev = DoubleGamma(1.0)
+        window = ev._ln_window
+        monkeypatch.setattr(ev, "_ln_window", lambda y: np.where(y == 0.5, np.nan, window(y)))
+        with pytest.raises(DomainError, match="gamma=1.0, x=0.5"):
+            ev.log_value(np.array([0.7, 0.5]))
         assert ev._cache == {}
 
     def test_q_stored_exactly(self):
