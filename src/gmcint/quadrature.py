@@ -21,7 +21,12 @@ _GL32_X, _GL32_W = np.polynomial.legendre.leggauss(32)
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL_X = np.concatenate((_GL32_X, _GL16_X))  # both rules in one integrand call
 
-_REL_TOL = 1e-13  # a panel passes when its two rules agree to _REL_TOL * (_ABS_FLOOR + |value|)
+# A panel passes when its two rules agree to _REL_TOL * (_ABS_FLOOR + |value|).
+# The test guards smoothness; it is not the error of the 32-node value, which
+# is what is summed.  Rounding alone moves the difference of the two rules by
+# up to 2e-12 on the double gamma's panels at gamma >= 0.01, while a kink or
+# an integrable singularity inside a panel moves it by 1e-5 or more.
+_REL_TOL = 1e-10
 _ABS_FLOOR = 1.0  # makes the test an absolute one for near-zero panels
 
 # The panel layout of every caller: edges 1e-3 * 3^k, k = 0 .. 13 (top edge

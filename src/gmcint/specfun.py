@@ -3,8 +3,9 @@
 Euler Gamma (with reflection to negative arguments), the Gauss
 hypergeometric function restricted to nonpositive argument, the double
 gamma function (over an array of arguments at once, for gamma in
-[0.05, 2]: a Taylor series head on [0, 2.7e-2], then its defining integral
-taken by `quadrature.integrate_panels` on the panel ladder in one round),
+[0.01, 2]: a Taylor series head on the first ladder panels, up to 2.7e-2,
+then its defining integral taken by `quadrature.integrate_panels` on the
+panel ladder in one round),
 Barnes G, moments of the generalized beta law, and the first column of
 the connection matrix between hypergeometric solution bases.
 
@@ -53,14 +54,17 @@ _BATCH_ROWS = 128  # arguments per batched window quadrature, which bounds its m
 # blocks run slower, as their temporaries are mapped afresh on every call
 _SHIFT_BLOCK = 1 << 12
 _MAX_SHIFT_STEPS = 10**8  # about 5 s of shift reduction; larger arguments are refused
-# The window integral's Taylor head covers the first _HEAD_PANELS ladder
-# panels, [0, _SERIES_SWITCH] = [0, 2.7e-2], and the quadrature LADDER the
-# rest.  The top ladder edge, 1594, is above the cutoff T of every window
-# argument (T = 960 at x = _X_FLOOR).  The head's series converges for
-# t < pi gamma; _GAMMA_FLOOR keeps the switch within 0.17 of that radius.
+# The window integral's Taylor head covers [0, LADDER[k]] and the quadrature
+# LADDER the rest.  The head's series converges for t < pi gamma, and k is the
+# largest k <= _HEAD_PANELS with LADDER[k] <= _HEAD_REACH * pi gamma: k = 3,
+# [0, 2.7e-2], for gamma >= 0.048 (the panels above pass their test at every
+# gamma), and k = 1 at _GAMMA_FLOOR.  Below the floor the rounding on the
+# first panel after the head, which grows like 1/gamma^2, nears the panel
+# test's tolerance.  The top ladder edge, 1594, is above the cutoff T of
+# every window argument (T = 960 at x = _X_FLOOR).
 _HEAD_PANELS = 3
-_SERIES_SWITCH = float(LADDER[_HEAD_PANELS])
-_GAMMA_FLOOR = 0.05
+_HEAD_REACH = 0.18
+_GAMMA_FLOOR = 0.01
 _X_FLOOR = 0.05  # window arguments below this are lifted by m-shifts
 
 # ln Gamma by Lanczos's approximation (SIAM J. Numer. Anal. B 1, 1964) with
@@ -249,19 +253,20 @@ def _lgamma_sums(pieces: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DoubleGamma:
-    """Evaluator for the double gamma function at fixed gamma in [0.05, 2].
+    """Evaluator for the double gamma function at fixed gamma in [0.01, 2].
 
     gamma = 2 is admitted solely as the bridge to the Barnes G function.
-    Below _GAMMA_FLOOR the series head would lose accuracy, so such gamma
-    are refused.
+    Below _GAMMA_FLOOR the first ladder panel the series head leaves to the
+    quadrature comes too near its rounding limit, so such gamma are refused.
     The quasi-periods are m = gamma/2 and n = 2/gamma with m*n = 1, and
     q = m + n.  Evaluation strategy: arguments above q are reduced into the
     base window with the two shift equations and arguments below a small
     floor are lifted by the m-shift (the function has a simple pole at 0);
     the shift factors are lgamma sums, vectorized over index blocks.  On the
-    window the defining integral is computed with a Taylor-series head below
-    _SERIES_SWITCH, Gauss-Legendre panels of the shared quadrature LADDER up
-    to a cutoff T, and the algebraic (x - q/2)/T tail added in closed form.
+    window the defining integral is computed with a Taylor-series head on
+    the first ladder panels, Gauss-Legendre panels of the shared quadrature
+    LADDER up to a cutoff T, and the algebraic (x - q/2)/T tail added in
+    closed form.
     `log_value` takes an array of arguments and integrates each batch of
     them in one call of `quadrature.integrate_panels`, the package's one
     ladder kernel, which evaluates every row on the shared ladder nodes in
@@ -282,7 +287,9 @@ class DoubleGamma:
         self.q = self.gamma / 2.0 + 2.0 / self.gamma
         self._m = self.gamma / 2.0
         self._n = 2.0 / self.gamma
-        self._head_weights = _dgamma_head_weights(self.q, _SERIES_SWITCH)
+        reach = np.searchsorted(LADDER, _HEAD_REACH * math.pi * self.gamma, side="right")
+        self._head_panels = int(min(reach - 1, _HEAD_PANELS))
+        self._head_weights = _dgamma_head_weights(self.q, float(LADDER[self._head_panels]))
         self._cache = {}
 
     def _integrand(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -306,7 +313,7 @@ class DoubleGamma:
     def _ln_window(self, x: np.ndarray) -> np.ndarray:
         """ln G(x) for x in the window: series head, ladder panels and the tail.
 
-        Row i integrates the ladder panels from _SERIES_SWITCH up to the
+        Row i integrates the ladder panels from the head's end up to the
         first edge T_i at or above its cutoff, and adds the algebraic tail
         (x - q/2)/T_i.
         """
@@ -315,7 +322,9 @@ class DoubleGamma:
         d = 0.5 * self.q - x
         head = (((-x[:, None]) ** j - (-0.5 * self.q) ** j) * w).sum(axis=1) - (d * d / 2.0) * v
         stop = np.searchsorted(LADDER, self._cutoff(x))
-        body = integrate_panels(lambda t: self._integrand(x[:, None, None], t), _HEAD_PANELS, stop)
+        body = integrate_panels(
+            lambda t: self._integrand(x[:, None, None], t), self._head_panels, stop
+        )
         return head + body + (x - 0.5 * self.q) / LADDER[stop]
 
     def _reduce(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -196,10 +196,10 @@ class TestStochasticCommands:
         assert float(rows[0]["slope_closed_form"]) == pytest.approx(-2.6, rel=1e-12)
 
     @pytest.mark.parametrize("argv,estimate,closed", [
-        (["mc-moment", "--gamma", "0.01", "--p", "0.5"], "mean", "closed_form"),
-        (["mc-moment", "--gamma", "0.03", "--p", "-0.5", "--a", "0.2", "--b", "0.1",
+        (["mc-moment", "--gamma", "0.005", "--p", "0.5"], "mean", "closed_form"),
+        (["mc-moment", "--gamma", "0.005", "--p", "-0.5", "--a", "0.2", "--b", "0.1",
           "--t=-0.5", "--chi", "1"], "mean", "closed_form"),
-        (["tail", "--gamma", "0.01", "--alpha", "150", "--u-min", "0.5", "--u-max", "1",
+        (["tail", "--gamma", "0.005", "--alpha", "300", "--u-min", "0.5", "--u-max", "1",
           "--u-count", "2"], "log_survival", "ln_reflection_1d"),
     ], ids=["mc-moment", "observable", "tail"])
     def test_estimate_stands_without_its_closed_form(self, capsys, argv, estimate, closed):
@@ -351,13 +351,13 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
     (["selberg", "--gamma", "1e-150", "--p", "100000000000000000000"], {}, 1),
     (["exact", "--gamma", "1e-30", "--p", "0.5"], {}, 1),
     (["law-decomp", "--gamma", "1e-30", "--p", "0.5"], {}, 1),
-    # below the double gamma's gamma floor of 0.05
-    (["dgamma", "--gamma", "0.01"], {}, 1),
-    (["exact", "--gamma", "0.01", "--p", "0.5"], {}, 1),
-    (["law-decomp", "--gamma", "0.049", "--p", "0.5"], {}, 1),
-    (["predict-u", "--gamma", "0.03", "--p", "-0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
+    # below the double gamma's gamma floor of 0.01
+    (["dgamma", "--gamma", "0.005"], {}, 1),
+    (["exact", "--gamma", "0.005", "--p", "0.5"], {}, 1),
+    (["law-decomp", "--gamma", "0.0099", "--p", "0.5"], {}, 1),
+    (["predict-u", "--gamma", "0.005", "--p", "-0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
       "--t=-0.5"], {}, 1),
-    (["reflection", "--dim", "1", "--gamma", "0.01", "--alpha", "1"], {}, 1),
+    (["reflection", "--dim", "1", "--gamma", "0.005", "--alpha", "1"], {}, 1),
     (["predict-u", "--gamma", "1.1", "--p", "0.45", "--a", "0.3", "--b", "0.2", "--kind", "one",
       "--t=-inf"], {}, 1),
     (["predict-u", "--gamma", "1.1", "--p", "0.45", "--a", "0.3", "--b", "0.2", "--kind", "one",

