@@ -29,8 +29,8 @@ from .exactlaw import (
     exact_moment_factors,
     log_exact_moment,
     law_decomposition_log_moment,
+    log_reflection_boundary_1d,
     predict_observable,
-    reflection_boundary_1d,
     reflection_bulk_2d,
     selberg_product,
     shift_ratio,
@@ -250,9 +250,19 @@ def _cmd_shift(args) -> int:
     return _emit(args, [(kind.value, shift_ratio(params, kind)) for kind in ShiftKind])
 
 
+def _exp_or_inf(log_value: float):
+    """e^log_value, or "inf" where that overflows: the log still carries the number."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return "inf"
+
+
 def _cmd_reflection(args) -> int:
-    fn = reflection_boundary_1d if args.dim == 1 else reflection_bulk_2d
-    value = fn(args.gamma, args.alpha)
+    if args.dim == 1:
+        log_value = log_reflection_boundary_1d(args.gamma, args.alpha)
+        return _emit(args, [(_exp_or_inf(log_value), log_value)])
+    value = reflection_bulk_2d(args.gamma, args.alpha)
     if not value > 0.0:  # underflowed, so its logarithm is lost
         raise DomainError(f"reflection coefficient {value!r} is not a positive double")
     return _emit(args, [(value, math.log(value))])
@@ -267,14 +277,8 @@ def _cmd_law_decomp(args) -> int:
 
 def _cmd_dgamma(args) -> int:
     xs = np.linspace(args.x_min, args.x_max, args.count)
-    rows = []
-    for x, lv in zip(xs.tolist(), double_gamma_evaluator(args.gamma).log_value(xs).tolist()):
-        try:
-            value = math.exp(lv)
-        except OverflowError:
-            value = "inf"  # log_value still carries the number
-        rows.append((x, lv, value))
-    return _emit(args, rows)
+    lvs = double_gamma_evaluator(args.gamma).log_value(xs).tolist()
+    return _emit(args, [(x, lv, _exp_or_inf(lv)) for x, lv in zip(xs.tolist(), lvs)])
 
 
 def _cmd_barnes(args) -> int:
@@ -321,7 +325,7 @@ def _cmd_tail(args) -> int:
     u_grid = np.geomspace(args.u_min, args.u_max, args.u_count)
     fit = mc_tail_fit(args.gamma, args.alpha, args.eta, u_grid, cfg, args.threads)
     slope_closed = -tail_exponent(args.gamma, args.alpha)[1]
-    ln_refl = _closed_form(lambda: math.log(reflection_boundary_1d(args.gamma, args.alpha)))
+    ln_refl = _closed_form(log_reflection_boundary_1d, args.gamma, args.alpha)
     rows = []
     for i, u in enumerate(fit.u_grid):
         rows.append((float(u), float(fit.log_survival[i]), int(fit.counts[i]),

@@ -233,8 +233,8 @@ def tail_exponent(gamma: float, alpha: float) -> tuple[float, float]:
     return q - alpha, (2.0 / gamma) * (q - alpha)
 
 
-def reflection_boundary_1d(gamma: float, alpha: float) -> float:
-    """Tail constant of GMC with a boundary insertion of strength alpha."""
+def log_reflection_boundary_1d(gamma: float, alpha: float) -> float:
+    """ln of the tail constant of GMC with a boundary insertion of strength alpha."""
     q_alpha, s = tail_exponent(gamma, alpha)
     args = np.array([alpha - gamma / 2.0, q_alpha])
     dg_low, dg_high = double_gamma_evaluator(gamma).log_value(args).tolist()
@@ -246,7 +246,12 @@ def reflection_boundary_1d(gamma: float, alpha: float) -> float:
         + dg_low
         - dg_high
     )
-    return checked_exp(logval, "reflection coefficient")
+    return logval
+
+
+def reflection_boundary_1d(gamma: float, alpha: float) -> float:
+    """Tail constant of GMC with a boundary insertion of strength alpha."""
+    return checked_exp(log_reflection_boundary_1d(gamma, alpha), "reflection coefficient")
 
 
 def reflection_bulk_2d(gamma: float, alpha: float) -> float:

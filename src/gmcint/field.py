@@ -26,7 +26,7 @@ does without it.
 
 Replicate r of a run draws its coefficients from an own counter-based
 stream keyed by seed XOR r, so results do not depend on worker count or
-scheduling.
+scheduling; a chunk of replicates re-keys one Philox for each of them.
 """
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ _LAYOUTS_KEPT = 8  # grid workspaces, and cell-mass vectors, kept by the caches
 # bytes of density rows in flight per batch call: with the weight and shift rows
 # they stay in one core's L2 cache
 _BLOCK_BYTES = 1 << 20
+_PHILOX_ZEROS = np.zeros(4, np.uint64)  # a fresh Philox's counter and buffer
 
 
 @dataclass(frozen=True)
@@ -53,14 +54,23 @@ class QuadGrid:
     m_cells: int
 
 
-def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
+def replicate_rng(seed: int, replicate: int,
+                  bit_generator: np.random.Philox | None = None) -> np.random.Generator:
     """Counter-based stream for one replicate: key = seed XOR replicate.
 
     The key is reduced modulo 2^64, so any Python integer seed is usable.
+    Without bit_generator the stream gets a new Philox.  With one, that
+    Philox is re-keyed in place (zero counter, empty buffer), which draws
+    the same stream without seeding a new bit generator from OS entropy;
+    the caller must not share it between threads.
     """
-    return np.random.Generator(
-        np.random.Philox(key=(seed ^ replicate) & 0xFFFFFFFFFFFFFFFF)
-    )
+    key = (seed ^ replicate) & 0xFFFFFFFFFFFFFFFF
+    if bit_generator is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    state = {"counter": _PHILOX_ZEROS, "key": np.array([key, 0], np.uint64)}
+    bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": _PHILOX_ZEROS,
+                           "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
 
 
 # ---------------------------------------------------------------------------

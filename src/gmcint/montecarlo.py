@@ -122,8 +122,9 @@ def _simulate_integrals(cfg: McConfig, gamma: float, weights: np.ndarray, drop_m
     def work(start: int) -> None:
         stop = min(start + _CHUNK, cfg.replicates)
         alphas = np.empty((stop - start, n_coef))
+        bit_generator = np.random.Philox()  # this chunk's own, re-keyed for each replicate
         for i, row in enumerate(alphas, start):
-            replicate_rng(cfg.seed, i).standard_normal(out=row)
+            replicate_rng(cfg.seed, i, bit_generator).standard_normal(out=row)
         out[start:stop] = gmc_integral_batch(alphas, gamma, weights, cfg.grid, drop_mean)
 
     starts = range(0, cfg.replicates, _CHUNK)

@@ -30,10 +30,13 @@ _REL_TOL = 1e-10
 _ABS_FLOOR = 1.0  # makes the test an absolute one for near-zero panels
 
 # The panel layout of every caller: edges 1e-3 * 3^k, k = 0 .. 13 (top edge
-# 1594), and both rules' nodes (on a last axis) and half widths on each panel.
+# 1594), and both rules' nodes (on a last axis) and weights, each weight
+# times its panel's half width, on each panel.
 LADDER = np.cumprod(np.concatenate(([1e-3], np.full(13, 3.0))))
 _LADDER_HALF = 0.5 * (LADDER[1:] - LADDER[:-1])
-_LADDER_T = (0.5 * (LADDER[:-1] + LADDER[1:]))[:, None] + _LADDER_HALF[:, None] * _GL_X
+LADDER_T = (0.5 * (LADDER[:-1] + LADDER[1:]))[:, None] + _LADDER_HALF[:, None] * _GL_X
+_LADDER_W = _LADDER_HALF[:, None] * np.concatenate((_GL32_W, _GL16_W))
+_RULE_STARTS = [0, len(_GL32_X)]  # where each rule's nodes begin on the node axis
 
 
 def integrate_panels(f, first, stop):
@@ -42,28 +45,34 @@ def integrate_panels(f, first, stop):
     f takes t shaped (1, panels, nodes), the shared nodes of ladder panels
     first .. max(stop) - 1, and returns values of the shape of t broadcast
     against the rows; it is called once.  A row's panels past its own stop
-    are masked out, and its panels are added with math.fsum, so its
-    integral does not depend on the other rows of the batch.  Returns the
-    integral of every row.
+    are masked out (only in a batch whose rows stop apart), and its panels
+    are added with math.fsum, so its integral does not depend on the other
+    rows of the batch.  Returns the integral of every row.
 
     A live panel passes when its 32- and 16-node Gauss-Legendre values are
-    finite and differ by at most _REL_TOL * (_ABS_FLOOR + |value|), the
-    sums running along the node axis only.  Any other live panel raises
+    finite and differ by at most _REL_TOL * (_ABS_FLOOR + |value|).  Both
+    rules are one product with the half-width-scaled weights, summed by
+    `np.add.reduceat` along the node axis only, so a panel's values do not
+    depend on the other panels or rows.  Any other live panel raises
     ConvergenceError naming it.
     """
     stop = np.asarray(stop)
-    width = stop.max()
-    vals = f(_LADDER_T[None, first:width])
-    half = _LADDER_HALF[first:width]
-    v32 = half * (vals[..., :32] * _GL32_W).sum(axis=-1)
-    v16 = half * (vals[..., 32:] * _GL16_W).sum(axis=-1)
-    live = np.arange(first, width) < stop[:, None]
-    v32 = np.where(live, v32, 0.0)
-    finite = np.isfinite(v32)
-    fail = live & ~(finite & (np.abs(v32 - v16) <= _REL_TOL * (_ABS_FLOOR + np.abs(v32))))
-    if fail.any():
-        row, j = np.argwhere(fail)[0]
-        what = "fails its 32/16-node test" if finite[row, j] else "has a non-finite integral"
+    stops = stop.tolist()
+    width = max(stops)
+    vals = f(LADDER_T[None, first:width])
+    sums = np.add.reduceat(vals * _LADDER_W[first:width], _RULE_STARTS, axis=-1)
+    if min(stops) < width:  # zero the panels past each row's stop
+        sums = np.where((np.arange(first, width) < stop[:, None])[..., None], sums, 0.0)
+    v32 = sums[..., 0]
+    # the test with |v32| on the left, where a non-finite v32 or v16 fails it
+    ok = np.abs(v32 - sums[..., 1]) - _REL_TOL * np.abs(v32) <= _REL_TOL * _ABS_FLOOR
+    if np.count_nonzero(ok) < ok.size:
+        row, j = np.argwhere(~ok)[0]
+        what = ("fails its 32/16-node test" if np.isfinite(v32[row, j])
+                else "has a non-finite integral")
         k = first + j
         raise ConvergenceError(f"ladder panel {k}, [{LADDER[k]:.4g}, {LADDER[k + 1]:.4g}], {what}")
-    return np.array([math.fsum(row) for row in v32.tolist()])
+    rows = v32.tolist()
+    if len(rows) < len(stops):  # one row of values, which every row shares
+        rows *= len(stops)
+    return np.array([math.fsum(row) for row in rows])

@@ -16,6 +16,7 @@ so all operations are safe to call concurrently.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateCError, DomainError, PoleError
-from .quadrature import LADDER, integrate_panels
+from .quadrature import LADDER, LADDER_T, integrate_panels
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12  # absolute tolerance for nonpositive-integer detection
@@ -66,6 +67,9 @@ _HEAD_PANELS = 3
 _HEAD_REACH = 0.18
 _GAMMA_FLOOR = 0.01
 _X_FLOOR = 0.05  # window arguments below this are lifted by m-shifts
+# e^{-t}/t and t^2 on the ladder nodes: the integrand's factors of t alone
+_EXP_OVER_T = np.exp(-LADDER_T) / LADDER_T
+_T_SQUARED = LADDER_T**2
 
 # ln Gamma by Lanczos's approximation (SIAM J. Numer. Anal. B 1, 1964) with
 # g = 7 and nine coefficients: Gamma(z) = sqrt(2 pi) t^(z - 1/2) e^(-t) A(z),
@@ -90,7 +94,8 @@ def _lgamma(z: np.ndarray) -> np.ndarray:
     """
     terms = np.add(z, _LANCZOS_POLES)
     np.divide(_LANCZOS_TAIL, terms, out=terms)
-    za = _LANCZOS_P[1] + z * (_LANCZOS_P[0] + sum(terms[1:], terms[0]))
+    np.add.accumulate(terms, axis=0, out=terms)
+    za = _LANCZOS_P[1] + z * (_LANCZOS_P[0] + terms[-1])
     return ((z - 0.5) * np.log(z + (_LANCZOS_G - 0.5)) - z
             + (np.log(za) - np.log(z)) + _LANCZOS_CONST)
 
@@ -208,8 +213,8 @@ def hyp2f1_negative(params: HypTriple, t: float) -> float:
     return (1.0 - t) ** (-a) * _hyp2f1_series(a, c - b, c, z)
 
 
-def _dgamma_head_weights(q: float, s: float) -> tuple[np.ndarray, float]:
-    """Weights of the series head: the log-integrand's integral over [0, s].
+def _head_matrix(s: float) -> tuple[np.ndarray, float]:
+    """(C, v) of the series head over [0, s]: its weights are w = C @ recip.
 
     The double gamma log-integrand is
         [e^{-xt} - e^{-Qt/2}] / [(1-e^{-mt})(1-e^{-nt}) t]
@@ -217,38 +222,37 @@ def _dgamma_head_weights(q: float, s: float) -> tuple[np.ndarray, float]:
     with m n = 1 and m + n = Q; the 1/t^2 and 1/t parts cancel identically.
     Its Taylor coefficients about t=0 are those of the numerator
     e^{-xt} - e^{-Qt/2} = sum_{j>=1} a_j t^j, a_j = ((-x)^j - (-Q/2)^j)/j!,
-    times the series of t^2 over the denominator, minus the (Q/2-x)^2 part.
-    They are linear in the a_j and in (Q/2-x)^2, so the head is
+    times recip, the series of t^2 over the denominator, less the
+    (Q/2-x)^2 part.  Coefficient k is sum_j a_j recip[k+3-j], and
+    integrating t^k over [0, s] gives s^(k+1)/(k+1), so the head is
         sum_j ((-x)^j - (-Q/2)^j) w_j - (Q/2-x)^2/2 * v,   j = 1 .. len(w),
-    and (w, v) depend on Q and s only.
+    with w_j = sum_k recip[k+3-j] s^(k+1) / ((k+1) j!): linear in recip,
+    through a matrix C that depends on s alone, and v on s alone.
     """
-    m = q / 2.0 + math.sqrt(max(q * q / 4.0 - 1.0, 0.0))
-    n = q - m
-    i = np.arange(len(_INV_H))
-    # t^2 / denominator = 1 / (h(mt) h(nt)), h(u) = (1 - e^{-u}) / u
-    recip = np.convolve(_INV_H * m**i, _INV_H * n**i)[: len(i)]
-    # coefficient k of the integrand is sum_j a_j recip[k+3-j], j >= 1, less
-    # the (Q/2-x)^2 part; integrating t^k over [0, s] gives s^(k+1)/(k+1)
     k = np.arange(_HEAD_TERMS)
     power = s ** (k + 1) / (k + 1)
-    lag = k + 2 - i[:, None]  # k + 3 - j for a_j, j = i + 1
-    toeplitz = np.where(lag >= 0, recip[np.maximum(lag, 0)], 0.0)
-    w = (toeplitz * power).sum(axis=1) / _FACTORIAL[i + 1]
+    i = np.arange(len(_INV_H))[:, None]  # j = i + 1
+    lag = k + 2 - i  # k + 3 - j
+    c = np.zeros((len(_INV_H), len(_INV_H)))
+    row, col = np.nonzero(lag >= 0)
+    c[row, lag[row, col]] = power[col] / _FACTORIAL[row + 1]
     v = float(np.dot((-1.0) ** (k + 1) / _FACTORIAL[k + 1], power))
-    return w, v
+    return c, v
 
 
-def _lgamma_sums(pieces: np.ndarray) -> np.ndarray:
-    """Per row (z0, dz, size) of pieces, the sum of lgamma(z0 + j*dz) over j = 0 .. size-1.
+# (C, v) of the series head over [0, LADDER[k]] for every k <= _HEAD_PANELS
+_HEAD = [_head_matrix(edge) for edge in LADDER[: _HEAD_PANELS + 1].tolist()]
+
+
+def _lgamma_sums(pieces: list) -> list:
+    """Per (z0, dz, size) of pieces, the sum of lgamma(z0 + j*dz) over j = 0 .. size-1.
 
     All terms go to one `_lgamma` call, and each piece is summed on its own
     (numpy's pairwise order), so its sum does not depend on the other pieces.
     """
-    size = pieces[:, 2].astype(np.int64)
-    starts = np.cumsum(size) - size
-    z0, dz = np.repeat(pieces[:, :2], size, axis=0).T
-    j = np.arange(len(z0)) - np.repeat(starts, size)
-    return np.add.reduceat(_lgamma(z0 + j * dz), starts)
+    z = [z0 + dz * np.arange(size) for z0, dz, size in pieces]
+    starts = list(itertools.accumulate((size for _, _, size in pieces[:-1]), initial=0))
+    return np.add.reduceat(_lgamma(np.concatenate(z) if len(z) > 1 else z[0]), starts).tolist()
 
 
 @dataclass
@@ -289,46 +293,58 @@ class DoubleGamma:
         self._n = 2.0 / self.gamma
         reach = np.searchsorted(LADDER, _HEAD_REACH * math.pi * self.gamma, side="right")
         self._head_panels = int(min(reach - 1, _HEAD_PANELS))
-        self._head_weights = _dgamma_head_weights(self.q, float(LADDER[self._head_panels]))
+        c, self._head_v = _HEAD[self._head_panels]
+        i = np.arange(len(_INV_H))
+        # t^2 / denominator = 1 / (h(mt) h(nt)), h(u) = (1 - e^{-u}) / u
+        recip = np.convolve(_INV_H * self._m**i, _INV_H * self._n**i)[: len(i)]
+        self._head_w = c @ recip
+        self._q_powers = np.cumprod(np.full(len(i), -0.5 * self.q))  # (-q/2)^j, j >= 1
         self._cache = {}
 
     def _integrand(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The window log-integrand at x (rows, 1, 1) and t.
+        """The window log-integrand at x (rows, 1, 1) and t, the nodes of the ladder panels
+        from the head's end on, as `integrate_panels` passes them.
 
         Near t = 0 the first and last terms are about d/t^2 and cancel to
         O(1), so each is rounded as few times as it can be: (num / den) / t
         and d / t^2, with den = (1 - e^{-mt})(1 - e^{-nt}).
         """
+        panels = slice(self._head_panels, self._head_panels + t.shape[1])
         den = np.expm1(-self._m * t) * np.expm1(-self._n * t)
         d = 0.5 * self.q - x
         # e^{-xt} - e^{-qt/2} in one form, with no overflow and no cancellation
         num = np.exp(-np.minimum(x, 0.5 * self.q) * t) * np.expm1(-np.abs(d) * t)
-        return np.copysign(num, d) / den / t - (0.5 * d * d) * (np.exp(-t) / t) - d / t**2
+        return (np.copysign(num, d) / den / t - (0.5 * d * d) * _EXP_OVER_T[panels]
+                - d / _T_SQUARED[panels])
 
     def _cutoff(self, x: np.ndarray) -> np.ndarray:
         """The cutoff of each window x: beyond it the integrand is (x - q/2)/t^2 in doubles."""
-        mu = np.minimum(np.minimum(x, 0.5 * self.q), 1.0)
-        return np.maximum(45.0, (45.0 + np.log(np.maximum(1.0, 1.0 / mu))) / mu)
+        mu = np.minimum(x, min(0.5 * self.q, 1.0))
+        return np.maximum(45.0, (45.0 - np.log(mu)) / mu)  # ln max(1, 1/mu) = -ln mu
 
     def _ln_window(self, x: np.ndarray) -> np.ndarray:
         """ln G(x) for x in the window: series head, ladder panels and the tail.
 
+        The head's powers (-x)^j come by a running product, which at x = q/2
+        repeats the evaluator's (-q/2)^j exactly, so the head is 0 there.
         Row i integrates the ladder panels from the head's end up to the
         first edge T_i at or above its cutoff, and adds the algebraic tail
         (x - q/2)/T_i.
         """
-        w, v = self._head_weights
-        j = np.arange(1, len(w) + 1)
         d = 0.5 * self.q - x
-        head = (((-x[:, None]) ** j - (-0.5 * self.q) ** j) * w).sum(axis=1) - (d * d / 2.0) * v
+        powers = np.repeat(-x[:, None], len(self._q_powers), axis=1)
+        np.cumprod(powers, axis=1, out=powers)
+        head = (((powers - self._q_powers) * self._head_w).sum(axis=1)
+                - (0.5 * d * d) * self._head_v)
         stop = np.searchsorted(LADDER, self._cutoff(x))
         body = integrate_panels(
             lambda t: self._integrand(x[:, None, None], t), self._head_panels, stop
         )
-        return head + body + (x - 0.5 * self.q) / LADDER[stop]
+        return head + body - d / LADDER[stop]
 
-    def _reduce(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Window arguments y and shifts with ln G(x) = ln G(y) + shift.
+    def _reduce(self, xs: list) -> tuple[list, list | None]:
+        """Window arguments y and shifts with ln G(x) = ln G(y) + shift, or shift None if
+        every x is in the window.
 
         Below the floor, x is lifted by k m-steps.  Above q it is reduced by
         n-steps while it stays above the floor, then by m-steps, which are
@@ -343,13 +359,13 @@ class DoubleGamma:
         which is one call for a batch of short reductions.
         """
         m, n, q, floor = self._m, self._n, self.q, _X_FLOOR
-        if floor <= x.min() and x.max() <= q:
-            return x, np.zeros(len(x))
+        if floor <= min(xs) and max(xs) <= q:
+            return xs, None
         ln_m = math.log(m)
         ys, shift = [], []
         # per lgamma call: its pieces (first z, z step, size) and the (row, sign) of each
         groups, terms = [([], [])], 0
-        for row, v in enumerate(x.tolist()):
+        for row, v in enumerate(xs):
             k_up = math.ceil(max(floor - v, 0.0) / m)
             k_n = max(min(math.ceil((v - q) / n), math.floor((v - floor) / n)), 0)
             y_n = v - k_n * n
@@ -378,9 +394,10 @@ class DoubleGamma:
                     terms += size
             shift.append(total)
         for pieces, owners in groups:
-            for (row, sign), value in zip(owners, _lgamma_sums(np.array(pieces)).tolist()):
-                shift[row] += sign * value
-        return np.array(ys), np.array(shift)
+            if pieces:
+                for (row, sign), value in zip(owners, _lgamma_sums(pieces)):
+                    shift[row] += sign * value
+        return ys, shift
 
     def log_value(self, x):
         """ln of the double gamma function at x > 0.
@@ -403,15 +420,17 @@ class DoubleGamma:
         if misses:
             fresh = {}
             for i in range(0, len(misses), _BATCH_ROWS):
-                batch = np.array(misses[i : i + _BATCH_ROWS])
+                batch = misses[i : i + _BATCH_ROWS]
                 y, shift = self._reduce(batch)
-                values = self._ln_window(y) + shift
-                if not np.isfinite(values).all():
-                    bad = batch[np.argmin(np.isfinite(values))]
-                    raise DomainError(
-                        f"double gamma is not finite at gamma={self.gamma!r}, x={float(bad)!r}"
-                    )
-                fresh.update(zip(batch.tolist(), values.tolist()))
+                values = self._ln_window(np.array(y)).tolist()
+                if shift is not None:
+                    values = [v + s for v, s in zip(values, shift)]
+                for v, value in zip(batch, values):
+                    if not math.isfinite(value):
+                        raise DomainError(
+                            f"double gamma is not finite at gamma={self.gamma!r}, x={v!r}"
+                        )
+                fresh.update(zip(batch, values))
             out = [fresh[v] if o is None else o for v, o in zip(flat, out)]
             cache.update(fresh)
             while len(cache) > _MEMO_SIZE:

@@ -13,7 +13,9 @@ gmcint.field.  The full-chunk batch integral is the array pipeline that
 gmcint.field streams in blocks: it shares the package's grid and cell
 masses but forms every density row at once and reduces them with a BLAS
 matrix-vector product.  sample_y_gamma draws from the exact circle-mass
-law.
+law.  dgamma_head_weights is the double gamma series head's weights as a
+Toeplitz sum per gamma, the form that gmcint.specfun folds into one
+constant matrix per head length.
 """
 import math
 from dataclasses import dataclass
@@ -31,6 +33,9 @@ from gmcint.field import (
     gmc_integral_batch,
 )
 from gmcint.specfun import (
+    _FACTORIAL,
+    _HEAD_TERMS,
+    _INV_H,
     Beta22Params,
     beta22_args,
     beta22_log_from_values,
@@ -79,6 +84,28 @@ def ln_dgamma(gamma, x):
         val = mp.quad(f, [mp.mpf("1e-20"), mp.mpf("0.1"), 1, 10, t_cut])
         val += (x - q / 2) / t_cut
     return +val
+
+
+def dgamma_head_weights(q: float, s: float) -> tuple[np.ndarray, float]:
+    """Weights (w, v) of the double gamma series head over [0, s], at Q = q.
+
+    The head is sum_j ((-x)^j - (-Q/2)^j) w_j - (Q/2-x)^2/2 * v (see
+    gmcint.specfun._head_matrix).  Here recip, the series of t^2 over the
+    denominator, is formed from the quasi-periods m, n = Q/2 +- sqrt(Q^2/4 - 1),
+    and w_j = sum_k recip[k+3-j] s^(k+1) / ((k+1) j!) is summed as a
+    Toeplitz matrix times the powers of s.
+    """
+    m = q / 2.0 + math.sqrt(max(q * q / 4.0 - 1.0, 0.0))
+    n = q - m
+    i = np.arange(len(_INV_H))
+    recip = np.convolve(_INV_H * m**i, _INV_H * n**i)[: len(i)]
+    k = np.arange(_HEAD_TERMS)
+    power = s ** (k + 1) / (k + 1)
+    lag = k + 2 - i[:, None]  # k + 3 - j for a_j, j = i + 1
+    toeplitz = np.where(lag >= 0, recip[np.maximum(lag, 0)], 0.0)
+    w = (toeplitz * power).sum(axis=1) / _FACTORIAL[i + 1]
+    v = float(np.dot((-1.0) ** (k + 1) / _FACTORIAL[k + 1], power))
+    return w, v
 
 
 def exact_moment(g, p, a, b):

@@ -94,6 +94,21 @@ class TestTables:
         assert float(one["results"][0]["value"]) == pytest.approx(10.488230217168479, rel=1e-9)
         assert float(two["results"][0]["value"]) == pytest.approx(28.366072637299114, rel=1e-9)
 
+    def test_reflection_overflow_prints_its_log(self, capsys):
+        # R = e^966 here: the value overflows and the log carries it, as in dgamma
+        doc = run_json(capsys, "reflection", "--dim", "1", "--gamma", "0.05", "--alpha", "30")
+        row = doc["results"][0]
+        assert row["value"] == "inf"
+        # 40-digit oracle: the formula over _oracles.ln_dgamma
+        assert float(row["log_value"]) == pytest.approx(965.98018395963301548, rel=1e-14)
+
+    def test_tail_keeps_the_reflection_log_past_overflow(self, capsys):
+        doc = run_json(capsys, "tail", "--gamma", "0.05", "--alpha", "30", "--u-min", "0.5",
+                       "--u-max", "1", "--u-count", "2", *_SMALL_MC)
+        for row in doc["results"]:
+            assert float(row["ln_reflection_1d"]) == pytest.approx(965.98018395963301548,
+                                                                   rel=1e-14)
+
     def test_dgamma_table_csv(self, capsys):
         code, out, _ = run_cli(capsys, "dgamma", "--gamma", "1", "--x-min", "1.25",
                                "--x-max", "2", "--count", "2", "--format", "csv")

@@ -200,6 +200,21 @@ class TestOneSampler:
         assert ests == [mc_moment(params, t, chi, cfg, threads=threads)
                         for t, chi in self.TCHIS[:k]]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 999, 2**63 + 5])
+    def test_chunk_draws_equal_fresh_streams(self, seed, threads, monkeypatch):
+        # each chunk re-keys one Philox per replicate; the draws must be those
+        # of a new Philox keyed by seed XOR replicate, for every replicate
+        cfg = small_cfg(seed, replicates=300, n_modes=16, batches=10)  # a partial last chunk
+        # the integral of a replicate against weight row j: its coefficient j
+        monkeypatch.setattr(montecarlo, "gmc_integral_batch",
+                            lambda alphas, gamma, weights, *args: alphas[:, : len(weights)].copy())
+        drawn = _simulate_integrals(cfg, 1.0, np.zeros((17, cfg.grid.m_cells)), False, threads)
+        for r, row in enumerate(drawn):
+            key = (seed ^ r) % 2**64
+            assert np.array_equal(row, np.random.Generator(np.random.Philox(key=key))
+                                  .standard_normal(17))
+
     def test_no_weights_are_refused(self):
         with pytest.raises(DomainError):
             mc_moments(GmcParams(1.0, -0.5, 0.2, 0.1), [], small_cfg(7, replicates=200))

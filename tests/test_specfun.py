@@ -95,6 +95,13 @@ SMALL_GAMMA_GRID = {
            0.26794091283140249509, -187.43791557328454949),
 }
 
+# The same oracle near the top of the window at small gamma, where the
+# series head's powers (-x)^j are largest, frozen as (gamma, x, ln G).
+TOP_OF_WINDOW = (
+    (0.013122045467431637, 107.74247411453926, -2.099596658141237448746),
+    (0.022594597786155107, 65.80065453251133, -1.344807396462590727818),
+)
+
 
 class TestGammaFn:
     def test_classical_values(self):
@@ -230,6 +237,38 @@ class TestDoubleGamma:
         xs = np.array([0.05, 0.3, 0.999, 1.001, 7.3, ev.q / 2.0, 32.9, ev.q])
         refs = np.array(SMALL_GAMMA_GRID[gamma])
         assert np.all(np.abs(ev.log_value(xs) - refs) <= 2e-13 * np.maximum(1.0, np.abs(refs)))
+
+    @pytest.mark.parametrize("gamma,x,expected", TOP_OF_WINDOW)
+    def test_top_of_window_against_oracle(self, gamma, x, expected):
+        assert abs(DoubleGamma(gamma).log_value(x) - expected) <= 3e-13 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.02, 0.05, 1.0, 2.0])
+    def test_head_matrix_matches_toeplitz_sum(self, gamma):
+        # one, two and three head panels, then three at the ends of the range
+        oracles = pytest.importorskip("_oracles", reason="mpmath oracle")
+        ev = DoubleGamma(gamma)
+        assert ev._head_panels == {0.01: 1, 0.02: 2}.get(gamma, 3)
+        w, v = oracles.dgamma_head_weights(ev.q, float(quadrature.LADDER[ev._head_panels]))
+        assert_allclose(ev._head_w, w, rtol=1e-15, atol=0.0)
+        assert ev._head_v == v
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.0137, 0.3, 1.0, 2.0])
+    def test_half_q_is_exactly_zero(self, gamma):
+        # the running product of the head's powers repeats (-q/2)^j exactly there
+        ev = DoubleGamma(gamma)
+        assert ev.log_value(ev.q / 2.0) == 0.0
+        assert DoubleGamma(gamma).log_value(np.array([0.3, ev.q / 2.0, 7.3]))[1] == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.3, 1.0, 2.0])
+    def test_row_alone_equals_row_in_batches(self, gamma):
+        rng = np.random.default_rng(13)
+        q = DoubleGamma(gamma).q
+        xs = np.concatenate(([0.05, 0.999, 1.001, q / 2.0, q, 0.02, 7.3, 1e3],
+                             rng.uniform(0.05, q, 100), np.exp(rng.uniform(-7.0, 7.0, 20))))
+        alone = DoubleGamma(gamma)
+        for size in (8, 24, 128):
+            batch = DoubleGamma(gamma).log_value(xs[:size])
+            assert np.array_equal(batch, [alone.log_value(float(x)) for x in xs[:size]])
 
     def test_window_sweep_passes_every_panel_with_margin(self, monkeypatch):
         # one round, no refinement: every ladder panel of every window x must
