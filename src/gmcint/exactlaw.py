@@ -28,7 +28,6 @@ from .specfun import (
     double_gamma_evaluator,
     gamma_ratio,
     hyp2f1_negative,
-    log_double_gamma,
     log_gamma_ratio,
 )
 

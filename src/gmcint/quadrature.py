@@ -2,8 +2,8 @@
 
 One kernel, `integrate_panels`, is the only code that integrates on the
 one geometric ``LADDER``; the double gamma evaluator and the integral
-identity check both call it.  It integrates a batch of rows at once: row i
-covers the ladder panels ``first`` to ``stop[i] - 1``.  It calls the
+identity check both call it.  It integrates a batch of rows at once, every
+row over the same ladder panels ``first`` to ``stop - 1``.  It calls the
 integrand once, on the ladder nodes that all rows share, at the 32 nodes
 and at the 16 nodes of the error estimate of every panel.  There is no
 refinement: a panel whose two rules disagree is an error, since both
@@ -40,29 +40,23 @@ _RULE_STARTS = [0, len(_GL32_X)]  # where each rule's nodes begin on the node ax
 
 
 def integrate_panels(f, first, stop):
-    """Integrate a smooth vectorized integrand from LADDER[first] to LADDER[stop[i]] per row i.
+    """Integrate a smooth vectorized integrand from LADDER[first] to LADDER[stop], per row.
 
     f takes t shaped (1, panels, nodes), the shared nodes of ladder panels
-    first .. max(stop) - 1, and returns values of the shape of t broadcast
-    against the rows; it is called once.  A row's panels past its own stop
-    are masked out (only in a batch whose rows stop apart), and its panels
-    are added with math.fsum, so its integral does not depend on the other
-    rows of the batch.  Returns the integral of every row.
+    first .. stop - 1, and returns values of the shape of t broadcast
+    against its rows; it is called once.  A row's panels are added with
+    math.fsum, so its integral does not depend on the other rows of the
+    batch.  Returns the integral of every row of f's output.
 
-    A live panel passes when its 32- and 16-node Gauss-Legendre values are
+    A panel passes when its 32- and 16-node Gauss-Legendre values are
     finite and differ by at most _REL_TOL * (_ABS_FLOOR + |value|).  Both
     rules are one product with the half-width-scaled weights, summed by
     `np.add.reduceat` along the node axis only, so a panel's values do not
-    depend on the other panels or rows.  Any other live panel raises
+    depend on the other panels or rows.  Any other panel raises
     ConvergenceError naming it.
     """
-    stop = np.asarray(stop)
-    stops = stop.tolist()
-    width = max(stops)
-    vals = f(LADDER_T[None, first:width])
-    sums = np.add.reduceat(vals * _LADDER_W[first:width], _RULE_STARTS, axis=-1)
-    if min(stops) < width:  # zero the panels past each row's stop
-        sums = np.where((np.arange(first, width) < stop[:, None])[..., None], sums, 0.0)
+    vals = f(LADDER_T[None, first:stop])
+    sums = np.add.reduceat(vals * _LADDER_W[first:stop], _RULE_STARTS, axis=-1)
     v32 = sums[..., 0]
     # the test with |v32| on the left, where a non-finite v32 or v16 fails it
     ok = np.abs(v32 - sums[..., 1]) - _REL_TOL * np.abs(v32) <= _REL_TOL * _ABS_FLOOR
@@ -72,7 +66,4 @@ def integrate_panels(f, first, stop):
                 else "has a non-finite integral")
         k = first + j
         raise ConvergenceError(f"ladder panel {k}, [{LADDER[k]:.4g}, {LADDER[k + 1]:.4g}], {what}")
-    rows = v32.tolist()
-    if len(rows) < len(stops):  # one row of values, which every row shares
-        rows *= len(stops)
-    return np.array([math.fsum(row) for row in rows])
+    return np.array([math.fsum(row) for row in v32.tolist()])

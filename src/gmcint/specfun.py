@@ -4,8 +4,9 @@ Euler Gamma (with reflection to negative arguments), the Gauss
 hypergeometric function restricted to nonpositive argument, the double
 gamma function (over an array of arguments at once, for gamma in
 [0.01, 2]: a Taylor series head on the first ladder panels, up to 2.7e-2,
-then its defining integral taken by `quadrature.integrate_panels` on the
-panel ladder in one round),
+then its defining integral over the rest of the panel ladder, up to its top
+edge, taken by `quadrature.integrate_panels` in one round, then the
+algebraic tail in closed form),
 Barnes G, moments of the generalized beta law, and the first column of
 the connection matrix between hypergeometric solution bases.
 
@@ -61,8 +62,10 @@ _MAX_SHIFT_STEPS = 10**8  # about 5 s of shift reduction; larger arguments are r
 # [0, 2.7e-2], for gamma >= 0.048 (the panels above pass their test at every
 # gamma), and k = 1 at _GAMMA_FLOOR.  Below the floor the rounding on the
 # first panel after the head, which grows like 1/gamma^2, nears the panel
-# test's tolerance.  The top ladder edge, 1594, is above the cutoff T of
-# every window argument (T = 960 at x = _X_FLOOR).
+# test's tolerance.  Every window row runs on to the top ladder edge, 1594,
+# and adds the tail (x - q/2)/1594 beyond it.  That tail is exact: past
+# T = max(45, (45 - ln mu) / mu), mu = min(x, q/2, 1), the integrand is
+# (x - q/2)/t^2 in doubles, and T = 960 < 1594 at x = _X_FLOOR.
 _HEAD_PANELS = 3
 _HEAD_REACH = 0.18
 _GAMMA_FLOOR = 0.01
@@ -269,13 +272,13 @@ class DoubleGamma:
     the shift factors are lgamma sums, vectorized over index blocks.  On the
     window the defining integral is computed with a Taylor-series head on
     the first ladder panels, Gauss-Legendre panels of the shared quadrature
-    LADDER up to a cutoff T, and the algebraic (x - q/2)/T tail added in
-    closed form.
+    LADDER up to its top edge T, and the algebraic (x - q/2)/T tail added
+    in closed form; every argument shares the same panels.
     `log_value` takes an array of arguments and integrates each batch of
     them in one call of `quadrature.integrate_panels`, the package's one
     ladder kernel, which evaluates every row on the shared ladder nodes in
-    a single round.  Each row has its own panels and sum, so a value does
-    not depend on the batch it was computed in.  Values are memoized per
+    a single round.  Each row has its own sum, so a value does not depend
+    on the batch it was computed in.  Values are memoized per
     argument, up to _MEMO_SIZE of them.
     """
 
@@ -303,52 +306,44 @@ class DoubleGamma:
 
     def _integrand(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The window log-integrand at x (rows, 1, 1) and t, the nodes of the ladder panels
-        from the head's end on, as `integrate_panels` passes them.
+        from the head's end to the top, as `integrate_panels` passes them.
 
         Near t = 0 the first and last terms are about d/t^2 and cancel to
         O(1), so each is rounded as few times as it can be: (num / den) / t
         and d / t^2, with den = (1 - e^{-mt})(1 - e^{-nt}).
         """
-        panels = slice(self._head_panels, self._head_panels + t.shape[1])
         den = np.expm1(-self._m * t) * np.expm1(-self._n * t)
         d = 0.5 * self.q - x
         # e^{-xt} - e^{-qt/2} in one form, with no overflow and no cancellation
         num = np.exp(-np.minimum(x, 0.5 * self.q) * t) * np.expm1(-np.abs(d) * t)
-        return (np.copysign(num, d) / den / t - (0.5 * d * d) * _EXP_OVER_T[panels]
-                - d / _T_SQUARED[panels])
-
-    def _cutoff(self, x: np.ndarray) -> np.ndarray:
-        """The cutoff of each window x: beyond it the integrand is (x - q/2)/t^2 in doubles."""
-        mu = np.minimum(x, min(0.5 * self.q, 1.0))
-        return np.maximum(45.0, (45.0 - np.log(mu)) / mu)  # ln max(1, 1/mu) = -ln mu
+        return (np.copysign(num, d) / den / t - (0.5 * d * d) * _EXP_OVER_T[self._head_panels:]
+                - d / _T_SQUARED[self._head_panels:])
 
     def _ln_window(self, x: np.ndarray) -> np.ndarray:
         """ln G(x) for x in the window: series head, ladder panels and the tail.
 
         The head's powers (-x)^j come by a running product, which at x = q/2
         repeats the evaluator's (-q/2)^j exactly, so the head is 0 there.
-        Row i integrates the ladder panels from the head's end up to the
-        first edge T_i at or above its cutoff, and adds the algebraic tail
-        (x - q/2)/T_i.
+        Every row integrates the ladder panels from the head's end up to the
+        top edge T and adds the algebraic tail (x - q/2)/T.
         """
         d = 0.5 * self.q - x
         powers = np.repeat(-x[:, None], len(self._q_powers), axis=1)
         np.cumprod(powers, axis=1, out=powers)
         head = (((powers - self._q_powers) * self._head_w).sum(axis=1)
                 - (0.5 * d * d) * self._head_v)
-        stop = np.searchsorted(LADDER, self._cutoff(x))
         body = integrate_panels(
-            lambda t: self._integrand(x[:, None, None], t), self._head_panels, stop
+            lambda t: self._integrand(x[:, None, None], t), self._head_panels, len(LADDER) - 1
         )
-        return head + body - d / LADDER[stop]
+        return head + body - d / LADDER[-1]
 
     def _reduce(self, xs: list) -> tuple[list, list | None]:
         """Window arguments y and shifts with ln G(x) = ln G(y) + shift, or shift None if
         every x is in the window.
 
-        Below the floor, x is lifted by k m-steps.  Above q it is reduced by
-        n-steps while it stays above the floor, then by m-steps, which are
-        only needed when m is below the floor (gamma < 0.1).  A step at y adds
+        Above q, x is taken down by n-steps into (m, q]; then, below the
+        floor, it is lifted by m-steps, which after n-steps are only needed
+        when m is below the floor (gamma < 0.1).  A step at y adds
         or takes away ln G(y) - ln G(y + s), which by the shift equation of
         s = m or n is lgamma(s y) -/+ (s y - 1/2) ln m - ln sqrt(2 pi).  Along
         each kind of step s y is an arithmetic progression, so all but the
@@ -366,20 +361,18 @@ class DoubleGamma:
         # per lgamma call: its pieces (first z, z step, size) and the (row, sign) of each
         groups, terms = [([], [])], 0
         for row, v in enumerate(xs):
-            k_up = math.ceil(max(floor - v, 0.0) / m)
-            k_n = max(min(math.ceil((v - q) / n), math.floor((v - floor) / n)), 0)
+            k_n = max(math.ceil((v - q) / n), 0)
             y_n = v - k_n * n
-            k_m = max(math.ceil((y_n - q) / m), 0)
-            if k_up + k_n + k_m > _MAX_SHIFT_STEPS:
+            k_m = math.ceil(max(floor - y_n, 0.0) / m)
+            if k_n + k_m > _MAX_SHIFT_STEPS:
                 raise DomainError(
                     f"double gamma argument {v!r} needs more than {_MAX_SHIFT_STEPS} shift steps"
                 )
-            ys.append(v + k_up * m if k_up else y_n - k_m * m)
+            ys.append(y_n + k_m * m)
             total = 0.0
-            # m-steps up from x, n-steps down from x - n, m-steps down from y_n - m
-            for sign, z0, dz, k, s in ((1.0, m * v, m * m, k_up, -ln_m),
-                                       (-1.0, n * (v - n), -n * n, k_n, ln_m),
-                                       (-1.0, m * (y_n - m), -m * m, k_m, -ln_m)):
+            # n-steps down from x - n, then m-steps up from y_n
+            for sign, z0, dz, k, s in ((-1.0, n * (v - n), -n * n, k_n, ln_m),
+                                       (1.0, m * y_n, m * m, k_m, -ln_m)):
                 if not k:
                     continue
                 z_sum = k * z0 + dz * (0.5 * k * (k - 1))

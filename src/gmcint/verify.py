@@ -287,7 +287,7 @@ def quadrature_identity_check(a: float, p: float) -> CheckReport:
         return CheckReport(f"quadrature/a={a:g}/p={p:g}", "skipped",
                            math.nan, math.nan, math.nan, QUADRATURE_TOL, meta)
     # the ladder panels up to its first edge at or above 32
-    n_panels = np.searchsorted(LADDER, 32.0)
+    n_panels = int(np.searchsorted(LADDER, 32.0))
     lo, hi = LADDER[0], LADDER[n_panels]
     # series head on [0, lo]: sum_k binom(p, k) lo^(a+k) / (a+k)
     head = 0.0
@@ -300,7 +300,7 @@ def quadrature_identity_check(a: float, p: float) -> CheckReport:
     def integrand(u):
         return np.expm1(p * np.log1p(u)) * u ** (a - 1.0)
 
-    body = integrate_panels(integrand, 0, [n_panels])[0]
+    body = integrate_panels(integrand, 0, n_panels)[0]
     # algebraic tail: finite part of -int_T u^{a-1} plus the binomial tail
     tail = hi**a / a
     for k, coeff in _binom_series(p, max_terms=400):

@@ -70,8 +70,9 @@ ORACLE_GRID = {
 }
 
 # The same oracle at the window quadrature's edge cases, frozen.  Per gamma:
-# x = 0.05 (the longest panel ladder), x = 0.999 and 1.001 (either side of
-# the switch in the cutoff T) and x = q/2 (where the numerator changes sign).
+# x = 0.05 (the window floor, where the integrand decays slowest), x = 0.999
+# and 1.001 (either side of 1, where its slowest exponential changes from
+# e^{-xt} to e^{-t}) and x = q/2 (where the numerator changes sign).
 LADDER_EDGE_GRID = {
     0.1: (-14.793260319678553927, -44.518697811330099512, -44.547655732966383368,
           6.3006972798584299418e-15),
@@ -294,14 +295,24 @@ class TestDoubleGamma:
                 closed_form()
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 1.99])
-    def test_rows_of_different_ladder_lengths(self, gamma):
-        # the cutoffs of these x end on four different ladder edges, 1594 down to 59
+    def test_window_rows_share_one_ladder_call(self, gamma, monkeypatch):
+        # every row runs from the head's end to the top edge, in one integrand call
         xs = np.array([0.05, 0.2, 0.5, 0.999, 1.001, 1.7])
-        lengths = np.searchsorted(quadrature.LADDER, DoubleGamma(gamma)._cutoff(xs))
-        assert len(set(lengths.tolist())) == 4
         scalar = [DoubleGamma(gamma).log_value(float(x)) for x in xs]
-        assert np.array_equal(DoubleGamma(gamma).log_value(xs), scalar)
-        assert np.array_equal(DoubleGamma(gamma).log_value(xs[::-1]), scalar[::-1])
+        shapes = []
+
+        def counted(f, first, stop):
+            def g(t):
+                shapes.append(t.shape)
+                return f(t)
+
+            return quadrature.integrate_panels(g, first, stop)
+
+        monkeypatch.setattr(specfun, "integrate_panels", counted)
+        ev = DoubleGamma(gamma)
+        assert np.array_equal(ev.log_value(xs), scalar)
+        assert np.array_equal(DoubleGamma(gamma).log_value(xs[:2:-1]), scalar[:2:-1])
+        assert shapes == 2 * [(1, len(quadrature.LADDER) - 1 - ev._head_panels, 48)]
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 1.9, 2.0])
     def test_batch_matches_scalar_bit_for_bit(self, gamma):
@@ -326,6 +337,23 @@ class TestDoubleGamma:
         ln_n = math.lgamma(n * x) + (n * x - 0.5) * math.log(m) - LOG_SQRT_2PI
         assert abs(lv - ev.log_value(x + m) - ln_m) <= 1e-13 * abs(lv)
         assert abs(lv - ev.log_value(x + n) - ln_n) <= 1e-13 * abs(lv)
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.09])
+    def test_n_steps_down_then_m_steps_up(self, gamma):
+        # below gamma 0.1, n-steps take these x into (m, _X_FLOOR) and m-steps lift them
+        m, n = gamma / 2.0, 2.0 / gamma
+        xs = np.array([y + k * n for y in (1.01 * m, 0.5 * (m + 0.05), 0.0499) for k in (1, 2, 7)])
+        ev = DoubleGamma(gamma)
+        ys, _ = ev._reduce(xs.tolist())
+        assert specfun._X_FLOOR <= min(ys) and max(ys) < specfun._X_FLOOR + m
+        lv = ev.log_value(xs)
+        for x, v in zip(xs.tolist(), lv.tolist()):
+            for s, ln_s in ((m, math.lgamma(m * x) + (0.5 - m * x) * math.log(m)),
+                            (n, math.lgamma(n * x) + (n * x - 0.5) * math.log(m))):
+                w = ev.log_value(x + s)
+                assert abs(v - w - (ln_s - LOG_SQRT_2PI)) <= 1e-13 * max(abs(v), abs(w))
+        alone = DoubleGamma(gamma)
+        assert np.array_equal(DoubleGamma(gamma).log_value(xs), [alone.log_value(x) for x in xs])
 
     def test_huge_argument_is_fast(self):
         start = time.perf_counter()
@@ -358,6 +386,8 @@ class TestDoubleGamma:
             warnings.simplefilter("error")
             DoubleGamma(1.0).log_value(np.array([1e-320, 0.01, 0.7, 7.3, 1e3]))
             DoubleGamma(0.05).log_value(np.array([1e-3, 45.0, 1e4]))
+            # e^{-xt} underflows on the far ladder panels
+            DoubleGamma(0.01).log_value(DoubleGamma(0.01).q)
 
     def test_lgamma_against_oracle(self):
         # 40-digit mpmath over [5e-324, 1e9], with points near the zeros at 1 and 2
