@@ -6,7 +6,10 @@ check; gamma_fn is the plain Euler Gamma the closed-form tests compare
 against.  beta22_log_moment is no oracle: it composes the package's own
 double gamma and beta-argument code for one generalized beta law, and the
 tests use it to check the batched five-law product against three
-single-law calls and that law's own moment properties.  The pointwise
+single-law calls and that law's own moment properties.
+log_exact_moment_by_values and beta22_log_from_values are the other route
+to the same closed forms: each double gamma value on its own, then summed,
+against which the tests check the package's one signed integral.  The pointwise
 field code evaluates one field sample and its variance by the three-term
 Chebyshev recurrence, against which the tests check the DCT route of
 gmcint.field.  The full-chunk batch integral is the array pipeline that
@@ -24,7 +27,8 @@ import mpmath as mp
 import numpy as np
 from scipy import fft
 
-from gmcint.errors import DomainError
+from gmcint.errors import BoundsError, DomainError
+from gmcint.exactlaw import GmcParams, bounds_check, exact_moment_factors
 from gmcint.field import (
     QuadGrid,
     _cell_masses,
@@ -36,9 +40,9 @@ from gmcint.specfun import (
     _FACTORIAL,
     _HEAD_TERMS,
     _INV_H,
+    BETA22_SIGNS,
     Beta22Params,
     beta22_args,
-    beta22_log_from_values,
     double_gamma_evaluator,
     gammaln_signed,
 )
@@ -58,10 +62,30 @@ def gamma_fn(x: float) -> float:
 def beta22_log_moment(params: Beta22Params, p: float) -> float:
     """ln E[beta_{2,2}(1, 4/gamma^2; b0, b1, b2)^p], for p > -b0.
 
-    Eight double gamma values; every argument must be positive.
+    One signed sum of eight double gamma values; every argument must be positive.
     """
     args = beta22_args(params, p)
-    return beta22_log_from_values(double_gamma_evaluator(params.gamma).log_value(args).tolist())
+    return double_gamma_evaluator(params.gamma).log_value(args, BETA22_SIGNS)
+
+
+def beta22_log_from_values(lv) -> float:
+    """ln E[beta_{2,2}^p] from the double gamma values at its `beta22_args`."""
+    return (lv[0] - lv[1]) + (lv[2] - lv[3]) - ((lv[5] - lv[4]) + (lv[7] - lv[6]))
+
+
+def log_exact_moment_by_values(params: GmcParams) -> float:
+    """ln of the exact moment from its eight double gamma values, each on its own.
+
+    Each value is a scalar-route `log_value`: memoized, and reduced into the
+    window (m, q] by the shift equations before its own integral.
+    """
+    if not bounds_check(params):
+        raise BoundsError(f"moment does not exist for {params}")
+    ln_num, ln_den, args = exact_moment_factors(params)
+    na, nb, nab, npp, dbase, da, db, dab = (
+        double_gamma_evaluator(params.gamma).log_value(args).tolist()
+    )
+    return (ln_num + (na + nb) + nab + npp) - (ln_den + dbase + (da + db) + dab)
 
 
 def ln_dgamma(gamma, x):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import beta22_log_moment, gamma_fn
+from gmcint import quadrature, specfun
 from gmcint.errors import BoundsError, DegenerateParamsError, DomainError, GmcError
 from gmcint.exactlaw import (
     GmcParams,
@@ -445,3 +446,124 @@ def test_shift_closure_property(params):
     shifted = GmcParams(params.gamma, params.p - 1.0, params.a, params.b)
     lhs = math.exp(log_exact_moment(params) - log_exact_moment(shifted))
     assert shift_ratio(params, ShiftKind.P_MINUS_ONE_TO_P) == pytest.approx(lhs, rel=1e-8)
+
+
+# each closed form that sums double gamma values, called at gamma, and the sign rows it sums
+# (the martingale moment is at gamma 2 whatever gamma is)
+_SIGNED_SUMS = [
+    ("exact_moment", lambda g: log_exact_moment(GmcParams(g, -1.2, 0.7, 0.05)), 1),
+    ("law_decomposition", lambda g: law_decomposition_log_moment(GmcParams(g, 0.6, 0.3, 0.8)), 3),
+    ("c_of_p", lambda g: c_of_p(g, -1.4), 1),
+    ("reflection_1d", lambda g: reflection_boundary_1d(g, g / 2.0 + 0.3 * 2.0 / g), 1),
+    ("martingale", lambda g: derivative_martingale_moment(0.9 - g), 1),  # at gamma 2
+]
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.83, 1.5])
+@pytest.mark.parametrize("fn,rows", [case[1:] for case in _SIGNED_SUMS],
+                         ids=[case[0] for case in _SIGNED_SUMS])
+def test_one_integral_per_closed_form(monkeypatch, gamma, fn, rows):
+    # one integrate_panels call, whose integrand gives one row per sign row,
+    # and no shift reduction: every argument is inside the integral's reach
+    panels, shapes, lgamma_calls = [], [], []
+
+    def counted_panels(f, first, stop):
+        def g(t):
+            out = f(t)
+            shapes.append(out.shape)
+            return out
+
+        panels.append((first, stop))
+        return quadrature.integrate_panels(g, first, stop)
+
+    lgamma_sums = specfun._lgamma_sums
+    monkeypatch.setattr(specfun, "integrate_panels", counted_panels)
+    monkeypatch.setattr(specfun, "_lgamma_sums",
+                        lambda pieces: lgamma_calls.append(pieces) or lgamma_sums(pieces))
+    specfun.double_gamma_evaluator.cache_clear()
+    assert math.isfinite(fn(gamma))
+    assert panels == [(3, len(quadrature.LADDER) - 1)]
+    assert shapes == [(rows, len(quadrature.LADDER) - 4, 48)]
+    assert lgamma_calls == []
+
+
+# ln M from the 40-digit oracle (_oracles.exact_moment), frozen as (gamma, p, a, b, ln M).
+# They cover the benchmark's domain, gamma 1.95, p near 4/gamma^2 and near
+# 1 + (4/gamma^2)(1 + a), a or b near -1 - gamma^2/4, where a denominator
+# argument falls below specfun._X_FLOOR and is lifted by m-steps, and
+# arguments above the cap of the signed sum (55.6 from gamma 0.048 on),
+# which step down by n-steps in pairs.  The last four points have dyadic
+# gamma, p, a and b, so that the double gamma arguments are exact doubles;
+# elsewhere at small gamma the rounding of the arguments alone moves ln M by
+# about psi(x) ulp(x), 1.7e-12 at (0.1, 0.5, 1, 1) (see the next test).
+_LN_MOMENT_ORACLE = [
+    (0.7, -1.2, 0.3, 0.6, 1.548827912404253793755),
+    (1.2, 0.5, 0.75, 0.05, -0.5073362881253983445668),
+    (1.45, 0.85, 0.1, 0.4, -0.5579474210640665451848),
+    (1.95, 1.05, 0.2, 0.5, 2.58496854637164241082),
+    (1.0, 3.99, 0.0, 0.0, 10.65376384191561384632),
+    (0.8, 1.62, -0.9, 0.3, 8.415567582047706744534),
+    (0.8, -0.5, -1.155, 0.3, -3.815207280368081931756),
+    (0.3, -3.0, 0.2, -1.02, -12.64970306499734049579),
+    (0.5, -0.5, -1.0546875, 0.25, -3.034817018467565618232),
+    (0.0625, -1.5, 0.5, 0.25, 1.047310919306491971949),
+    (0.125, 0.5, 1.0, 1.0, -0.8975924061743639315864),
+    (0.25, -2.0, 2.5, 3.0, 9.274034057061266928437),
+]
+
+
+@pytest.mark.parametrize("g,p,a,b,ln_m", _LN_MOMENT_ORACLE)
+def test_log_moment_against_oracle(g, p, a, b, ln_m):
+    assert abs(log_exact_moment(GmcParams(g, p, a, b)) - ln_m) <= 3e-13 * max(1.0, abs(ln_m))
+
+
+# ln M at n-step points whose double gamma arguments are not exact doubles:
+# the 40-digit oracle taken at the package's own double arguments
+# (`exact_moment_factors`), frozen as (gamma, p, a, b, ln M).  Against the
+# oracle at the exact parameters these points read 1.7e-12 and
+# 4.5e-12 * |ln M|, and the eight-value route 9e-14 and 8.3e-12: the
+# rounding of the arguments, not the integral.
+_LN_MOMENT_AT_DOUBLE_ARGS = [
+    (0.1, 0.5, 1.0, 1.0, -0.8969749936493473183862),
+    (0.051, -2.0, 3.0, 2.5, 9.091179825941652276747),
+]
+
+
+@pytest.mark.parametrize("g,p,a,b,ln_m", _LN_MOMENT_AT_DOUBLE_ARGS)
+def test_log_moment_against_oracle_at_double_arguments(g, p, a, b, ln_m):
+    assert abs(log_exact_moment(GmcParams(g, p, a, b)) - ln_m) <= 3e-13 * max(1.0, abs(ln_m))
+
+
+# Below gamma 0.05 the signed sum is no worse than the eight-value route: no
+# worse than its error at the same point, or than the figures on record for
+# it (8.1e-11 at gamma 0.01, 6e-12 at 0.02), whichever is larger.  At the
+# gamma 0.02 point the eight-value route itself is 3.4e-11 off.
+@pytest.mark.parametrize("g,p,a,b,ln_m,recorded", [
+    (0.01, 1.5, 0.3, 0.2, -0.717318170836707455728, 8.1e-11),
+    (0.02, -2.0, 0.5, 0.1, 1.057098416706031517861, 6e-12),
+])
+def test_log_moment_against_oracle_small_gamma(g, p, a, b, ln_m, recorded):
+    params = GmcParams(g, p, a, b)
+    by_values = abs(_oracles.log_exact_moment_by_values(params) - ln_m)
+    assert abs(log_exact_moment(params) - ln_m) <= max(recorded, by_values)
+
+
+def test_signed_sum_agrees_with_eight_values():
+    # 200 seeded points inside bounds_check, gamma log-uniform in [0.05, 1.95]:
+    # the one signed integral against each double gamma value on its own.
+    # The values of the eight-value route grow like 1/gamma^2 and carry their
+    # rounding, so the bound does too: 5e-13 / gamma^2 * max(1, |ln M|).  On
+    # 8,000 points at eight seeds the worst was 1.4e-13.
+    rng = np.random.default_rng(1507)
+    worst = 0.0
+    for _ in range(200):
+        g = math.exp(rng.uniform(math.log(0.05), math.log(1.95)))
+        u = g * g / 4.0
+        a, b = rng.uniform(-1.0 - u, 3.0, 2)
+        p = rng.uniform(-3.0, min(1.0 / u, 1.0 + (1.0 + a) / u, 1.0 + (1.0 + b) / u))
+        params = GmcParams(g, p, a, b)
+        if not bounds_check(params):
+            continue
+        one, eight = log_exact_moment(params), _oracles.log_exact_moment_by_values(params)
+        worst = max(worst, abs(one - eight) * g * g / max(1.0, abs(eight)))
+    assert worst <= 5e-13

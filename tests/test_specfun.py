@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _oracles import beta22_log_moment, gamma_fn
+from _oracles import beta22_log_from_values, beta22_log_moment, gamma_fn
 from gmcint import exactlaw, quadrature, specfun
 from gmcint.errors import (
     ConvergenceError,
@@ -23,6 +23,7 @@ from gmcint.specfun import (
     HypTriple,
     _hyp2f1_series,
     barnes_g,
+    beta22_args,
     connection_coeffs,
     double_gamma_evaluator,
     gammaln_signed,
@@ -467,6 +468,15 @@ class TestBeta22:
         assert beta22_log_moment(params, 1.0) == pytest.approx(
             -0.053986903378115096183, rel=1e-12
         )
+
+    @pytest.mark.parametrize("g,b0,b1,b2,p", [
+        (1.0, 2.0, 0.5, 0.5, 1.0), (0.6, 12.0, 3.0, 0.4, -2.5), (1.7, 1.1, -0.3, 0.9, 0.6),
+    ])
+    def test_signed_sum_matches_eight_values(self, g, b0, b1, b2, p):
+        # the one signed integral against each double gamma value on its own
+        params = Beta22Params(g, b0, b1, b2)
+        lv = double_gamma_evaluator(g).log_value(beta22_args(params, p)).tolist()
+        assert beta22_log_moment(params, p) == pytest.approx(beta22_log_from_values(lv), abs=1e-12)
 
     @given(
         b1=st.floats(min_value=0.05, max_value=1.5),
