@@ -7,10 +7,11 @@ cut-off.  The weighted integral uses a composite rule whose cells are
 uniform in the Chebyshev angle theta (x = (1 - cos theta)/2): T_n(2x-1) =
 cos(n theta), so m_cells >= 4 N resolves every mode at two-plus cells per
 half-wave, and evaluating the field on all cell midpoints is a single
-DCT-III.  A weight is data: cell_weights gives one observable's row of cell
-weights, x^a (1-x)^b integrated exactly per cell (incomplete Beta masses)
-times (x-t)^chi at the cell midpoint, and gmc_integral_batch reduces every
-field against a matrix of such rows.
+DCT-III.  4 N is both the minimum and the default plan
+(gmcint.montecarlo.config_for).  A weight is data: cell_weights gives one
+observable's row of cell weights, x^a (1-x)^b integrated exactly per cell
+(incomplete Beta masses) times (x-t)^chi at the cell midpoint, and
+gmc_integral_batch reduces every field against a matrix of such rows.
 
 A batch of coefficient rows streams through one workspace of at most
 _BLOCK_BYTES, sized to stay in cache: per block of rows the scaled modes are
@@ -41,8 +42,8 @@ from .errors import DomainError, GridError
 _TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 _FOUR_LN2 = 4.0 * math.log(2.0)
 _LAYOUTS_KEPT = 8  # grid workspaces, and cell-mass vectors, kept by the caches
-# bytes of density rows in flight per batch call: with the weight and shift rows
-# they stay in one core's L2 cache
+# bytes of density rows in flight per batch call: with the weight rows they stay
+# in one core's L2 cache
 _BLOCK_BYTES = 1 << 20
 _PHILOX_ZEROS = np.zeros(4, np.uint64)  # a fresh Philox's counter and buffer
 
@@ -85,8 +86,7 @@ def _grid_workspace(n_modes: int, m_cells: int):
     x_mid = 0.5 * (1.0 - np.cos(theta_mid))
     # Var_N on the midpoints: 4 ln2 + 2 H_N + sum (2/n) cos(2n theta)
     coef = np.zeros(m_cells)
-    for n in range(1, n_modes + 1):
-        coef[2 * n] += 2.0 / n
+    coef[2 : 2 * n_modes + 1 : 2] = 2.0 / np.arange(1, n_modes + 1)
     coef[0] = _FOUR_LN2 + 2.0 * float(np.sum(1.0 / np.arange(1, n_modes + 1)))
     d = coef.copy()
     d[1:] *= 0.5
@@ -136,9 +136,12 @@ def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, gr
     m_cells = grid.m_cells
     _, var_mid = _grid_workspace(n_modes, m_cells)
     var = var_mid - _FOUR_LN2 if drop_mean else var_mid
-    shift = (gamma * gamma / 8.0) * var
-    # DCT-III input of mode n: (2 / sqrt(n)) alpha_n, halved; halving is exact
-    mode_scale = 1.0 / np.sqrt(np.arange(1, n_coef))
+    # exp(gamma/2 X - gamma^2/8 Var) w = exp(gamma/2 X) (w exp(-gamma^2/8 Var)): the
+    # variance factor goes into the weights once per call, gamma/2 into the DCT input
+    weights = weights * np.exp((-gamma * gamma / 8.0) * var)
+    # DCT-III input of mode n: (gamma/2) (2 / sqrt(n)) alpha_n, halved
+    mode_scale = (0.5 * gamma) / np.sqrt(np.arange(1, n_coef))
+    mean_scale = 0.5 * gamma * _TWO_SQRT_LN2
     block = max(1, min(n_rows, _BLOCK_BYTES // (8 * m_cells)))
     work = np.empty((block, m_cells))
     spare = np.empty((block, m_cells)) if len(weights) > 1 else None
@@ -146,12 +149,10 @@ def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, gr
     for start in range(0, n_rows, block):
         rows = alphas[start : start + block]
         coef = work[: len(rows)]
-        coef[:, 0] = 0.0 if drop_mean else _TWO_SQRT_LN2 * rows[:, 0]
+        coef[:, 0] = 0.0 if drop_mean else mean_scale * rows[:, 0]
         np.multiply(rows[:, 1:], mode_scale, out=coef[:, 1:n_coef])
         coef[:, n_coef:] = 0.0
         dens = fft.dct(coef, type=3, axis=1, overwrite_x=True)
-        dens *= 0.5 * gamma
-        dens -= shift
         np.exp(dens, out=dens)
         sums = out[start : start + len(rows)]
         # not a BLAS product: its summation order follows the BLAS thread count

@@ -241,6 +241,17 @@ class TestStochasticCommands:
             for echo in (doc["parameters"], *doc["results"]):
                 assert (echo["batches"], echo["cells_per_mode"]) == (batches, cells)
 
+    def test_default_plan_has_four_cells_per_mode(self, capsys):
+        doc = run_json(capsys, "mc-moment", "--gamma", "1", "--p", "-1", *_SMALL_MC)
+        for echo in (doc["parameters"], *doc["results"]):
+            assert echo["cells_per_mode"] == 4
+
+    def test_fewer_than_four_cells_per_mode_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "mc-moment", "--gamma", "1", "--p", "-1",
+                                 *_SMALL_MC, "--cells-per-mode", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: m_cells=48 < 4*n_modes=64\n"
+
     def test_verify_identities_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--format", "json")
         _, out2, _ = run_cli(capsys, "verify", "--suite", "identities", "--format", "json")

@@ -6,7 +6,7 @@ import pytest
 from gmcint import montecarlo
 from gmcint.errors import BoundsError, DomainError, GridError, ResolutionError
 from gmcint.exactlaw import GmcParams, exact_moment, selberg_product
-from gmcint.field import QuadGrid, cell_weights
+from gmcint.field import QuadGrid, cell_weights, gmc_integral_batch
 from gmcint.montecarlo import (
     McConfig,
     _resolve_threads,
@@ -122,6 +122,28 @@ class TestMcMoment:
         for seed in (-42, 2**63, 2**70 + 5):
             est = mc_moment(params, 0.0, 0.0, small_cfg(seed, replicates=200, n_modes=64))
             assert math.isfinite(est.mean)
+
+
+class TestDefaultGrid:
+    def test_default_is_four_cells_per_mode(self):
+        assert config_for(200, 64, 1).grid == QuadGrid(4 * 64)
+
+    @pytest.mark.parametrize("gamma,a,b", [(1.0, 0.0, 0.0), (1.4, -0.5, 0.3)])
+    def test_four_cells_match_eight_on_paired_draws(self, gamma, a, b):
+        # the same coefficients on both grids, so the ratio is the discretisation alone
+        n_modes = 1024
+        alphas = np.random.default_rng(1601).standard_normal((2000, n_modes + 1))
+        integrals = []
+        for cells in (4, 8):
+            grid = QuadGrid(cells * n_modes)
+            weights = cell_weights(grid, n_modes, a, b)[None]
+            integrals.append(gmc_integral_batch(alphas, gamma, weights, grid)[:, 0])
+        i4, i8 = integrals
+        rel = i4 / i8 - 1.0
+        assert float(np.std(rel)) <= 1e-5
+        assert float(np.max(np.abs(rel))) <= 1e-3
+        for p in (-1.0, 0.5, 1.0, 1.5):
+            assert abs(np.mean(i4**p) / np.mean(i8**p) - 1.0) <= 1e-6, p
 
 
 class TestTailFit:
