@@ -13,8 +13,8 @@ of double gamma logs, the form of every closed form in `exactlaw`, is one
 integral of the summed integrand (`DoubleGamma.log_value` with signs).
 
 Everything here is a pure function of its arguments; evaluator objects are
-immutable after construction apart from an internal, bounded memo cache,
-so all operations are safe to call concurrently.
+immutable after construction, so all operations are safe to call
+concurrently.
 """
 from __future__ import annotations
 
@@ -53,37 +53,37 @@ def _bernoulli(n: int) -> list:
 # coefficient is the double nearest its exact value
 _BERNOULLI = _bernoulli(_HEAD_TERMS + 1)
 _INV_H = np.array([float((-1) ** k * b / math.factorial(k)) for k, b in enumerate(_BERNOULLI)])
-_MEMO_SIZE = 4096  # double gamma values memoized per evaluator
 _EVALUATORS_KEPT = 128  # per-gamma evaluators kept by double_gamma_evaluator
-_BATCH_ROWS = 128  # arguments per batched window quadrature, which bounds its memory
+# lone values, or signed terms, per `integrate_panels` call, which bounds its memory
+_BATCH_ROWS = 128
+_LONE_WEIGHTS = np.array([[1.0, -1.0]])  # a lone value x is the row (x, q/2)
 # lgamma terms per call and per summed piece of the shift reduction; larger
 # blocks run slower, as their temporaries are mapped afresh on every call
 _SHIFT_BLOCK = 1 << 12
 _MAX_SHIFT_STEPS = 10**8  # about 5 s of shift reduction; larger arguments are refused
-# The window integral's Taylor head covers [0, LADDER[k]] and the quadrature
-# LADDER the rest.  The head's series converges for t < pi gamma, and k is the
-# largest k <= _HEAD_PANELS with LADDER[k] <= _HEAD_REACH * pi gamma: k = 3,
-# [0, 2.7e-2], for gamma >= 0.048 (the panels above pass their test at every
-# gamma), and k = 1 at _GAMMA_FLOOR.  Below the floor the rounding on the
-# first panel after the head, which grows like 1/gamma^2, nears the panel
-# test's tolerance.  Every window row runs on to the top ladder edge, 1594,
+# The double gamma integral's Taylor head covers [0, LADDER[k]] and the
+# quadrature LADDER the rest.  The head's series converges for t < pi gamma,
+# and k is the largest k <= _HEAD_PANELS with LADDER[k] <= _HEAD_REACH * pi
+# gamma: k = 3, [0, 2.7e-2], for gamma >= 0.048 (the panels above pass their
+# test at every gamma), and k = 1 at _GAMMA_FLOOR.  Below the floor the sums
+# lose digits (2e-10 at gamma 0.005), and below 0.0018 no ladder edge is left
+# inside the head's reach.  Every row runs on to the top ladder edge, 1594,
 # and adds the tail (x - q/2)/1594 beyond it.  That tail is exact: past
 # T = max(45, (45 - ln mu) / mu), mu = min(x, q/2, 1), the integrand is
 # (x - q/2)/t^2 in doubles, and T = 960 < 1594 at x = _X_FLOOR.
 _HEAD_PANELS = 3
 _HEAD_REACH = 0.18
 _GAMMA_FLOOR = 0.01
-_X_FLOOR = 0.05  # window arguments below this are lifted by m-shifts
+_X_FLOOR = 0.05  # arguments below this are lifted by m-shifts
 # A signed sum of values takes x up to _HEAD_XS / LADDER[k] into its one
 # integral, k the head's panels, and reduces only larger x by n-steps.
 # The head's reach keeps q LADDER[k] <= 1.13, so that cap is above q and
 # above n, and an n-step from above it lands above 13.
 _HEAD_XS = 1.5
-# e^{-t}/t, t^2, -t and 1/t^2 on the ladder nodes: the integrands' factors of t alone
+# e^{-t}/t, -t and 1/t^2 on the ladder nodes: the integrand's factors of t alone
 _EXP_OVER_T = np.exp(-LADDER_T) / LADDER_T
-_T_SQUARED = LADDER_T**2
 _NEG_T = -LADDER_T
-_INV_T_SQUARED = 1.0 / _T_SQUARED
+_INV_T_SQUARED = 1.0 / LADDER_T**2
 _LADDER_EDGES = LADDER.tolist()  # as floats, for bisect and scalar arithmetic
 
 # ln Gamma by Lanczos's approximation (SIAM J. Numer. Anal. B 1, 1964) with
@@ -315,31 +315,27 @@ class DoubleGamma:
     """Evaluator for the double gamma function at fixed gamma in [0.01, 2].
 
     gamma = 2 is admitted solely as the bridge to the Barnes G function.
-    Below _GAMMA_FLOOR the first ladder panel the series head leaves to the
-    quadrature comes too near its rounding limit, so such gamma are refused.
-    The quasi-periods are m = gamma/2 and n = 2/gamma with m*n = 1, and
-    q = m + n.  Evaluation strategy: arguments above q are reduced into the
-    base window with the two shift equations and arguments below a small
-    floor are lifted by the m-shift (the function has a simple pole at 0);
-    the shift factors are lgamma sums, vectorized over index blocks.  On the
-    window the defining integral is computed with a Taylor-series head on
+    Below _GAMMA_FLOOR the sums lose digits (2e-10 at gamma 0.005), and
+    below 0.0018 no ladder edge is left inside the series head's reach, so
+    such gamma are refused.  The quasi-periods are m = gamma/2 and
+    n = 2/gamma with m*n = 1, and q = m + n.  Evaluation strategy: every
+    value is a term of a signed sum of ln G, a lone value the sum
+    ln G(x) - ln G(q/2), as ln G(q/2) = 0.  A row of such terms is one
+    integral of its summed integrand (`_ln_signed`): a Taylor-series head on
     the first ladder panels, Gauss-Legendre panels of the shared quadrature
-    LADDER up to its top edge T, and the algebraic (x - q/2)/T tail added
-    in closed form; every argument shares the same panels.
-    `log_value` takes an array of arguments and integrates each batch of
-    them in one call of `quadrature.integrate_panels`, the package's one
-    ladder kernel, which evaluates every row on the shared ladder nodes in
-    a single round.  Each row has its own sum, so a value does not depend
-    on the batch it was computed in.  Values are memoized per
-    argument, up to _MEMO_SIZE of them.  `log_value(x, signs)` integrates
-    a signed sum of values as one row instead: the integrand is linear in
-    the values' numerators, so each closed form, a sum of that kind, is one
-    integral, and its arguments up to _HEAD_XS / LADDER[k] stay unreduced.
+    LADDER up to its top edge T, and the algebraic tail added in closed
+    form; every row shares the same panels and is one row of a call of
+    `quadrature.integrate_panels`, the package's one ladder kernel.  Each
+    row has its own sum, so a value does not depend on the batch it was
+    computed in.  Arguments up to _HEAD_XS / LADDER[k] go into the integral
+    as they are; larger ones are taken down by n-steps of the shift
+    equation and those below a small floor lifted by m-steps (the function
+    has a simple pole at 0), with shift factors that are lgamma sums
+    (`_reduce_pairs`).
     """
 
     gamma: float
     q: float = field(init=False)
-    _cache: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not _GAMMA_FLOOR <= self.gamma <= 2.0:
@@ -362,7 +358,6 @@ class DoubleGamma:
         # the integrand's denominator on the ladder nodes past the head
         t = LADDER_T[self._head_panels:]
         self._den = np.expm1(-self._m * t) * np.expm1(-self._n * t)
-        self._cache = {}
 
     def _head(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The series head of ln G(x) over [0, LADDER[k]] at each x, d = q/2 - x and d^2/2.
@@ -375,41 +370,13 @@ class DoubleGamma:
         powers = (-x)[..., None].repeat(len(self._q_powers), axis=-1).cumprod(axis=-1)
         return ((powers - self._q_powers) * self._head_w).sum(axis=-1) - dd * self._head_v, d, dd
 
-    def _integrand(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The window log-integrand at x (rows, 1, 1) and t, the nodes of the ladder panels
-        from the head's end to the top, as `integrate_panels` passes them.
-
-        Near t = 0 the first and last terms are about d/t^2 and cancel to
-        O(1), so each is rounded as few times as it can be: (num / den) / t
-        and d / t^2, with den = (1 - e^{-mt})(1 - e^{-nt}), which the
-        evaluator keeps.
-        """
-        d = 0.5 * self.q - x
-        # e^{-xt} - e^{-qt/2} in one form, with no overflow and no cancellation
-        num = np.exp(-np.minimum(x, 0.5 * self.q) * t) * np.expm1(-np.abs(d) * t)
-        k = self._head_panels
-        return (np.copysign(num, d) / self._den / t - (0.5 * d * d) * _EXP_OVER_T[k:]
-                - d / _T_SQUARED[k:])
-
-    def _ln_window(self, x: np.ndarray) -> np.ndarray:
-        """ln G(x) for x in the window: series head, ladder panels and the tail.
-
-        Every row integrates the ladder panels from the head's end up to the
-        top edge T and adds the algebraic tail (x - q/2)/T.
-        """
-        head, d, _ = self._head(x)
-        body = integrate_panels(
-            lambda t: self._integrand(x[:, None, None], t), self._head_panels, len(LADDER) - 1
-        )
-        return head + body - d / LADDER[-1]
-
     def _ln_signed(self, y: np.ndarray, shift: np.ndarray | None, w: np.ndarray) -> np.ndarray:
         """Per row of y, shift and w (2-D, neighbour pairs of opposite weights, y in
         [_X_FLOOR, cap]), the sum of w (ln G(y) + shift); shift None is 0.
 
         Each ln G(y) is its head, its integral over the ladder and its tail,
         and the integrand is linear in e^{-yt} - e^{-qt/2}, d and d^2/2
-        (`_integrand`), so a row is one head-and-tail sum and one integral:
+        (`_head_matrix`), so a row is one head-and-tail sum and one integral:
         of the weighted sum of the numerators over den t, less
         C2 e^{-t}/t + C1/t^2, with C1 and C2 the weighted sums of d and
         d^2/2.  A pair of weights w_a = -w_b, u the smaller argument, g the
@@ -452,15 +419,17 @@ class DoubleGamma:
         (`_reduce`).
         """
         n, cap = self._n, self._x_cap
-        xa, xb, wa = x[:, 0::2], x[:, 1::2], w[:, 0::2]
-        k = np.maximum(np.ceil((np.maximum(xa, xb) - cap) / n), 0.0)
-        together = ((k > 0) & (k <= _SHIFT_BLOCK) & (wa == -w[:, 1::2])
+        xa, xb = x[:, 0::2], x[:, 1::2]
+        k = np.ceil((np.maximum(xa, xb) - cap) / n)
+        together = ((k > 0) & (k <= _SHIFT_BLOCK) & (w[:, 0::2] == -w[:, 1::2])
                     & (np.minimum(xa, xb) - k * n > 0.0))
-        x = x - np.repeat(np.where(together, k, 0.0), 2, axis=1) * n
+        joint = together.any()
+        if joint:
+            x = x - np.repeat(np.where(together, k, 0.0), 2, axis=1) * n
         y, shift = self._reduce(x.ravel().tolist(), cap)
         y = np.reshape(y, x.shape)
         shift = np.zeros(x.shape) if shift is None else np.reshape(shift, x.shape)
-        if together.any():
+        if joint:
             ya, yb, steps = x[:, 0::2][together], x[:, 1::2][together], k[together].astype(int)
             dz = n * (ya - yb)
             z = n * (np.repeat(yb, steps) + n * np.concatenate([np.arange(j) for j in steps]))
@@ -468,14 +437,14 @@ class DoubleGamma:
             shift[:, 0::2][together] -= diff + steps * dz * math.log(self._m)
         return y, shift
 
-    def _reduce(self, xs: list, top: float | None = None) -> tuple[list, list | None]:
-        """Window arguments y and shifts with ln G(x) = ln G(y) + shift, or shift None if
-        every x is in the window [_X_FLOOR, top], top = q by default.
+    def _reduce(self, xs: list, top: float) -> tuple[list, list | None]:
+        """Arguments y and shifts with ln G(x) = ln G(y) + shift, or shift None if every
+        x is in [_X_FLOOR, top]; top > n, so that n-steps end above 0.
 
         Above top, x is taken down by n-steps into (top - n, top]; then, below
         the floor, it is lifted by m-steps, which after n-steps are only
-        needed when top - n is below the floor (for top = q, when m is below
-        it: gamma < 0.1).  A step at y adds
+        needed when top - n is below the floor (never for top = cap; for
+        top = q, when m is below it: gamma < 0.1).  A step at y adds
         or takes away ln G(y) - ln G(y + s), which by the shift equation of
         s = m or n is lgamma(s y) -/+ (s y - 1/2) ln m - ln sqrt(2 pi).  Along
         each kind of step s y is an arithmetic progression, so all but the
@@ -486,7 +455,6 @@ class DoubleGamma:
         which is one call for a batch of short reductions.
         """
         m, n, floor = self._m, self._n, _X_FLOOR
-        top = self.q if top is None else top
         if floor <= min(xs) and max(xs) <= top:
             return xs, None
         ln_m = math.log(m)
@@ -529,10 +497,11 @@ class DoubleGamma:
         """ln of the double gamma function at x > 0, or signed sums of such logs.
 
         Without signs, x is a float or an array, and the result has its
-        shape.  Memoized values are looked up per element; the others are
-        reduced into the window and evaluated together, _BATCH_ROWS per
-        quadrature call.  A value that comes out non-finite raises
-        DomainError and is not kept.
+        shape.  Each value is the one-term row (x, q/2) with weights
+        (1, -1), as ln G(q/2) = 0, and goes the signed sums' way below, at
+        most _BATCH_ROWS rows per `integrate_panels` call.  A row does not
+        depend on its batch, so a value equals `log_value([x], [1.0])` bit
+        for bit.
 
         With signs, x and signs broadcast to one row of terms, or to a
         matrix of rows, at most _BATCH_ROWS terms in all, and the result is
@@ -545,11 +514,12 @@ class DoubleGamma:
         partner, the last of an odd row or every term of a batch whose
         neighbours are not all opposite, gets q/2, where ln G is 0.  x is
         reduced only below _X_FLOOR and above the head's reach
-        (`_reduce_pairs`), and nothing is memoized.  A row equals its lone
-        call bit for bit, and swapping two neighbouring pairs leaves it
-        unchanged.
+        (`_reduce_pairs`).  A row equals its lone call bit for bit, and
+        swapping two neighbouring pairs leaves it unchanged.
         It differs from the sum of the lone values by up to about
         1e-13 / gamma^2 times max(1, |sum|), not bit for bit.
+
+        A value or sum that comes out non-finite raises DomainError.
         """
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel().tolist()
@@ -560,28 +530,14 @@ class DoubleGamma:
                 raise DomainError(f"non-finite argument {v!r}")
         if signs is not None:
             return self._signed_log(xs, flat, signs)
-        cache = self._cache
-        out = [cache.get(v) for v in flat]
-        misses = list(dict.fromkeys(v for v, o in zip(flat, out) if o is None))
-        if misses:
-            fresh = {}
-            for i in range(0, len(misses), _BATCH_ROWS):
-                batch = misses[i : i + _BATCH_ROWS]
-                y, shift = self._reduce(batch)
-                values = self._ln_window(np.array(y)).tolist()
-                if shift is not None:
-                    values = [v + s for v, s in zip(values, shift)]
-                for v, value in zip(batch, values):
-                    if not math.isfinite(value):
-                        raise DomainError(
-                            f"double gamma is not finite at gamma={self.gamma!r}, x={v!r}"
-                        )
-                fresh.update(zip(batch, values))
-            out = [fresh[v] if o is None else o for v, o in zip(flat, out)]
-            cache.update(fresh)
-            while len(cache) > _MEMO_SIZE:
-                cache.pop(next(iter(cache)), None)
-        return out[0] if xs.ndim == 0 else np.array(out).reshape(xs.shape)
+        out = np.empty(len(flat))
+        for i in range(0, len(flat), _BATCH_ROWS):
+            batch = flat[i : i + _BATCH_ROWS]
+            rows = np.empty((len(batch), 2))
+            rows[:, 0] = batch
+            rows[:, 1] = 0.5 * self.q
+            out[i : i + len(batch)] = self._sum_rows(rows, _LONE_WEIGHTS, batch)
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def _signed_log(self, xs: np.ndarray, flat: list, signs) -> float | np.ndarray:
         """The signed sums of `log_value` at the checked arguments xs, flat their list."""
@@ -613,14 +569,25 @@ class DoubleGamma:
         elif n % 2:
             x = np.concatenate((x, half_q), axis=1)
             w = np.concatenate((w, -w[:, -1:]), axis=1)
+        values = self._sum_rows(x, w, flat)
+        return float(values[0]) if len(shape) == 1 else values
+
+    def _sum_rows(self, x: np.ndarray, w: np.ndarray, flat: list) -> np.ndarray:
+        """The sum of w ln G(x) over each row of x and w, rows as `_ln_signed` takes them.
+
+        flat is every argument but the q/2 partners: the rows are reduced
+        only if one of flat lies outside [_X_FLOOR, cap], and a sum that is
+        not finite raises DomainError naming the row.
+        """
         if _X_FLOOR <= min(flat) and max(flat) <= self._x_cap:
             values = self._ln_signed(x, None, w)
         else:
             values = self._ln_signed(*self._reduce_pairs(x, w), w)
-        for v in values.tolist():
+        for row, v in enumerate(values.tolist()):
             if not math.isfinite(v):
-                raise DomainError(f"double gamma sum is not finite at gamma={self.gamma!r}")
-        return float(values[0]) if len(shape) == 1 else values
+                raise DomainError(f"double gamma sum is not finite at gamma={self.gamma!r}, "
+                                  f"x={x[row].tolist()!r}")
+        return values
 
 
 @functools.lru_cache(maxsize=_EVALUATORS_KEPT)

@@ -9,7 +9,9 @@ tests use it to check the batched five-law product against three
 single-law calls and that law's own moment properties.
 log_exact_moment_by_values and beta22_log_from_values are the other route
 to the same closed forms: each double gamma value on its own, then summed,
-against which the tests check the package's one signed integral.  The pointwise
+against which the tests check the package's one signed integral;
+window_log_values is that per-value route, reduced into (m, q] and
+integrated one value per integrand row.  The pointwise
 field code evaluates one field sample and its variance by the three-term
 Chebyshev recurrence, against which the tests check the DCT route of
 gmcint.field.  The full-chunk batch integral is the array pipeline that
@@ -36,18 +38,23 @@ from gmcint.field import (
     cell_weights,
     gmc_integral_batch,
 )
+from gmcint.quadrature import LADDER, LADDER_T, integrate_panels
 from gmcint.specfun import (
+    _EXP_OVER_T,
     _FACTORIAL,
     _HEAD_TERMS,
     _INV_H,
     BETA22_SIGNS,
     Beta22Params,
+    DoubleGamma,
     beta22_args,
     double_gamma_evaluator,
     gammaln_signed,
 )
 
 mp.mp.dps = 40
+
+_T_SQUARED = LADDER_T**2  # t^2 on the ladder nodes, for window_log_values
 
 TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -73,18 +80,43 @@ def beta22_log_from_values(lv) -> float:
     return (lv[0] - lv[1]) + (lv[2] - lv[3]) - ((lv[5] - lv[4]) + (lv[7] - lv[6]))
 
 
+def window_log_values(ev: DoubleGamma, xs: list) -> list:
+    """ln G at each of xs, each value on its own: the per-value window route.
+
+    Each x is reduced into the window (m, q] by the shift equations
+    (`ev._reduce` with top q), then integrated alone: its series head, its
+    own integrand row on the ladder panels past the head, and the tail
+    (x - q/2)/T.  The signed route takes x up to the head's reach unreduced
+    and integrates a row of terms as one sum, so the two differ by rounding.
+    """
+    y, shift = ev._reduce(xs, ev.q)
+    y = np.array(y)
+    head, d, _ = ev._head(y)
+    k = ev._head_panels
+    x = y[:, None, None]
+
+    def integrand(t):
+        dx = 0.5 * ev.q - x
+        # e^{-xt} - e^{-qt/2} in one form, with no overflow and no cancellation
+        num = np.exp(-np.minimum(x, 0.5 * ev.q) * t) * np.expm1(-np.abs(dx) * t)
+        return (np.copysign(num, dx) / ev._den / t - (0.5 * dx * dx) * _EXP_OVER_T[k:]
+                - dx / _T_SQUARED[k:])
+
+    values = (head + integrate_panels(integrand, k, len(LADDER) - 1) - d / LADDER[-1]).tolist()
+    return values if shift is None else [v + s for v, s in zip(values, shift)]
+
+
 def log_exact_moment_by_values(params: GmcParams) -> float:
     """ln of the exact moment from its eight double gamma values, each on its own.
 
-    Each value is a scalar-route `log_value`: memoized, and reduced into the
-    window (m, q] by the shift equations before its own integral.
+    Each value comes from `window_log_values`: reduced into the window
+    (m, q] by the shift equations before its own integral.
     """
     if not bounds_check(params):
         raise BoundsError(f"moment does not exist for {params}")
     ln_num, ln_den, args = exact_moment_factors(params)
-    na, nb, nab, npp, dbase, da, db, dab = (
-        double_gamma_evaluator(params.gamma).log_value(args).tolist()
-    )
+    ev = double_gamma_evaluator(params.gamma)
+    na, nb, nab, npp, dbase, da, db, dab = window_log_values(ev, args.tolist())
     return (ln_num + (na + nb) + nab + npp) - (ln_den + dbase + (da + db) + dab)
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 import warnings
 from fractions import Fraction
@@ -102,6 +103,42 @@ SMALL_GAMMA_GRID = {
 TOP_OF_WINDOW = (
     (0.013122045467431637, 107.74247411453926, -2.099596658141237448746),
     (0.022594597786155107, 65.80065453251133, -1.344807396462590727818),
+)
+
+
+# The same oracle at a seeded sample of the CLI's domain, frozen: gamma
+# log-uniform in [0.01, 2], then x log-uniform in [0.01, 300], drawn from
+# default_rng(2017).  Its arguments are lifted by m-steps, lie in the window,
+# lie in (q, cap], where they enter the integral unreduced, or lie above the
+# cap, where they take n-steps.
+CLI_DOMAIN_GRID = (
+    -345.8039999232312631217, -15694.22282005585066171, 0.5652345190723334959898,
+    -14.01454858831845886674, -2158.265538446326522768, -2623.676446238852120345,
+    -18.51854075136383271446, -128.1537156400585794045, -769.6156330398984750636,
+    -41524.61794633081185486, -61035.14509531322730048, 1.559217060548451089635,
+    -0.1076659310377631747796, 0.2598261110876211849069, -179957.1191416213012825,
+    -0.1623680947822456075368, -6.072640525270053990595, -114.1441341786539336351,
+    -45.71677464094403945866, -0.2915674734940566917193, 3.163548099292064212504,
+    6.792711367213557817095, -2.684499116810121786227, -617.661208197440285652,
+    5.756693494383869626299, -450.5552159675297894586, 2.253989762624487644235,
+    -15.88734694760749970265, -6919.717002635712650414, 2.194992640128754468662,
+    -196.4655736789441532755, 3.759704689065073106829, 0.06259723614327144107877,
+    -37.50051502320288150606, 5.879288933771457161378, 5.809555649581541078209,
+    -6973.741113099223461814, -6.309900958104715913049, -0.07210602500958074889924,
+    -5422.135490708898743269, -9.182453604004073176539, -21.27795878529529503383,
+    -22081.8322378026632673, -186.4109612537902360856, -182.0731746939611971914,
+    -106507.106653973922077, 4.057691415543895615899, -1145.561456949809082773,
+    -169.7251497875259951935, 3.143053004244516104505, -47.2377983526257153291,
+    2.34988218945415682824, -897.4993445949053762908, -0.8981411716077750076824,
+    -62.56372368336150319551, -3451.770788525085204226, -12547.20934730164189373,
+    -15.60597914488811295793, -59582.5472792031454121, -4109.759248394200902052,
+    -16493.1991850224266288, -655.9762119011964206629, -1589.861443540609831919,
+    3.706629366069961631038, -14214.14278965267183658, -5451.767417115623819913,
+    -3773.442506749608192492, 6.103300122990551336997, -3739.131513836802676199,
+    1.471692803265951729498, -3.815709265853739486409, 69.140250662153806888,
+    -33.06931215382673411701, 3.476429265733933412145, -24562.61502598756916753,
+    -34.77111917097721800576, -3740.618488429123641975, -0.09614156558419878459174,
+    -9578.777265674360278879, 0.4606184154157483366535,
 )
 
 
@@ -244,6 +281,17 @@ class TestDoubleGamma:
     def test_top_of_window_against_oracle(self, gamma, x, expected):
         assert abs(DoubleGamma(gamma).log_value(x) - expected) <= 3e-13 * max(1.0, abs(expected))
 
+    def test_lone_values_against_oracle_over_the_cli_domain(self):
+        rng = np.random.default_rng(2017)
+        gammas = np.exp(rng.uniform(np.log(0.01), np.log(2.0), len(CLI_DOMAIN_GRID)))
+        xs = np.exp(rng.uniform(np.log(0.01), np.log(300.0), len(CLI_DOMAIN_GRID)))
+        bands = set()
+        for gamma, x, ref in zip(gammas.tolist(), xs.tolist(), CLI_DOMAIN_GRID):
+            ev = DoubleGamma(gamma)
+            bands.add(sum(x > edge for edge in (specfun._X_FLOOR, ev.q, ev._x_cap)))
+            assert abs(ev.log_value(x) - ref) <= 2e-13 * max(1.0, abs(ref)), (gamma, x)
+        assert bands == {0, 1, 2, 3}  # below the floor, in the window, in (q, cap], above it
+
     @pytest.mark.parametrize("gamma", [0.01, 0.02, 0.05, 1.0, 2.0])
     def test_head_matrix_matches_toeplitz_sum(self, gamma):
         # one, two and three head panels, then three at the ends of the range
@@ -271,6 +319,16 @@ class TestDoubleGamma:
         for size in (8, 24, 128):
             batch = DoubleGamma(gamma).log_value(xs[:size])
             assert np.array_equal(batch, [alone.log_value(float(x)) for x in xs[:size]])
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.3, 1.0, 2.0])
+    def test_lone_value_is_a_one_term_signed_row(self, gamma):
+        # one route: below the floor, in the window, in (q, cap], above the cap and at q/2
+        ev = DoubleGamma(gamma)
+        q, cap = ev.q, ev._x_cap
+        assert specfun._X_FLOOR < q < cap
+        for x in (0.02, 0.6 * q, 0.5 * (q + cap), 3.0 * cap, 0.5 * q):
+            assert ev.log_value(x) == ev.log_value([x], [1.0])
+        assert ev.log_value(np.array([])).shape == (0,)
 
     def test_window_sweep_passes_every_panel_with_margin(self, monkeypatch):
         # one round, no refinement: every ladder panel of every window x must
@@ -345,7 +403,7 @@ class TestDoubleGamma:
         m, n = gamma / 2.0, 2.0 / gamma
         xs = np.array([y + k * n for y in (1.01 * m, 0.5 * (m + 0.05), 0.0499) for k in (1, 2, 7)])
         ev = DoubleGamma(gamma)
-        ys, _ = ev._reduce(xs.tolist())
+        ys, _ = ev._reduce(xs.tolist(), ev.q)
         assert specfun._X_FLOOR <= min(ys) and max(ys) < specfun._X_FLOOR + m
         lv = ev.log_value(xs)
         for x, v in zip(xs.tolist(), lv.tolist()):
@@ -408,13 +466,13 @@ class TestDoubleGamma:
         # u / (1 - e^-u) = sum_k (-1)^k B_k u^k / k!, each coefficient correctly rounded
         assert specfun._INV_H[:7].tolist() == [1.0, 0.5, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240]
 
-    def test_caches_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_MEMO_SIZE", 8)
+    def test_caches_are_bounded(self):
+        # the per-gamma evaluators are the one cache: an evaluator keeps no values
         ev = DoubleGamma(1.0)
-        xs = np.linspace(0.1, 3.0, 20)
-        first = ev.log_value(xs)
-        assert len(ev._cache) == 8
-        assert np.array_equal(ev.log_value(xs), first)  # evicted values come back the same
+        state = pickle.dumps(vars(ev))
+        first = ev.log_value(np.linspace(0.1, 3.0, 20))
+        assert pickle.dumps(vars(ev)) == state
+        assert np.array_equal(ev.log_value(np.linspace(0.1, 3.0, 20)), first)
         assert double_gamma_evaluator.cache_info().maxsize == specfun._EVALUATORS_KEPT
 
     def test_domain_errors(self):
@@ -429,12 +487,18 @@ class TestDoubleGamma:
             DoubleGamma(0.0)
 
     def test_non_finite_value_is_refused_and_not_kept(self, monkeypatch):
+        # lone values and signed sums share one route: a row that comes out NaN is
+        # refused, naming gamma and the row's arguments, as the CLI's one-line error does
         ev = DoubleGamma(1.0)
-        window = ev._ln_window
-        monkeypatch.setattr(ev, "_ln_window", lambda y: np.where(y == 0.5, np.nan, window(y)))
-        with pytest.raises(DomainError, match="gamma=1.0, x=0.5"):
+        signed = ev._ln_signed
+        monkeypatch.setattr(ev, "_ln_signed",
+                            lambda y, shift, w: np.where(y[:, 0] == 0.5, np.nan, signed(y, shift, w)))
+        with pytest.raises(DomainError, match=r"gamma=1\.0, x=\[0\.5, 1\.25\]"):
             ev.log_value(np.array([0.7, 0.5]))
-        assert ev._cache == {}
+        with pytest.raises(DomainError, match=r"gamma=1\.0, x=\[0\.5, 0\.7\]"):
+            ev.log_value([0.5, 0.7], [1.0, -1.0])
+        monkeypatch.undo()
+        assert ev.log_value(0.5) == DoubleGamma(1.0).log_value(0.5)
 
     def test_q_stored_exactly(self):
         ev = DoubleGamma(1.5)

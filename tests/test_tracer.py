@@ -44,3 +44,17 @@ def test_install_traces_the_quadrature_and_specfun_layers(tracer):
         assert current is original
     assert specfun.integrate_panels is quadrature.integrate_panels
     assert verify.integrate_panels is quadrature.integrate_panels
+
+
+def test_a_lone_value_is_one_log_value_span(tracer):
+    # a lone value takes the signed sums' route without re-entering log_value,
+    # so specfun.dgamma_calls counts calls, each with its one quadrature child
+    tr = tracer.install()
+    try:
+        specfun.DoubleGamma(1.0).log_value(0.7)
+    finally:
+        tr.uninstall()
+    assert [span[4] for span in tr.spans if span[3] == "specfun"] == ["log_value"]
+    totals = tracer.summarize(tr.spans)
+    assert totals["specfun.dgamma_calls"] == totals["specfun.dgamma_fresh"] == 1
+    assert totals["quadrature.calls"] == 1
