@@ -276,14 +276,23 @@ def _cmd_law_decomp(args) -> int:
     return _emit(args, [(lhs, rhs, abs(lhs - rhs))])
 
 
+def _table_xs(args) -> np.ndarray:
+    """The --count x values of a dgamma or barnes table, from --x-min to --x-max."""
+    for flag in ("x_min", "x_max"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise DomainError(f"--{flag.replace('_', '-')} must be finite, got {value!r}")
+    return np.linspace(args.x_min, args.x_max, args.count)
+
+
 def _cmd_dgamma(args) -> int:
-    xs = np.linspace(args.x_min, args.x_max, args.count)
+    xs = _table_xs(args)
     lvs = double_gamma_evaluator(args.gamma).log_value(xs).tolist()
     return _emit(args, [(x, lv, _exp_or_inf(lv)) for x, lv in zip(xs.tolist(), lvs)])
 
 
 def _cmd_barnes(args) -> int:
-    xs = np.linspace(args.x_min, args.x_max, args.count)
+    xs = _table_xs(args)
     return _emit(args, zip(xs.tolist(), barnes_g(xs).tolist()))
 
 

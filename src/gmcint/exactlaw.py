@@ -8,8 +8,9 @@ auxiliary observables.
 
 All products of Gamma-type factors are assembled in log space; signs are
 tracked separately where individual Euler Gamma factors can be negative.
-The double gamma factors of each closed form are one signed
-`DoubleGamma.log_value` sum, that is one integral.
+The double gamma factors of each closed form, its numerator and
+denominator arguments, are one `DoubleGamma.log_value` call, that is one
+integral.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import BoundsError, DegenerateParamsError, DomainError
 from .specfun import (
-    BETA22_SIGNS,
     Beta22Params,
     HypTriple,
     beta22_args,
@@ -41,11 +41,6 @@ _MAX_SELBERG_ORDER = 10**6  # one loop step per order: about 1.2 s at the cap
 
 # the double gamma factors of the exact moment, in exact_moment_factors order
 EXACT_DG_FACTORS = ("num_a", "num_b", "num_ab", "num_p", "den_base", "den_a", "den_b", "den_ab")
-# log_exact_moment's order of those factors and their weights: each numerator
-# factor next to the denominator one whose argument differs from it by p m,
-# and the pairs that a <-> b swaps side by side (`DoubleGamma.log_value`)
-_MOMENT_ORDER = np.array([0, 5, 1, 6, 2, 7, 3, 4])
-_MOMENT_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 def _check_gamma(gamma: float) -> None:
@@ -132,12 +127,12 @@ def exact_moment_factors(params: GmcParams) -> tuple[float, float, np.ndarray]:
 def log_exact_moment(params: GmcParams) -> float:
     """ln of the exact fractional moment.
 
-    Its eight double gamma factors are one signed `DoubleGamma.log_value`
-    sum, so the moment is one integral.
+    Its eight double gamma factors, four over four, are one
+    `DoubleGamma.log_value` call, so the moment is one integral.
     """
     _require_bounds(params)
     ln_num, ln_den, args = exact_moment_factors(params)
-    dg = double_gamma_evaluator(params.gamma).log_value(args[_MOMENT_ORDER], _MOMENT_SIGNS)
+    dg = double_gamma_evaluator(params.gamma).log_value(args[:4], den=args[4:])
     return (ln_num - ln_den) + dg
 
 
@@ -181,7 +176,7 @@ def c_of_p(gamma: float, p: float) -> float:
     ln_num, ln_den, args = exact_moment_factors(GmcParams(gamma, p, 0.0, 0.0))
     if not p < 4.0 / (gamma * gamma):
         raise DomainError(f"need p < 4/gamma^2, got p={p!r}")
-    dg = double_gamma_evaluator(gamma).log_value(args[3:5], (1.0, -1.0))
+    dg = double_gamma_evaluator(gamma).log_value(args[3:4], den=args[4:5])
     return checked_exp(ln_num - ln_den + dg, "normalization constant")
 
 
@@ -244,8 +239,7 @@ def tail_exponent(gamma: float, alpha: float) -> tuple[float, float]:
 def log_reflection_boundary_1d(gamma: float, alpha: float) -> float:
     """ln of the tail constant of GMC with a boundary insertion of strength alpha."""
     q_alpha, s = tail_exponent(gamma, alpha)
-    args = np.array([alpha - gamma / 2.0, q_alpha])
-    dg = double_gamma_evaluator(gamma).log_value(args, (1.0, -1.0))
+    dg = double_gamma_evaluator(gamma).log_value([alpha - gamma / 2.0], den=[q_alpha])
     logval = (
         (s - 0.5) * math.log(2.0 * math.pi)
         + ((gamma / 2.0) * q_alpha - 0.5) * math.log(2.0 / gamma)
@@ -286,8 +280,8 @@ def law_decomposition_log_moment(params: GmcParams) -> float:
     x1 = Beta22Params(g, 1.0 + v * (1.0 + a), (b - a) * v / 2.0, (b - a) * v / 2.0)
     x2 = Beta22Params(g, 1.0 + v * (2.0 + a + b) / 2.0, 0.5, v / 2.0)
     x3 = Beta22Params(g, 1.0 + v, 0.5 + v * (1.0 + a + b) / 2.0, 0.5 + v * (1.0 + a + b) / 2.0)
-    args = np.array([beta22_args(x, -p) for x in (x1, x2, x3)])  # one sign row per beta law
-    lv = double_gamma_evaluator(g).log_value(args, BETA22_SIGNS).tolist()
+    num, den = zip(*(beta22_args(x, -p) for x in (x1, x2, x3)))  # one row per beta law
+    lv = double_gamma_evaluator(g).log_value(np.array(num), den=np.array(den)).tolist()
     return p * ln_const + ln_l + ln_y + lv[0] + lv[1] + lv[2]
 
 
@@ -295,10 +289,8 @@ def derivative_martingale_moment(p: float) -> float:
     """Moment of twice the derivative-martingale total mass, for p < 1."""
     if not p < 1.0:
         raise DomainError(f"need p < 1, got {p!r}")
-    # the weights sum to 1: the odd term's partner, q/2, carries the e^{-qt/2} term
-    dg = double_gamma_evaluator(2.0).log_value(
-        np.array([2.0 - p, 2.0, 4.0 - p, 4.0 - 2.0 * p, 1.0 - p]), (2.0, -2.0, 1.0, -1.0, 1.0)
-    )
+    dg = double_gamma_evaluator(2.0).log_value([2.0 - p, 2.0 - p, 4.0 - p, 1.0 - p],
+                                               den=[2.0, 2.0, 4.0 - 2.0 * p])
     logval = p * math.log(2.0 * math.pi) + dg
     return checked_exp(logval, "derivative martingale moment")
 

@@ -25,6 +25,11 @@ from .exactlaw import GmcParams, _check_gamma, bounds_check
 from .field import QuadGrid, cell_weights, gmc_integral_batch, replicate_rng
 
 _CHUNK = 128  # replicates per task: the scheduling grain; results do not depend on it
+# the largest plan: 10^8 replicates fill 0.8 GB per value column, 2^20 modes a
+# 1 GiB coefficient chunk, and 2^24 cells 128 MiB per grid workspace array
+_MAX_REPLICATES = 10**8
+_MAX_MODES = 1 << 20
+_MAX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,12 @@ class McConfig:
             )
         if self.n_modes < 1:
             raise DomainError(f"need at least one field mode, got {self.n_modes!r}")
+        if (self.replicates > _MAX_REPLICATES or self.n_modes > _MAX_MODES
+                or self.grid.m_cells > _MAX_CELLS):
+            raise DomainError(
+                f"plan too large: at most {_MAX_REPLICATES} replicates, {_MAX_MODES} modes and "
+                f"{_MAX_CELLS} cells, got {self.replicates}, {self.n_modes} and {self.grid.m_cells}"
+            )
 
 
 def config_for(replicates: int, n_modes: int, seed: int, a: float = 0.0, b: float = 0.0,

@@ -8,9 +8,9 @@ then its defining integral over the rest of the panel ladder, up to its top
 edge, taken by `quadrature.integrate_panels` in one round, then the
 algebraic tail in closed form),
 Barnes G, moments of the generalized beta law, and the first column of
-the connection matrix between hypergeometric solution bases.  A signed sum
-of double gamma logs, the form of every closed form in `exactlaw`, is one
-integral of the summed integrand (`DoubleGamma.log_value` with signs).
+the connection matrix between hypergeometric solution bases.  A ratio of
+double gamma products, the form of every closed form in `exactlaw`, is one
+integral of the summed integrand (`DoubleGamma.log_value` with den).
 
 Everything here is a pure function of its arguments; evaluator objects are
 immutable after construction, so all operations are safe to call
@@ -54,9 +54,9 @@ def _bernoulli(n: int) -> list:
 _BERNOULLI = _bernoulli(_HEAD_TERMS + 1)
 _INV_H = np.array([float((-1) ** k * b / math.factorial(k)) for k, b in enumerate(_BERNOULLI)])
 _EVALUATORS_KEPT = 128  # per-gamma evaluators kept by double_gamma_evaluator
-# lone values, or signed terms, per `integrate_panels` call, which bounds its memory
+# lone values, or numerator and denominator terms, per `integrate_panels` call,
+# which bounds its memory
 _BATCH_ROWS = 128
-_LONE_WEIGHTS = np.array([[1.0, -1.0]])  # a lone value x is the row (x, q/2)
 # lgamma terms per call and per summed piece of the shift reduction; larger
 # blocks run slower, as their temporaries are mapped afresh on every call
 _SHIFT_BLOCK = 1 << 12
@@ -75,7 +75,7 @@ _HEAD_PANELS = 3
 _HEAD_REACH = 0.18
 _GAMMA_FLOOR = 0.01
 _X_FLOOR = 0.05  # arguments below this are lifted by m-shifts
-# A signed sum of values takes x up to _HEAD_XS / LADDER[k] into its one
+# A sum of values takes x up to _HEAD_XS / LADDER[k] into its one
 # integral, k the head's panels, and reduces only larger x by n-steps.
 # The head's reach keeps q LADDER[k] <= 1.13, so that cap is above q and
 # above n, and an n-step from above it lands above 13.
@@ -319,15 +319,16 @@ class DoubleGamma:
     below 0.0018 no ladder edge is left inside the series head's reach, so
     such gamma are refused.  The quasi-periods are m = gamma/2 and
     n = 2/gamma with m*n = 1, and q = m + n.  Evaluation strategy: every
-    value is a term of a signed sum of ln G, a lone value the sum
-    ln G(x) - ln G(q/2), as ln G(q/2) = 0.  A row of such terms is one
-    integral of its summed integrand (`_ln_signed`): a Taylor-series head on
-    the first ladder panels, Gauss-Legendre panels of the shared quadrature
-    LADDER up to its top edge T, and the algebraic tail added in closed
-    form; every row shares the same panels and is one row of a call of
-    `quadrature.integrate_panels`, the package's one ladder kernel.  Each
-    row has its own sum, so a value does not depend on the batch it was
-    computed in.  Arguments up to _HEAD_XS / LADDER[k] go into the integral
+    value is a term of a sum of ln G over numerator arguments less that
+    over denominator ones, which the evaluator pairs itself (`log_value`);
+    a lone value is the pair ln G(x) - ln G(q/2), as ln G(q/2) = 0.  A row
+    of pairs is one integral of its summed integrand (`_ln_signed`): a
+    Taylor-series head on the first ladder panels, Gauss-Legendre panels of
+    the shared quadrature LADDER up to its top edge T, and the algebraic
+    tail added in closed form; every row shares the same panels and is one
+    row of a call of `quadrature.integrate_panels`, the package's one
+    ladder kernel.  Each row has its own sum, so a value does not depend on
+    the batch it was computed in.  Arguments up to _HEAD_XS / LADDER[k] go into the integral
     as they are; larger ones are taken down by n-steps of the shift
     equation and those below a small floor lifted by m-steps (the function
     has a simple pole at 0), with shift factors that are lgamma sums
@@ -370,59 +371,59 @@ class DoubleGamma:
         powers = (-x)[..., None].repeat(len(self._q_powers), axis=-1).cumprod(axis=-1)
         return ((powers - self._q_powers) * self._head_w).sum(axis=-1) - dd * self._head_v, d, dd
 
-    def _ln_signed(self, y: np.ndarray, shift: np.ndarray | None, w: np.ndarray) -> np.ndarray:
-        """Per row of y, shift and w (2-D, neighbour pairs of opposite weights, y in
-        [_X_FLOOR, cap]), the sum of w (ln G(y) + shift); shift None is 0.
+    def _ln_signed(self, y: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
+        """Per row of y and shift (2-D, pairs of neighbours, y in [_X_FLOOR, cap]), the sum
+        of ln G(y) + shift over the first term of each pair less that over the second;
+        shift None is 0.
 
         Each ln G(y) is its head, its integral over the ladder and its tail,
         and the integrand is linear in e^{-yt} - e^{-qt/2}, d and d^2/2
         (`_head_matrix`), so a row is one head-and-tail sum and one integral:
-        of the weighted sum of the numerators over den t, less
-        C2 e^{-t}/t + C1/t^2, with C1 and C2 the weighted sums of d and
-        d^2/2.  A pair of weights w_a = -w_b, u the smaller argument, g the
-        gap to the larger and w_far its weight, has the numerator
-        w_far e^{-ut} expm1(-g t), so nearly equal arguments cancel before
-        they are rounded.  The pairs are summed node by node in a fixed
-        pairwise tree (`_pairwise_sum`), and the short sums per row with
-        math.fsum, so a row does not depend on the other rows, and two
-        neighbouring pairs may swap without changing a bit.
+        of the signed sum of the numerators over den t, less
+        C2 e^{-t}/t + C1/t^2, with C1 and C2 the signed sums of d and
+        d^2/2.  A pair, u its smaller argument and g the gap to the larger,
+        has the numerator e^{-ut} expm1(-g t), negated when its first term
+        is the smaller, so nearly equal arguments cancel before they are
+        rounded.  The pairs are summed node by node in a fixed pairwise tree
+        (`_pairwise_sum`), and the short sums per row with math.fsum, so a
+        row does not depend on the other rows.
         """
         head, d, dd = self._head(y)
         tail = head - d / _LADDER_EDGES[-1]
-        parts = (w * (tail if shift is None else tail + shift), w * d, w * dd)
+        parts = (tail if shift is None else tail + shift, d, dd)
+        for p in parts:
+            p[:, 1::2] *= -1.0
         sums = np.array([[math.fsum(r) for r in p.tolist()] for p in parts])
         c1, c2 = sums[1:, :, None, None]
-        y4, w4 = y[..., None, None], w[..., None, None]
-        ya, yb = y4[:, 0::2], y4[:, 1::2]
+        ya, yb = y[:, 0::2, None, None], y[:, 1::2, None, None]
         near = np.minimum(ya, yb)
         gap = np.maximum(ya, yb) - near
-        w_far = np.where(ya > yb, w4[:, 0::2], w4[:, 1::2])
+        sign = np.where(ya > yb, 1.0, -1.0)
         k = self._head_panels
         neg_t = _NEG_T[k:]
 
         def integrand(t):
-            num = _pairwise_sum(np.exp(near * neg_t) * np.expm1(gap * neg_t) * w_far)
+            num = _pairwise_sum(np.exp(near * neg_t) * np.expm1(gap * neg_t) * sign)
             return num / self._den / t - (c2 * _EXP_OVER_T[k:] + c1 * _INV_T_SQUARED[k:])
 
         return sums[0] + integrate_panels(integrand, k, len(LADDER) - 1)
 
-    def _reduce_pairs(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Arguments y in [_X_FLOOR, cap] and shifts for the rows x, w of `_ln_signed`, with
-        the same sum of w (ln G(y) + shift) over each pair of neighbours as of w ln G(x).
+    def _reduce_pairs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arguments y in [_X_FLOOR, cap] and shifts for the rows x of `_ln_signed`, with
+        the same difference ln G(y_a) + shift_a - ln G(y_b) - shift_b over each pair of
+        neighbours as of ln G(x_a) - ln G(x_b).
 
-        A pair of opposite weights above the cap steps down together, by the
-        n-steps of its larger argument, if its smaller one stays positive.
-        Its n-steps then add w_a (shift_a - shift_b) to the first term, one
-        lgamma difference of arguments n (y_a - y_b) apart per step
-        (`_lgamma_diff`), which keeps its digits where each lgamma is large.
-        Every other argument is reduced on its own, and every m-lift is
-        (`_reduce`).
+        A pair above the cap steps down together, by the n-steps of its
+        larger argument, if its smaller one stays positive.  Its n-steps then
+        add shift_a - shift_b to the first term, one lgamma difference of
+        arguments n (y_a - y_b) apart per step (`_lgamma_diff`), which keeps
+        its digits where each lgamma is large.  Every other argument is
+        reduced on its own, and every m-lift is (`_reduce`).
         """
         n, cap = self._n, self._x_cap
         xa, xb = x[:, 0::2], x[:, 1::2]
         k = np.ceil((np.maximum(xa, xb) - cap) / n)
-        together = ((k > 0) & (k <= _SHIFT_BLOCK) & (w[:, 0::2] == -w[:, 1::2])
-                    & (np.minimum(xa, xb) - k * n > 0.0))
+        together = (k > 0) & (k <= _SHIFT_BLOCK) & (np.minimum(xa, xb) - k * n > 0.0)
         joint = together.any()
         if joint:
             x = x - np.repeat(np.where(together, k, 0.0), 2, axis=1) * n
@@ -493,96 +494,81 @@ class DoubleGamma:
                     shift[row] += sign * value
         return ys, shift
 
-    def log_value(self, x, signs=None):
-        """ln of the double gamma function at x > 0, or signed sums of such logs.
+    def log_value(self, num, *, den=None):
+        """ln of the double gamma function at x > 0, or sums of such logs over
+        numerator arguments less those over denominator ones.
 
-        Without signs, x is a float or an array, and the result has its
-        shape.  Each value is the one-term row (x, q/2) with weights
-        (1, -1), as ln G(q/2) = 0, and goes the signed sums' way below, at
-        most _BATCH_ROWS rows per `integrate_panels` call.  A row does not
-        depend on its batch, so a value equals `log_value([x], [1.0])` bit
+        Without den, num is a float or an array of arguments, and the result
+        has its shape.  Each value x is the row (x, q/2), as ln G(q/2) = 0,
+        at most _BATCH_ROWS rows per `integrate_panels` call.  A row does not
+        depend on its batch, so a value equals `log_value([x], den=[])` bit
         for bit.
 
-        With signs, x and signs broadcast to one row of terms, or to a
-        matrix of rows, at most _BATCH_ROWS terms in all, and the result is
-        the sum of signs * ln G(x) over each row: a float for one row, else
-        an array.  Each row is one head-and-tail sum and one integrand row
-        (`_ln_signed`), so a whole closed form is one `integrate_panels`
-        call.  Its terms go by neighbour pairs of opposite weights: put each
-        numerator argument next to the denominator one nearest it, so that
-        the pair cancels before it is rounded.  A term without such a
-        partner, the last of an odd row or every term of a batch whose
-        neighbours are not all opposite, gets q/2, where ln G is 0.  x is
-        reduced only below _X_FLOOR and above the head's reach
-        (`_reduce_pairs`).  A row equals its lone call bit for bit, and
-        swapping two neighbouring pairs leaves it unchanged.
-        It differs from the sum of the lone values by up to about
-        1e-13 / gamma^2 times max(1, |sum|), not bit for bit.
+        With den, num and den are both 1-D, one row of terms, or both 2-D
+        with as many rows, at most _BATCH_ROWS terms in all.  The result is
+        the sum of ln G over each row of num less that over the row of den:
+        a float for one row, else an array.  Each row is one head-and-tail
+        sum and one integrand row (`_ln_signed`), so a whole closed form is
+        one `integrate_panels` call.  The terms are paired here: the shorter
+        side of a row is padded with q/2, each side is sorted, and the k-th
+        numerator argument is paired with the k-th denominator one.  On a
+        line, that matching of the two sets has the least total gap, and a
+        pair cancels before it is rounded, so the sum does not depend on the
+        order of num or of den.  x is reduced only below _X_FLOOR and above
+        the head's reach (`_reduce_pairs`).  A row differs from the sum of
+        its lone values by up to about 1e-13 / gamma^2 times
+        max(1, |sum|), not bit for bit.
 
         A value or sum that comes out non-finite raises DomainError.
         """
-        xs = np.asarray(x, dtype=float)
+        xs = np.asarray(num, dtype=float)
         flat = xs.ravel().tolist()
+        if den is not None:
+            ds = np.asarray(den, dtype=float)
+            if not (xs.ndim == ds.ndim in (1, 2) and xs.shape[:-1] == ds.shape[:-1]
+                    and 0 < xs.size + ds.size <= _BATCH_ROWS):
+                raise DomainError(
+                    f"num and den must be one row of terms each, or rows of them with as many "
+                    f"rows, at most {_BATCH_ROWS} terms in all; got shapes {xs.shape} and {ds.shape}"
+                )
+            flat += ds.ravel().tolist()
         for v in flat:
             if not v > 0.0:
                 raise DomainError(f"double gamma needs x > 0, got {v!r}")
             if not math.isfinite(v):
                 raise DomainError(f"non-finite argument {v!r}")
-        if signs is not None:
-            return self._signed_log(xs, flat, signs)
-        out = np.empty(len(flat))
-        for i in range(0, len(flat), _BATCH_ROWS):
-            batch = flat[i : i + _BATCH_ROWS]
-            rows = np.empty((len(batch), 2))
-            rows[:, 0] = batch
-            rows[:, 1] = 0.5 * self.q
-            out[i : i + len(batch)] = self._sum_rows(rows, _LONE_WEIGHTS, batch)
-        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+        if den is None:
+            out = np.empty(len(flat))
+            for i in range(0, len(flat), _BATCH_ROWS):
+                batch = flat[i : i + _BATCH_ROWS]
+                rows = np.empty((len(batch), 2))
+                rows[:, 0] = batch
+                rows[:, 1] = 0.5 * self.q
+                out[i : i + len(batch)] = self._sum_rows(rows, batch)
+            return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+        num_rows, den_rows = (xs, ds) if xs.ndim == 2 else (xs[None], ds[None])
+        n_num, n_den = num_rows.shape[1], den_rows.shape[1]
+        # numerator terms at the even places, denominator ones at the odd, each side sorted
+        rows = np.full((len(num_rows), 2 * max(n_num, n_den)), 0.5 * self.q)
+        rows[:, 0 : 2 * n_num : 2] = num_rows
+        rows[:, 1 : 2 * n_den : 2] = den_rows
+        rows[:, 0::2].sort(axis=1)
+        rows[:, 1::2].sort(axis=1)
+        values = self._sum_rows(rows, flat)
+        return float(values[0]) if xs.ndim == 1 else values
 
-    def _signed_log(self, xs: np.ndarray, flat: list, signs) -> float | np.ndarray:
-        """The signed sums of `log_value` at the checked arguments xs, flat their list."""
-        w = np.asarray(signs, dtype=float)
-        if xs.shape == w.shape or (w.ndim == 1 and xs.shape[-1:] == w.shape):
-            shape = xs.shape
-        else:
-            try:
-                shape = np.broadcast_shapes(xs.shape, w.shape)
-            except ValueError:
-                shape = ()
-        if len(shape) not in (1, 2) or not 0 < math.prod(shape) <= _BATCH_ROWS:
-            raise DomainError(
-                f"x and signs must broadcast to one row of terms or to rows of them, at most "
-                f"{_BATCH_ROWS} in all; got shapes {xs.shape} and {w.shape}"
-            )
-        # a row of weights serves every row of x as it stands
-        x = np.broadcast_to(xs, shape) if xs.shape != shape else xs
-        if w.shape[-1:] != shape[-1:]:
-            w = np.broadcast_to(w, shape if w.ndim == 2 else shape[-1:])
-        x, w = x.reshape(-1, shape[-1]), w.reshape(-1, shape[-1])
-        # ln G(q/2) = 0, so q/2 at the opposite weight partners a term that has none:
-        # every term if some neighbours are not opposite, else the last of an odd row
-        n = shape[-1]
-        half_q = np.full_like(x[:, -1:], 0.5 * self.q)
-        if any(map(operator.add, w[:, 0:n - 1:2].ravel().tolist(), w[:, 1::2].ravel().tolist())):
-            x = np.stack((x, np.broadcast_to(half_q, x.shape)), axis=-1).reshape(len(x), -1)
-            w = np.stack((w, -w), axis=-1).reshape(len(w), -1)
-        elif n % 2:
-            x = np.concatenate((x, half_q), axis=1)
-            w = np.concatenate((w, -w[:, -1:]), axis=1)
-        values = self._sum_rows(x, w, flat)
-        return float(values[0]) if len(shape) == 1 else values
+    def _sum_rows(self, x: np.ndarray, flat: list) -> np.ndarray:
+        """Per row of x, pairs as `_ln_signed` takes them, the sum of ln G over the first
+        term of each pair less that over the second.
 
-    def _sum_rows(self, x: np.ndarray, w: np.ndarray, flat: list) -> np.ndarray:
-        """The sum of w ln G(x) over each row of x and w, rows as `_ln_signed` takes them.
-
-        flat is every argument but the q/2 partners: the rows are reduced
-        only if one of flat lies outside [_X_FLOOR, cap], and a sum that is
-        not finite raises DomainError naming the row.
+        flat is every argument but the q/2 pads: the rows are reduced only
+        if one of flat lies outside [_X_FLOOR, cap], and a sum that is not
+        finite raises DomainError naming the row.
         """
         if _X_FLOOR <= min(flat) and max(flat) <= self._x_cap:
-            values = self._ln_signed(x, None, w)
+            values = self._ln_signed(x, None)
         else:
-            values = self._ln_signed(*self._reduce_pairs(x, w), w)
+            values = self._ln_signed(*self._reduce_pairs(x))
         for row, v in enumerate(values.tolist()):
             if not math.isfinite(v):
                 raise DomainError(f"double gamma sum is not finite at gamma={self.gamma!r}, "
@@ -639,32 +625,25 @@ class Beta22Params:
             raise DomainError(f"b0 must be positive, got {self.b0!r}")
 
 
-# the weights of beta22_args in ln E[beta_{2,2}^p]: + for a numerator value, - for a
-# denominator one
-BETA22_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+def beta22_args(params: Beta22Params, p: float) -> tuple[tuple, tuple]:
+    """The double gamma arguments (num, den) of ln E[beta_{2,2}^p], four each.
 
-
-def beta22_args(params: Beta22Params, p: float) -> np.ndarray:
-    """The eight double gamma arguments of ln E[beta_{2,2}^p], weighted by BETA22_SIGNS.
-
-    Each numerator argument sits next to the denominator one that differs
-    from it by m p, and the pairs that b1 <-> b2 swaps side by side, so the
-    signed sum of `DoubleGamma.log_value` is bit-exact under the swap.  Raises DomainError
-    unless p > -b0 and every argument is positive.
+    The moment is the product of the double gamma values at num over those
+    at den.  b1 + b2 is grouped so that the arguments are bit-exact under
+    b1 <-> b2.  Raises DomainError unless p > -b0 and every argument is
+    positive.
     """
     if not p > -params.b0:
         raise DomainError(f"need p > -b0, got p={p!r}, b0={params.b0!r}")
     m = params.gamma / 2.0
     b0, b1, b2 = params.b0, params.b1, params.b2
-    b12 = b1 + b2  # grouped so the formula is bit-exact under b1 <-> b2
-    args = (
-        m * (p + b0), m * b0, m * (p + (b0 + b12)), m * (b0 + b12),
-        m * (b0 + b1), m * (p + (b0 + b1)), m * (b0 + b2), m * (p + (b0 + b2)),
-    )
-    for arg in args:
+    b12 = b1 + b2
+    num = (m * (p + b0), m * (p + (b0 + b12)), m * (b0 + b1), m * (b0 + b2))
+    den = (m * b0, m * (b0 + b12), m * (p + (b0 + b1)), m * (p + (b0 + b2)))
+    for arg in (*num, *den):
         if not arg > 0.0:
             raise DomainError(f"double gamma argument {arg!r} not positive")
-    return np.array(args)
+    return num, den
 
 
 def connection_coeffs(params: HypTriple, d1: float) -> tuple[float, float]:

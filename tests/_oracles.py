@@ -44,7 +44,6 @@ from gmcint.specfun import (
     _FACTORIAL,
     _HEAD_TERMS,
     _INV_H,
-    BETA22_SIGNS,
     Beta22Params,
     DoubleGamma,
     beta22_args,
@@ -69,15 +68,15 @@ def gamma_fn(x: float) -> float:
 def beta22_log_moment(params: Beta22Params, p: float) -> float:
     """ln E[beta_{2,2}(1, 4/gamma^2; b0, b1, b2)^p], for p > -b0.
 
-    One signed sum of eight double gamma values; every argument must be positive.
+    One sum of four double gamma logs less four; every argument must be positive.
     """
-    args = beta22_args(params, p)
-    return double_gamma_evaluator(params.gamma).log_value(args, BETA22_SIGNS)
+    num, den = beta22_args(params, p)
+    return double_gamma_evaluator(params.gamma).log_value(num, den=den)
 
 
-def beta22_log_from_values(lv) -> float:
-    """ln E[beta_{2,2}^p] from the double gamma values at its `beta22_args`."""
-    return (lv[0] - lv[1]) + (lv[2] - lv[3]) - ((lv[5] - lv[4]) + (lv[7] - lv[6]))
+def beta22_log_from_values(num, den) -> float:
+    """ln E[beta_{2,2}^p] from the double gamma logs at its `beta22_args` (num, den)."""
+    return (num[0] - den[0]) + (num[1] - den[1]) - ((den[2] - num[2]) + (den[3] - num[3]))
 
 
 def window_log_values(ev: DoubleGamma, xs: list) -> list:

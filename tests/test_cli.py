@@ -394,6 +394,13 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
       "--t=-1e300"], {}, 1),
     (["predict-u", "--gamma", "1", "--p", "1.2", "--a", "-0.9", "--b", "-0.9", "--kind", "one",
       "--t=-5e256"], {}, 1),
+    # plans whose value array (7.28 TiB) or grid (2.91 TiB) could never be allocated
+    (["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "1000000000000",
+      "--batches", "10", "--n-modes", "16"], {}, 1),
+    (["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "1000",
+      "--n-modes", "100000000000"], {}, 1),
+    (["dgamma", "--gamma", "1", "--x-min", "1", "--x-max", "inf"], {}, 1),
+    (["barnes", "--x-min", "nan"], {}, 1),
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -404,6 +411,9 @@ def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     assert "Traceback" not in proc.stderr
     if code:
         assert len(proc.stderr.strip().splitlines()) == 1
+    for flag, value in zip(argv, argv[1:]):
+        if flag.startswith("--x-") and not math.isfinite(float(value)):
+            assert flag in proc.stderr  # named by its flag, not by a value linspace made
 
 
 _EXTREME = [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 0.0]

@@ -448,7 +448,7 @@ def test_shift_closure_property(params):
     assert shift_ratio(params, ShiftKind.P_MINUS_ONE_TO_P) == pytest.approx(lhs, rel=1e-8)
 
 
-# each closed form that sums double gamma values, called at gamma, and the sign rows it sums
+# each closed form that sums double gamma values, called at gamma, and the rows of terms it sums
 # (the martingale moment is at gamma 2 whatever gamma is)
 _SIGNED_SUMS = [
     ("exact_moment", lambda g: log_exact_moment(GmcParams(g, -1.2, 0.7, 0.05)), 1),
@@ -463,7 +463,7 @@ _SIGNED_SUMS = [
 @pytest.mark.parametrize("fn,rows", [case[1:] for case in _SIGNED_SUMS],
                          ids=[case[0] for case in _SIGNED_SUMS])
 def test_one_integral_per_closed_form(monkeypatch, gamma, fn, rows):
-    # one integrate_panels call, whose integrand gives one row per sign row,
+    # one integrate_panels call, whose integrand gives one row per row of terms,
     # and no shift reduction: every argument is inside the integral's reach
     panels, shapes, lgamma_calls = [], [], []
 
@@ -480,8 +480,14 @@ def test_one_integral_per_closed_form(monkeypatch, gamma, fn, rows):
     monkeypatch.setattr(specfun, "integrate_panels", counted_panels)
     monkeypatch.setattr(specfun, "_lgamma_sums",
                         lambda pieces: lgamma_calls.append(pieces) or lgamma_sums(pieces))
+    # every closed form enters through log_value, whose spans the benchmark's tracer counts
+    log_value = specfun.DoubleGamma.log_value
+    entries = []
+    monkeypatch.setattr(specfun.DoubleGamma, "log_value",
+                        lambda self, *args, **kw: entries.append(args) or log_value(self, *args, **kw))
     specfun.double_gamma_evaluator.cache_clear()
     assert math.isfinite(fn(gamma))
+    assert len(entries) == 1
     assert panels == [(3, len(quadrature.LADDER) - 1)]
     assert shapes == [(rows, len(quadrature.LADDER) - 4, 48)]
     assert lgamma_calls == []
@@ -492,7 +498,10 @@ def test_one_integral_per_closed_form(monkeypatch, gamma, fn, rows):
 # 1 + (4/gamma^2)(1 + a), a or b near -1 - gamma^2/4, where a denominator
 # argument falls below specfun._X_FLOOR and is lifted by m-steps, and
 # arguments above the cap of the signed sum (55.6 from gamma 0.048 on),
-# which step down by n-steps in pairs.  The last four points have dyadic
+# which step down by n-steps in pairs.  At (1, 3.99, 0, 0), (0.8, 1.62,
+# -0.9, 0.3) and (0.6, 0.4, -1.04, 0.5) the sorted pairing of
+# `DoubleGamma.log_value` does not pair each numerator argument with the
+# denominator one p gamma/2 away.  The last four points have dyadic
 # gamma, p, a and b, so that the double gamma arguments are exact doubles;
 # elsewhere at small gamma the rounding of the arguments alone moves ln M by
 # about psi(x) ulp(x), 1.7e-12 at (0.1, 0.5, 1, 1) (see the next test).
@@ -505,6 +514,7 @@ _LN_MOMENT_ORACLE = [
     (0.8, 1.62, -0.9, 0.3, 8.415567582047706744534),
     (0.8, -0.5, -1.155, 0.3, -3.815207280368081931756),
     (0.3, -3.0, 0.2, -1.02, -12.64970306499734049579),
+    (0.6, 0.4, -1.04, 0.5, 2.276831438172824942072),
     (0.5, -0.5, -1.0546875, 0.25, -3.034817018467565618232),
     (0.0625, -1.5, 0.5, 0.25, 1.047310919306491971949),
     (0.125, 0.5, 1.0, 1.0, -0.8975924061743639315864),

@@ -116,6 +116,11 @@ class TestMcMoment:
             McConfig(1001, 256, QuadGrid(2048), 1, batches=10)
         with pytest.raises(DomainError):
             McConfig(1000, 0, QuadGrid(2048), 1)
+        # refused before anything is allocated
+        for replicates, n_modes, cells in ((10**12, 16, 64), (1000, 10**11, 4 * 10**11),
+                                           (1000, 16, 10**12)):
+            with pytest.raises(DomainError, match="plan too large"):
+                McConfig(replicates, n_modes, QuadGrid(cells), 1, batches=10)
 
     def test_negative_and_huge_seeds_accepted(self):
         params = GmcParams(1.0, -1.0, 0.0, 0.0)

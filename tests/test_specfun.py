@@ -327,8 +327,34 @@ class TestDoubleGamma:
         q, cap = ev.q, ev._x_cap
         assert specfun._X_FLOOR < q < cap
         for x in (0.02, 0.6 * q, 0.5 * (q + cap), 3.0 * cap, 0.5 * q):
-            assert ev.log_value(x) == ev.log_value([x], [1.0])
+            assert ev.log_value(x) == ev.log_value([x], den=[])
         assert ev.log_value(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.3, 1.0, 2.0])
+    def test_sum_does_not_depend_on_term_order(self, gamma):
+        # the evaluator pairs the terms itself, so any order of num or of den gives
+        # the same rows; arguments below the floor, near q/2 and above the cap
+        ev = DoubleGamma(gamma)
+        rng = np.random.default_rng(18)
+        q, cap = ev.q, ev._x_cap
+        num = np.concatenate(([0.02, 0.5 * q, 3.0 * cap], rng.uniform(0.05, cap, 3)))
+        den = np.concatenate(([0.03, 2.0 * cap], rng.uniform(0.05, cap, 2)))
+        want = ev.log_value(num, den=den)
+        for _ in range(5):
+            assert ev.log_value(rng.permutation(num), den=den) == want
+            assert ev.log_value(num, den=rng.permutation(den)) == want
+        rows = ev.log_value(np.stack((num, num[::-1])), den=np.stack((den[::-1], den)))
+        assert rows.tolist() == [want, want]
+
+    def test_num_and_den_shapes(self):
+        ev = DoubleGamma(1.0)
+        assert ev.log_value([0.7], den=[0.7]) == 0.0
+        for num, den in (([0.5], [[0.7]]), ([[0.5], [0.6]], [[0.7]]), (0.5, 0.7), ([], []),
+                         (np.ones(65), np.ones(64))):
+            with pytest.raises(DomainError, match="num and den"):
+                ev.log_value(num, den=den)
+        with pytest.raises(TypeError):
+            ev.log_value([0.5], [1.0])  # den is keyword-only
 
     def test_window_sweep_passes_every_panel_with_margin(self, monkeypatch):
         # one round, no refinement: every ladder panel of every window x must
@@ -492,11 +518,11 @@ class TestDoubleGamma:
         ev = DoubleGamma(1.0)
         signed = ev._ln_signed
         monkeypatch.setattr(ev, "_ln_signed",
-                            lambda y, shift, w: np.where(y[:, 0] == 0.5, np.nan, signed(y, shift, w)))
+                            lambda y, shift: np.where(y[:, 0] == 0.5, np.nan, signed(y, shift)))
         with pytest.raises(DomainError, match=r"gamma=1\.0, x=\[0\.5, 1\.25\]"):
             ev.log_value(np.array([0.7, 0.5]))
         with pytest.raises(DomainError, match=r"gamma=1\.0, x=\[0\.5, 0\.7\]"):
-            ev.log_value([0.5, 0.7], [1.0, -1.0])
+            ev.log_value([0.5], den=[0.7])
         monkeypatch.undo()
         assert ev.log_value(0.5) == DoubleGamma(1.0).log_value(0.5)
 
@@ -539,8 +565,10 @@ class TestBeta22:
     def test_signed_sum_matches_eight_values(self, g, b0, b1, b2, p):
         # the one signed integral against each double gamma value on its own
         params = Beta22Params(g, b0, b1, b2)
-        lv = double_gamma_evaluator(g).log_value(beta22_args(params, p)).tolist()
-        assert beta22_log_moment(params, p) == pytest.approx(beta22_log_from_values(lv), abs=1e-12)
+        num, den = (double_gamma_evaluator(g).log_value(side).tolist()
+                    for side in beta22_args(params, p))
+        assert beta22_log_moment(params, p) == pytest.approx(beta22_log_from_values(num, den),
+                                                             abs=1e-12)
 
     @given(
         b1=st.floats(min_value=0.05, max_value=1.5),
