@@ -15,15 +15,19 @@ gmc_integral_batch reduces every field against a matrix of such rows.
 
 A batch of coefficient rows streams through one workspace of at most
 _BLOCK_BYTES, sized to stay in cache: per block of rows the scaled modes are
-written in, transformed by an in-place DCT-III and exponentiated in place,
-then weighted and summed row by row in numpy's fixed pairwise order.  A
-value therefore depends on its own row and weight alone, never on the chunk
-or block it was computed in or on the other weights, and a batch call's
-memory does not grow with its rows.
+written in as a half spectrum, transformed by one real inverse FFT and
+exponentiated in place, then weighted and summed row by row in numpy's
+fixed pairwise order.  A value therefore depends on its own row and weight
+alone, never on the chunk or block it was computed in or on the other
+weights, and a batch call's memory does not grow with its rows.
 
-SciPy (the DCT and the incomplete Beta function) is imported inside the
-functions that call it, so that importing gmcint, and every closed form,
-does without it.
+The DCT-III is Makhoul's (IEEE Trans. ASSP 28 (1980) 27-34): with the
+spectrum m e^{i pi n/(2m)} (x_n - i x_{m-n}), numpy.fft.irfft returns the
+transform in its own cell order, cell 2j at j and cell 2j+1 at m-1-j
+(_fft_order).  The field's modes stop at N < m/2, so only x_n is nonzero.
+The weight rows are put in that order once per call; the density never is.
+The cell masses come from an incomplete Beta function evaluated here
+(_cell_masses), so no part of the package imports SciPy.
 
 Replicate r of a run draws its coefficients from an own counter-based
 stream keyed by seed XOR r, so results do not depend on worker count or
@@ -42,10 +46,14 @@ from .errors import DomainError, GridError
 _TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 _FOUR_LN2 = 4.0 * math.log(2.0)
 _LAYOUTS_KEPT = 8  # grid workspaces, and cell-mass vectors, kept by the caches
-# bytes of density rows in flight per batch call: with the weight rows they stay
-# in one core's L2 cache
+# bytes of density and spectrum rows in flight per batch call: with the weight
+# rows they stay in one core's L2 cache, the spectra's zero tails included
 _BLOCK_BYTES = 1 << 20
+# continued-fraction steps before an incomplete Beta is refused; at the
+# switch point x_s a fraction takes about 60 steps at p = q = 1000
+_BETA_TERMS = 10_000
 _PHILOX_ZEROS = np.zeros(4, np.uint64)  # a fresh Philox's counter and buffer
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -77,31 +85,112 @@ def replicate_rng(seed: int, replicate: int,
 # ---------------------------------------------------------------------------
 # grid workspaces (deterministic, cached per layout)
 
+def _fft_order(cells: np.ndarray) -> np.ndarray:
+    """Cells (last axis) in the order irfft leaves a DCT-III: 2j at j, 2j+1 at m-1-j."""
+    return np.concatenate((cells[..., 0::2], cells[..., 1::2][..., ::-1]), axis=-1)
+
+
+def _twiddle(m_cells: int, count: int) -> np.ndarray:
+    """m e^{i pi n / (2m)} for n < count: the DCT-III's spectrum factors."""
+    return m_cells * np.exp((0.5j * math.pi / m_cells) * np.arange(count))
+
+
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _grid_workspace(n_modes: int, m_cells: int):
-    """Midpoints and truncated variance on the angle-uniform grid."""
-    from scipy import fft
+    """Midpoints and truncated variance on the angle-uniform grid, in cell order."""
     theta_edges = np.linspace(0.0, math.pi, m_cells + 1)
     theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
     x_mid = 0.5 * (1.0 - np.cos(theta_mid))
-    # Var_N on the midpoints: 4 ln2 + 2 H_N + sum (2/n) cos(2n theta)
-    coef = np.zeros(m_cells)
-    coef[2 : 2 * n_modes + 1 : 2] = 2.0 / np.arange(1, n_modes + 1)
-    coef[0] = _FOUR_LN2 + 2.0 * float(np.sum(1.0 / np.arange(1, n_modes + 1)))
-    d = coef.copy()
-    d[1:] *= 0.5
-    var_mid = fft.dct(d, type=3)
+    # Var_N on the midpoints: 4 ln2 + 2 H_N + sum (2/n) cos(2n theta), the DCT-III of
+    # d; at m = 4N its top term sits at m/2, so the mirrored half d_{m-n} is kept
+    d = np.zeros(m_cells + 1)
+    d[2 : 2 * n_modes + 1 : 2] = 1.0 / np.arange(1, n_modes + 1)
+    d[0] = _FOUR_LN2 + 2.0 * float(np.sum(1.0 / np.arange(1, n_modes + 1)))
+    half = m_cells // 2 + 1
+    spectrum = _twiddle(m_cells, half) * (d[:half] - 1j * d[m_cells : m_cells - half : -1])
+    var_mid = np.empty(m_cells)
+    var_mid[_fft_order(np.arange(m_cells))] = np.fft.irfft(spectrum, m_cells)
     return x_mid, var_mid
+
+
+def _beta_fraction(p: float, q: float, x: np.ndarray) -> np.ndarray:
+    """h with int_0^x t^(p-1) (1-t)^(q-1) dt = x^p (1-x)^q h / p, for ascending x <= x_s.
+
+    The incomplete Beta's continued fraction by Lentz's method (Numerical
+    Recipes, 3rd ed., 6.4), all x at once.  Below x_s = (p+1)/(p+q+2) it
+    converges fastest at the smallest x, so the settled head of the array
+    is dropped after each step.  None if it is not finite or has not
+    settled after _BETA_TERMS steps.
+    """
+    out = np.empty_like(x)
+    c = np.ones_like(x)
+    d = 1.0 / (1.0 - ((p + q) / (p + 1.0)) * x)
+    h = d.copy()
+    done = 0
+    for k in range(1, _BETA_TERMS + 1):
+        for coef in (k * (q - k) / ((p + 2 * k - 1.0) * (p + 2 * k)),
+                     -(p + k) * (p + q + k) / ((p + 2 * k) * (p + 2 * k + 1.0))):
+            step = coef * x
+            d *= step
+            d += 1.0
+            np.reciprocal(d, out=d)
+            np.divide(step, c, out=c)
+            c += 1.0
+            h *= d
+            h *= c
+        delta = d * c
+        settled = np.abs(delta - 1.0) <= _EPS
+        if settled.all():
+            n = len(x)
+        elif not np.isfinite(delta).all():
+            return None
+        else:
+            n = int(settled.argmin())
+        if n:
+            out[done : done + n] = h[:n]
+            done += n
+            x, c, d, h = x[n:], c[n:], d[n:], h[n:]
+            if not len(x):
+                return out
+    return None
 
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _cell_masses(m_cells: int, a: float, b: float, eta: float = 1.0) -> np.ndarray:
-    """Exact integrals of x^a (1-x)^b over each cell, truncated at eta."""
-    from scipy.special import betainc, betaln
-    x_edges = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, m_cells + 1)))
-    xe = np.minimum(x_edges, eta)
-    scale = math.exp(betaln(a + 1.0, b + 1.0))
-    return scale * np.diff(betainc(a + 1.0, b + 1.0, xe))
+    """Exact integrals of x^a (1-x)^b over each cell, truncated at eta.
+
+    With p = a+1, q = b+1 and x_s = (p+1)/(p+q+2), a cell below x_s is a
+    difference of integrals from 0 and a cell above it one of integrals to
+    1, so a small mass at either end is never the difference of two numbers
+    near the total; the cell across x_s is one piece of each.
+    """
+    p, q = a + 1.0, b + 1.0
+    x_s = (p + 1.0) / (p + q + 2.0)
+    xe = np.minimum(0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, m_cells + 1))), eta)
+    k = int(np.searchsorted(xe, x_s))  # edges below x_s
+    below, above = np.append(xe[:k], x_s), np.append(x_s, xe[k:])
+    with np.errstate(all="ignore"):
+        h_below = _beta_fraction(p, q, below)
+        h_above = _beta_fraction(q, p, 1.0 - above[::-1])
+        if h_below is None or h_above is None:
+            raise DomainError(f"no finite incomplete Beta for the cell masses of a={a!r}, "
+                              f"b={b!r} within {_BETA_TERMS} continued-fraction terms")
+
+        def prefactor(x):  # x^p (1-x)^q, with 1-x exact from x = 1/2 on
+            return np.power(x, p) * np.where(x < 0.5, np.exp(q * np.log1p(-x)),
+                                             np.power(1.0 - x, q))
+
+        lower = prefactor(below) * h_below / p  # from 0 to x
+        upper = prefactor(above) * h_above[::-1] / q  # from x to 1
+    masses = np.diff(lower)
+    if k > m_cells:  # every edge lies below x_s
+        masses = masses[:-1]
+    else:
+        masses[-1] += upper[0] - upper[1]
+        masses = np.concatenate((masses, -np.diff(upper[1:])))
+    if not np.all(np.isfinite(masses)):
+        raise DomainError(f"cell masses are not finite at a={a!r}, b={b!r}")
+    return masses
 
 
 def cell_weights(grid: QuadGrid, n_modes: int, a: float, b: float, t: float = 0.0,
@@ -110,8 +199,8 @@ def cell_weights(grid: QuadGrid, n_modes: int, a: float, b: float, t: float = 0.
     m_cells = grid.m_cells
     if m_cells < 4 * n_modes:
         raise GridError(f"m_cells={m_cells} < 4*n_modes={4 * n_modes}")
-    if not (a > -1.0 and b > -1.0):
-        raise DomainError("quadrature needs a, b > -1")
+    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
+        raise DomainError(f"quadrature needs finite a, b > -1, got a={a!r}, b={b!r}")
     if not (-math.inf < t <= 0.0 and math.isfinite(chi)):
         raise DomainError(f"insertion needs finite chi and t <= 0, got t={t!r}, chi={chi!r}")
     if not 0.0 < eta <= 1.0:
@@ -121,38 +210,45 @@ def cell_weights(grid: QuadGrid, n_modes: int, a: float, b: float, t: float = 0.
     return _cell_masses(m_cells, a, b, eta) * (x_mid - t) ** chi
 
 
+def _block_rows(m_cells: int) -> int:
+    """Rows per block, at least one: a row is m doubles of density and m/2+1 complexes
+    of spectrum, about 16 m bytes."""
+    return max(1, _BLOCK_BYTES // (16 * m_cells))
+
+
 def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, grid: QuadGrid,
                        drop_mean: bool = False) -> np.ndarray:
     """Regularized GMC integrals of coefficient rows: shape (rows, k) for k weight rows.
 
-    The rows stream through one workspace of at most _BLOCK_BYTES (at least
-    one row), each block transformed and exponentiated in place.  Each weight
-    but the last is multiplied into a spare block, the last in place, and
-    every product is summed over its row alone in fixed (pairwise) order.
+    The rows stream through one workspace of _block_rows rows, each block
+    transformed into it and exponentiated in place.  Each weight but the
+    last is multiplied into a spare block, the last in place, and every
+    product is summed over its row alone in fixed (pairwise) order.
     """
-    from scipy import fft
     n_rows, n_coef = alphas.shape
     n_modes = n_coef - 1
     m_cells = grid.m_cells
+    if m_cells < 4 * n_modes:
+        raise GridError(f"m_cells={m_cells} < 4*n_modes={4 * n_modes}")
     _, var_mid = _grid_workspace(n_modes, m_cells)
     var = var_mid - _FOUR_LN2 if drop_mean else var_mid
     # exp(gamma/2 X - gamma^2/8 Var) w = exp(gamma/2 X) (w exp(-gamma^2/8 Var)): the
-    # variance factor goes into the weights once per call, gamma/2 into the DCT input
-    weights = weights * np.exp((-gamma * gamma / 8.0) * var)
-    # DCT-III input of mode n: (gamma/2) (2 / sqrt(n)) alpha_n, halved
-    mode_scale = (0.5 * gamma) / np.sqrt(np.arange(1, n_coef))
-    mean_scale = 0.5 * gamma * _TWO_SQRT_LN2
-    block = max(1, min(n_rows, _BLOCK_BYTES // (8 * m_cells)))
+    # variance factor goes into the weights once per call, in the transform's cell order
+    weights = _fft_order(weights * np.exp((-gamma * gamma / 8.0) * var))
+    # spectrum of mode n: (gamma/2) (2 / sqrt(n)) alpha_n, halved, times the twiddle
+    twiddle = _twiddle(m_cells, n_coef)
+    twiddle[0] *= 0.0 if drop_mean else 0.5 * gamma * _TWO_SQRT_LN2
+    twiddle[1:] *= (0.5 * gamma) / np.sqrt(np.arange(1, n_coef))
+    block = min(n_rows, _block_rows(m_cells))
     work = np.empty((block, m_cells))
+    # irfft only reads its input, so the spectrum's zero tail past mode N stays zero
+    spectrum = np.zeros((block, m_cells // 2 + 1), complex)
     spare = np.empty((block, m_cells)) if len(weights) > 1 else None
     out = np.empty((n_rows, len(weights)))
     for start in range(0, n_rows, block):
         rows = alphas[start : start + block]
-        coef = work[: len(rows)]
-        coef[:, 0] = 0.0 if drop_mean else mean_scale * rows[:, 0]
-        np.multiply(rows[:, 1:], mode_scale, out=coef[:, 1:n_coef])
-        coef[:, n_coef:] = 0.0
-        dens = fft.dct(coef, type=3, axis=1, overwrite_x=True)
+        np.multiply(rows, twiddle, out=spectrum[: len(rows), :n_coef])
+        dens = np.fft.irfft(spectrum[: len(rows)], m_cells, axis=1, out=work[: len(rows)])
         np.exp(dens, out=dens)
         sums = out[start : start + len(rows)]
         # not a BLAS product: its summation order follows the BLAS thread count

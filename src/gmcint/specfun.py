@@ -83,6 +83,7 @@ _HEAD_XS = 1.5
 # e^{-t}/t, -t and 1/t^2 on the ladder nodes: the integrand's factors of t alone
 _EXP_OVER_T = np.exp(-LADDER_T) / LADDER_T
 _NEG_T = -LADDER_T
+_EXP_FLOOR = -700.0  # e^-700 = 1e-304, far below any term it is added to
 _INV_T_SQUARED = 1.0 / LADDER_T**2
 _LADDER_EDGES = LADDER.tolist()  # as floats, for bisect and scalar arithmetic
 
@@ -356,9 +357,9 @@ class DoubleGamma:
         # (-q/2)^j, j >= 1, by a running product
         self._q_powers = np.array(list(itertools.accumulate([-0.5 * self.q] * len(i), operator.mul)))
         self._x_cap = _HEAD_XS / _LADDER_EDGES[self._head_panels]
-        # the integrand's denominator on the ladder nodes past the head
+        # 1 / (den t) on the ladder nodes past the head, den the integrand's denominator
         t = LADDER_T[self._head_panels:]
-        self._den = np.expm1(-self._m * t) * np.expm1(-self._n * t)
+        self._inv_den_t = 1.0 / (np.expm1(-self._m * t) * np.expm1(-self._n * t) * t)
 
     def _head(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The series head of ln G(x) over [0, LADDER[k]] at each x, d = q/2 - x and d^2/2.
@@ -403,8 +404,11 @@ class DoubleGamma:
         neg_t = _NEG_T[k:]
 
         def integrand(t):
-            num = _pairwise_sum(np.exp(near * neg_t) * np.expm1(gap * neg_t) * sign)
-            return num / self._den / t - (c2 * _EXP_OVER_T[k:] + c1 * _INV_T_SQUARED[k:])
+            # e^{-ut} below e^_EXP_FLOOR is lost against the other terms; clamped, it
+            # never underflows, which keeps exp off its slow path
+            decay = np.maximum(near * neg_t, _EXP_FLOOR)
+            num = _pairwise_sum(np.exp(decay, out=decay) * np.expm1(gap * neg_t) * sign)
+            return num * self._inv_den_t - (c2 * _EXP_OVER_T[k:] + c1 * _INV_T_SQUARED[k:])
 
         return sums[0] + integrate_panels(integrand, k, len(LADDER) - 1)
 
@@ -422,9 +426,13 @@ class DoubleGamma:
         """
         n, cap = self._n, self._x_cap
         xa, xb = x[:, 0::2], x[:, 1::2]
-        k = np.ceil((np.maximum(xa, xb) - cap) / n)
-        together = (k > 0) & (k <= _SHIFT_BLOCK) & (np.minimum(xa, xb) - k * n > 0.0)
-        joint = together.any()
+        low = np.minimum(xa, xb)
+        # a pair whose smaller argument is at most n cannot step (a lone value's q/2 < n)
+        joint = low.max() > n
+        if joint:
+            k = np.ceil((np.maximum(xa, xb) - cap) / n)
+            together = (k > 0) & (k <= _SHIFT_BLOCK) & (low - k * n > 0.0)
+            joint = together.any()
         if joint:
             x = x - np.repeat(np.where(together, k, 0.0), 2, axis=1) * n
         y, shift = self._reduce(x.ravel().tolist(), cap)

@@ -14,11 +14,12 @@ window_log_values is that per-value route, reduced into (m, q] and
 integrated one value per integrand row.  The pointwise
 field code evaluates one field sample and its variance by the three-term
 Chebyshev recurrence, against which the tests check the DCT route of
-gmcint.field.  The full-chunk batch integral is the array pipeline that
-gmcint.field streams in blocks: it shares the package's grid and cell
-masses but forms every density row at once and reduces them with a BLAS
-matrix-vector product.  sample_y_gamma draws from the exact circle-mass
-law.  dgamma_head_weights is the double gamma series head's weights as a
+gmcint.field, and beta_cell gives a cell's mass to 40 digits.  The
+full-chunk batch integral is the array pipeline that gmcint.field streams
+in blocks: it shares the package's grid and cell masses but forms every
+density row at once, by SciPy's DCT-III in natural cell order, and
+reduces them with a BLAS matrix-vector product.  sample_y_gamma draws
+from the exact circle-mass law.  dgamma_head_weights is the double gamma series head's weights as a
 Toeplitz sum per gamma, the form that gmcint.specfun folds into one
 constant matrix per head length.
 """
@@ -93,12 +94,13 @@ def window_log_values(ev: DoubleGamma, xs: list) -> list:
     head, d, _ = ev._head(y)
     k = ev._head_panels
     x = y[:, None, None]
+    den = np.expm1(-ev._m * LADDER_T[k:]) * np.expm1(-ev._n * LADDER_T[k:])
 
     def integrand(t):
         dx = 0.5 * ev.q - x
         # e^{-xt} - e^{-qt/2} in one form, with no overflow and no cancellation
         num = np.exp(-np.minimum(x, 0.5 * ev.q) * t) * np.expm1(-np.abs(dx) * t)
-        return (np.copysign(num, dx) / ev._den / t - (0.5 * dx * dx) * _EXP_OVER_T[k:]
+        return (np.copysign(num, dx) / den / t - (0.5 * dx * dx) * _EXP_OVER_T[k:]
                 - dx / _T_SQUARED[k:])
 
     values = (head + integrate_panels(integrand, k, len(LADDER) - 1) - d / LADDER[-1]).tolist()
@@ -240,6 +242,46 @@ def observable_tail(a, b, c, d1, t, digits=40):
         if dps > 4000:
             raise ArithmeticError(f"observable oracle lost {lost} digits at t={t!r}")
         dps = digits + lost + 15
+
+
+def beta_cell(p: float, q: float, x1: float, x2: float, digits: int = 40):
+    """The integral of t^(p-1) (1-t)^(q-1) over [x1, x2], at the exact double edges.
+
+    Integrals from 0 up to x <= 1/2, and to 1 from x >= 1/2, each as
+    x^p (1-x)^q / p 2F1(p+q, 1; p+1; x): a series of positive terms, summed
+    by hand.  mpmath's betainc sums 2F1(p, 1-q; p+1; x), whose terms
+    alternate; it returned 0 for a cell of mass 1.6e-46 at p = 164.7,
+    q = 0.132.  The integrals can exceed the cell by many digits (by 78 for a
+    cell near 0.8 at p = 827, q = 1.6e-6), so the working precision is
+    raised until `digits` survive their difference.
+    """
+    def from_zero(p, q, x):
+        if not x:
+            return mp.mpf(0)
+        return x**p * (1 - x) ** q / p * _hyp2f1_series(p + q, 1, p + 1, x)[0]
+
+    if x1 == x2:
+        return mp.mpf(0)
+    dps = digits + 20
+    while True:
+        with mp.workdps(dps):
+            p_, q_, lo, hi = mp.mpf(p), mp.mpf(q), mp.mpf(x1), mp.mpf(x2)
+            half = mp.mpf(0.5)
+            if hi <= half:
+                parts = [from_zero(p_, q_, hi), -from_zero(p_, q_, lo)]
+            elif lo >= half:
+                parts = [from_zero(q_, p_, 1 - lo), -from_zero(q_, p_, 1 - hi)]
+            else:
+                parts = [from_zero(p_, q_, half), -from_zero(p_, q_, lo),
+                         from_zero(q_, p_, half), -from_zero(q_, p_, 1 - hi)]
+            value = mp.fsum(parts)
+            # all digits lost if the difference comes out 0; the mass of a cell is positive
+            lost = int(mp.log10(max(abs(x) for x in parts) / abs(value))) + 1 if value else dps
+        if lost + digits + 5 <= dps:
+            return +value
+        if dps > 4000:
+            raise ArithmeticError(f"beta_cell lost {lost} digits on [{x1!r}, {x2!r}]")
+        dps = digits + lost + 20
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import betainc, betaln
+from scipy.special import betainc, betaincc, betaln
 from scipy.stats import ks_2samp
 
 from _oracles import (
     ChebFieldSample,
+    beta_cell,
     default_grid,
     eval_field,
     field_variance,
@@ -136,6 +137,73 @@ class TestBoundedCaches:
         np.testing.assert_array_equal(field._cell_masses(16, 0.25, 0.5), masses)
 
 
+def _cell_mass_cases():
+    """Seeded (a, b, eta, m_cells) over the domain cell_weights accepts.
+
+    a and b cycle through near -1 (-1 + 10^U(-6, -2)), moderate (U(-0.9, 3))
+    and large (10^U(1.5, 3)); every other case truncates at eta in
+    U(0.05, 1); m_cells is 4, 5 or 8 cells per mode for N = 2^k, k in [2, 16].
+    """
+    rng = np.random.default_rng(1980)
+
+    def exponent(kind):
+        if kind == 0:
+            return -1.0 + 10.0 ** rng.uniform(-6.0, -2.0)
+        if kind == 1:
+            return rng.uniform(-0.9, 3.0)
+        return 10.0 ** rng.uniform(1.5, 3.0)
+
+    cases = []
+    for i in range(18):
+        a, b = exponent(i % 3), exponent((i // 3) % 3)
+        eta = 1.0 if i % 2 else rng.uniform(0.05, 1.0)
+        m_cells = int(rng.choice((4, 5, 8))) << int(rng.integers(2, 17))
+        cases.append((a, b, eta, m_cells))
+    return cases
+
+
+class TestCellMasses:
+    def test_cell_masses_against_mpmath(self):
+        """Each mass is a difference of two integrals of x^a (1-x)^b: from 0 when
+        the cell lies below x_s = (p+1)/(p+q+2), from 1 when it lies above, and
+        one of each across x_s.  Its error is bounded by 2e-13 times the sum of
+        those integrals (S), plus 1e-300 where they underflow.  The bound was
+        fixed before the first run: each integral is good to about 100
+        roundings of its prefactor and continued fraction.  S comes from
+        SciPy's regularized incomplete Beta, the masses from 40-digit mpmath."""
+        from gmcint.field import _cell_masses
+
+        sides = set()
+        for a, b, eta, m_cells in _cell_mass_cases():
+            p, q = a + 1.0, b + 1.0
+            x_s = (p + 1.0) / (p + q + 2.0)
+            total = math.exp(betaln(p, q))
+            edges = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, m_cells + 1)))
+            got = _cell_masses(m_cells, a, b, eta)
+            assert got.shape == (m_cells,)
+            k_s = int(np.searchsorted(edges, x_s)) - 1  # the cell across x_s
+            k_eta = int(np.searchsorted(edges, eta)) - 1
+            picks = {0, 1, 2, m_cells - 3, m_cells - 2, m_cells - 1, k_s - 1, k_s, k_s + 1,
+                     k_eta - 1, k_eta, k_eta + 1}
+            picks |= set(np.random.default_rng(m_cells).integers(0, m_cells, 6).tolist())
+            for i in sorted(k for k in picks if 0 <= k < m_cells):
+                x1, x2 = edges[i], min(edges[i + 1], eta)
+                if x1 >= eta:
+                    assert got[i] == 0.0, (a, b, eta, m_cells, i)
+                    continue
+                want = float(beta_cell(p, q, x1, x2))
+                scale = 0.0
+                if x1 < x_s:
+                    scale += total * betainc(p, q, min(x2, x_s))
+                    sides.add("below")
+                if x2 > x_s:
+                    scale += total * betaincc(p, q, max(x1, x_s))
+                    sides.add("above")
+                err = abs(got[i] - want)
+                assert err <= 2e-13 * scale + 1e-300, (a, b, eta, m_cells, i, got[i], want, scale)
+        assert sides == {"below", "above"}
+
+
 class TestGmcIntegral:
     def test_zero_field_value_against_direct_sum(self):
         # independent oracle: Riemann-style sum with recurrence-based variance
@@ -189,6 +257,10 @@ class TestGmcIntegral:
         for eta in (math.nan, 0.0, -0.5, 1.5, math.inf):
             with pytest.raises(DomainError):
                 cell_weights(default_grid(4), 4, 0.0, 0.0, eta=eta)
+        # from about 1e16 on the incomplete Beta's continued fraction is not finite
+        for a, b in ((math.inf, 0.0), (0.0, math.nan), (1e300, 0.0), (0.0, 1e300)):
+            with pytest.raises(DomainError):
+                cell_weights(default_grid(4), 4, a, b)
 
     def test_eta_truncation_zero_field(self):
         n_modes = 16
@@ -216,10 +288,10 @@ class TestGmcIntegral:
 class TestStreamedBatch:
     @pytest.mark.parametrize("n_modes,m_cells", [(512, 4096), (300, 1500)])
     def test_matches_full_chunk_reference(self, n_modes, m_cells):
-        from gmcint.field import _BLOCK_BYTES
+        from gmcint.field import _block_rows
 
         grid = QuadGrid(m_cells)
-        block = max(1, _BLOCK_BYTES // (8 * m_cells))
+        block = _block_rows(m_cells)
         alphas = draw_alphas(41, block + block // 2 + 1, n_modes)  # a partial last block
         settings = itertools.product(
             (0.3, 1.0, 1.9),  # gamma
@@ -248,11 +320,11 @@ class TestStreamedBatch:
 
     @pytest.mark.parametrize("drop_mean", [False, True])
     def test_weight_columns_equal_lone_weights(self, drop_mean):
-        from gmcint.field import _BLOCK_BYTES
+        from gmcint.field import _block_rows
 
         n_modes = 300
         grid = QuadGrid(2048)
-        block = _BLOCK_BYTES // (8 * grid.m_cells)
+        block = _block_rows(grid.m_cells)
         alphas = draw_alphas(43, block + 5, n_modes)  # a partial last block
         settings = [(0.0, 0.0, 0.0, 0.0, 1.0), (0.5, -0.3, -0.5, 0.25, 1.0),
                     (0.2, 0.1, -1e-6, 1.0, 0.6), (-0.6, 0.0, 0.0, 0.0, 0.6)]
