@@ -119,10 +119,10 @@ def _beta_fraction(p: float, q: float, x: np.ndarray) -> np.ndarray:
     The incomplete Beta's continued fraction by Lentz's method (Numerical
     Recipes, 3rd ed., 6.4), all x at once.  Below x_s = (p+1)/(p+q+2) it
     converges fastest at the smallest x, so the settled head of the array
-    is dropped after each step.  None if it is not finite or has not
-    settled after _BETA_TERMS steps.
+    is dropped after each step.  Where it is not finite, or has not settled
+    after _BETA_TERMS steps, h is NaN.
     """
-    out = np.empty_like(x)
+    out = np.full_like(x, np.nan)
     c = np.ones_like(x)
     d = 1.0 / (1.0 - ((p + q) / (p + 1.0)) * x)
     h = d.copy()
@@ -143,7 +143,7 @@ def _beta_fraction(p: float, q: float, x: np.ndarray) -> np.ndarray:
         if settled.all():
             n = len(x)
         elif not np.isfinite(delta).all():
-            return None
+            return out
         else:
             n = int(settled.argmin())
         if n:
@@ -151,8 +151,8 @@ def _beta_fraction(p: float, q: float, x: np.ndarray) -> np.ndarray:
             done += n
             x, c, d, h = x[n:], c[n:], d[n:], h[n:]
             if not len(x):
-                return out
-    return None
+                break
+    return out
 
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
@@ -170,18 +170,12 @@ def _cell_masses(m_cells: int, a: float, b: float, eta: float = 1.0) -> np.ndarr
     k = int(np.searchsorted(xe, x_s))  # edges below x_s
     below, above = np.append(xe[:k], x_s), np.append(x_s, xe[k:])
     with np.errstate(all="ignore"):
-        h_below = _beta_fraction(p, q, below)
-        h_above = _beta_fraction(q, p, 1.0 - above[::-1])
-        if h_below is None or h_above is None:
-            raise DomainError(f"no finite incomplete Beta for the cell masses of a={a!r}, "
-                              f"b={b!r} within {_BETA_TERMS} continued-fraction terms")
-
         def prefactor(x):  # x^p (1-x)^q, with 1-x exact from x = 1/2 on
             return np.power(x, p) * np.where(x < 0.5, np.exp(q * np.log1p(-x)),
                                              np.power(1.0 - x, q))
 
-        lower = prefactor(below) * h_below / p  # from 0 to x
-        upper = prefactor(above) * h_above[::-1] / q  # from x to 1
+        lower = prefactor(below) * _beta_fraction(p, q, below) / p  # from 0 to x
+        upper = prefactor(above) * _beta_fraction(q, p, 1.0 - above[::-1])[::-1] / q  # x to 1
     masses = np.diff(lower)
     if k > m_cells:  # every edge lies below x_s
         masses = masses[:-1]
@@ -189,7 +183,8 @@ def _cell_masses(m_cells: int, a: float, b: float, eta: float = 1.0) -> np.ndarr
         masses[-1] += upper[0] - upper[1]
         masses = np.concatenate((masses, -np.diff(upper[1:])))
     if not np.all(np.isfinite(masses)):
-        raise DomainError(f"cell masses are not finite at a={a!r}, b={b!r}")
+        raise DomainError(f"cell masses are not finite at a={a!r}, b={b!r}: the incomplete "
+                          f"Beta's continued fraction fails or needs over {_BETA_TERMS} terms")
     return masses
 
 
