@@ -6,7 +6,8 @@ gamma function (over an array of arguments at once, for gamma in
 [0.01, 2]: a Taylor series head on the first ladder panels, up to 2.7e-2,
 then its defining integral over the rest of the panel ladder, up to its top
 edge, taken by `quadrature.integrate_panels` in one round, then the
-algebraic tail in closed form),
+algebraic tail in closed form; larger arguments by differences of its
+asymptotic series and at most a few shift steps),
 Barnes G, moments of the generalized beta law, and the first column of
 the connection matrix between hypergeometric solution bases.  A ratio of
 double gamma products, the form of every closed form in `exactlaw`, is one
@@ -57,10 +58,6 @@ _EVALUATORS_KEPT = 128  # per-gamma evaluators kept by double_gamma_evaluator
 # lone values, or numerator and denominator terms, per `integrate_panels` call,
 # which bounds its memory
 _BATCH_ROWS = 128
-# lgamma terms per call and per summed piece of the shift reduction; larger
-# blocks run slower, as their temporaries are mapped afresh on every call
-_SHIFT_BLOCK = 1 << 12
-_MAX_SHIFT_STEPS = 10**8  # about 5 s of shift reduction; larger arguments are refused
 # The double gamma integral's Taylor head covers [0, LADDER[k]] and the
 # quadrature LADDER the rest.  The head's series converges for t < pi gamma,
 # and k is the largest k <= _HEAD_PANELS with LADDER[k] <= _HEAD_REACH * pi
@@ -76,10 +73,17 @@ _HEAD_REACH = 0.18
 _GAMMA_FLOOR = 0.01
 _X_FLOOR = 0.05  # arguments below this are lifted by m-shifts
 # A sum of values takes x up to _HEAD_XS / LADDER[k] into its one
-# integral, k the head's panels, and reduces only larger x by n-steps.
+# integral, k the head's panels, and reduces only larger x.
 # The head's reach keeps q LADDER[k] <= 1.13, so that cap is above q and
 # above n, and an n-step from above it lands above 13.
 _HEAD_XS = 1.5
+# Past x_asym = max(cap, _ASYM_REACH / (pi gamma)), ln G is its asymptotic series
+# (`DoubleGamma._series_diff`) in the 22 coefficients of recip.  From pi gamma x = 45
+# on its error is below 4e-14 max(1, |ln G|); the series diverges, and more terms
+# are worse below pi gamma x = 30, so the reach and the term count go together.
+_ASYM_REACH = 45.0
+# the series' weight on r_k: 1 for k <= 2, then (k - 3)!
+_ASYM_SCALE = np.concatenate((np.ones(3), _FACTORIAL[: len(_INV_H) - 3]))
 # e^{-t}/t, -t and 1/t^2 on the ladder nodes: the integrand's factors of t alone
 _EXP_OVER_T = np.exp(-LADDER_T) / LADDER_T
 _NEG_T = -LADDER_T
@@ -87,38 +91,11 @@ _EXP_FLOOR = -700.0  # e^-700 = 1e-304, far below any term it is added to
 _INV_T_SQUARED = 1.0 / LADDER_T**2
 _LADDER_EDGES = LADDER.tolist()  # as floats, for bisect and scalar arithmetic
 
-# ln Gamma by Lanczos's approximation (SIAM J. Numer. Anal. B 1, 1964) with
-# g = 7 and nine coefficients: Gamma(z) = sqrt(2 pi) t^(z - 1/2) e^(-t) A(z),
-# t = z + g - 1/2 and A(z) = p_0 + sum_{k=1}^{8} p_k / (z + k - 1).
-_LANCZOS_G = 7.0
-_LANCZOS_P = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-              771.32342877765313, -176.61502916214059, 12.507343278686905,
-              -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
-_LANCZOS_TAIL = np.array(_LANCZOS_P[2:])[:, None]  # p_k for k >= 2, one row each
-_LANCZOS_POLES = np.arange(1.0, len(_LANCZOS_P) - 1)[:, None]  # k - 1 for k >= 2
-_LANCZOS_CONST = 0.5 * math.log(2.0 * math.pi) - (_LANCZOS_G - 0.5)
 # Stirling's series lgamma(z) ~ (z - 1/2) ln z - z + ln sqrt(2 pi) + sum_r c_r z^(1-2r),
 # c_r = B_2r / (2r (2r - 1)), r = 1 .. 7: from z = _STIRLING_MIN on, the next
 # term is below 3e-17
 _STIRLING = [float(_BERNOULLI[k] / (k * (k - 1))) for k in range(2, 15, 2)]
 _STIRLING_MIN = 10.0
-
-
-def _lgamma(z: np.ndarray) -> np.ndarray:
-    """ln Gamma(z) for an array of z > 0, element by element.
-
-    z A(z) = p_1 + z (p_0 + sum_{k>=2} p_k / (z + k - 1)) stays finite as
-    z -> 0, so ln(z A(z)) - ln z is finite down to the least subnormal.  The
-    k terms are added one after another, an order that does not depend on
-    the size of z.  Against 40-digit mpmath the error is below
-    4e-15 * max(1, |ln Gamma(z)|) on [5e-324, 1e9].
-    """
-    terms = np.add(z, _LANCZOS_POLES)
-    np.divide(_LANCZOS_TAIL, terms, out=terms)
-    np.add.accumulate(terms, axis=0, out=terms)
-    za = _LANCZOS_P[1] + z * (_LANCZOS_P[0] + terms[-1])
-    return ((z - 0.5) * np.log(z + (_LANCZOS_G - 0.5)) - z
-            + (np.log(za) - np.log(z)) + _LANCZOS_CONST)
 
 
 def _sinpi(x: float) -> float:
@@ -280,24 +257,13 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     return a[:, 0]
 
 
-def _lgamma_sums(pieces: list) -> list:
-    """Per (z0, dz, size) of pieces, the sum of lgamma(z0 + j*dz) over j = 0 .. size-1.
-
-    All terms go to one `_lgamma` call, and each piece is summed on its own
-    (numpy's pairwise order), so its sum does not depend on the other pieces.
-    """
-    z = [z0 + dz * np.arange(size) for z0, dz, size in pieces]
-    starts = list(itertools.accumulate((size for _, _, size in pieces[:-1]), initial=0))
-    return np.add.reduceat(_lgamma(np.concatenate(z) if len(z) > 1 else z[0]), starts).tolist()
-
-
 def _lgamma_diff(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """lgamma(z + dz) - lgamma(z) for z > 0 and z + dz > 0, element by element.
 
     From _STIRLING_MIN on both are Stirling's series, whose difference is
         (z - 1/2) log1p(dz/z) + dz (ln(z + dz) - 1) + sum_r c_r ((z + dz)^(1-2r) - z^(1-2r)),
     so its error is a few ulp of the difference, not of lgamma(z); below it
-    the two `_lgamma` values are subtracted.
+    the two `math.lgamma` values are subtracted.
     """
     big = np.minimum(z, z + dz) >= _STIRLING_MIN
     zs, dzs = np.where(big, z, _STIRLING_MIN), np.where(big, dz, 0.0)
@@ -308,7 +274,10 @@ def _lgamma_diff(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     for c in _STIRLING:
         out += c * (ia - ib)
         ia, ib = ia * ia2, ib * ib2
-    return np.where(big, out, _lgamma(z + dz) - _lgamma(z)) if not big.all() else out
+    if big.all():
+        return out
+    small = [math.lgamma(a) - math.lgamma(b) for a, b in zip((z + dz).tolist(), z.tolist())]
+    return np.where(big, out, small)
 
 
 @dataclass
@@ -329,11 +298,15 @@ class DoubleGamma:
     tail added in closed form; every row shares the same panels and is one
     row of a call of `quadrature.integrate_panels`, the package's one
     ladder kernel.  Each row has its own sum, so a value does not depend on
-    the batch it was computed in.  Arguments up to _HEAD_XS / LADDER[k] go into the integral
-    as they are; larger ones are taken down by n-steps of the shift
-    equation and those below a small floor lifted by m-steps (the function
-    has a simple pole at 0), with shift factors that are lgamma sums
-    (`_reduce_pairs`).
+    the batch it was computed in.  Arguments up to the cap
+    _HEAD_XS / LADDER[k] go into the integral as they are.  Past
+    x_asym = max(cap, 45 / (pi gamma)) ln G is its asymptotic series, of
+    which only differences are taken (`_series_diff`); between the cap and
+    x_asym, below gamma 0.26 only, arguments take at most 6 n-steps of the
+    shift equation, and below a small floor at most 10 m-steps lift them
+    (the function has a simple pole at 0), each step one lgamma term
+    (`_reduce_pairs`).  So every finite argument costs a bounded time, and
+    only where ln G itself leaves the double range is it refused.
     """
 
     gamma: float
@@ -354,9 +327,11 @@ class DoubleGamma:
         # t^2 / denominator = 1 / (h(mt) h(nt)), h(u) = (1 - e^{-u}) / u
         recip = np.convolve(_INV_H * self._m**i, _INV_H * self._n**i)[: len(i)]
         self._head_w = c @ recip
+        self._asym_w = (recip * _ASYM_SCALE).tolist()
         # (-q/2)^j, j >= 1, by a running product
         self._q_powers = np.array(list(itertools.accumulate([-0.5 * self.q] * len(i), operator.mul)))
         self._x_cap = _HEAD_XS / _LADDER_EDGES[self._head_panels]
+        self._x_asym = max(self._x_cap, _ASYM_REACH / (math.pi * self.gamma))
         # 1 / (den t) on the ladder nodes past the head, den the integrand's denominator
         t = LADDER_T[self._head_panels:]
         self._inv_den_t = 1.0 / (np.expm1(-self._m * t) * np.expm1(-self._n * t) * t)
@@ -412,14 +387,44 @@ class DoubleGamma:
 
         return sums[0] + integrate_panels(integrand, k, len(LADDER) - 1)
 
+    def _series_diff(self, a: float, b: float) -> float:
+        """P(a) - P(b) at a >= b >= x_asym, P the asymptotic series
+            ln G(x) ~ A - r_0 (x^2/2 ln x - 3x^2/4) + r_1 (x ln x - x) - r_2 ln x
+                      + sum_{k>=3} r_k (k - 3)! x^(2-k)
+        of Watson's lemma on the defining integral (Barnes, Phil. Trans. R. Soc.
+        A 196 (1901); Ruijsenaars, Adv. Math. 156 (2000)), r = recip.
+
+        The constant A cancels, so it is never computed.  Each term is
+        differenced through l = log1p((a - b)/b) = ln a - ln b, as
+        a^-j - b^-j = b^-j expm1(-j l) and a^2 ln a - b^2 ln b =
+        a (a l) + (a - b)(a + b) ln b, so nearly equal a and b cancel before
+        they are rounded.  A difference beyond the double range is nan, which
+        math.fsum carries and `_sum_rows` refuses.
+        """
+        w = self._asym_w
+        d = a - b
+        l = math.log1p(d / b)
+        ln_b = math.log(b)
+        tail, inv_b = 0.0, 1.0 / b
+        power = inv_b
+        for j, c in enumerate(w[3:], 1):
+            tail += c * power * math.expm1(-j * l)
+            power *= inv_b
+        out = (tail - w[2] * l + w[1] * (a * l + d * (ln_b - 1.0))
+               - w[0] * (a * (0.5 * a * l) + d * (a + b) * (0.5 * ln_b - 0.75)))
+        return out if math.isfinite(out) else math.nan
+
     def _reduce_pairs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Arguments y in [_X_FLOOR, cap] and shifts for the rows x of `_ln_signed`, with
         the same difference ln G(y_a) + shift_a - ln G(y_b) - shift_b over each pair of
         neighbours as of ln G(x_a) - ln G(x_b).
 
-        A pair above the cap steps down together, by the n-steps of its
-        larger argument, if its smaller one stays positive.  Its n-steps then
-        add shift_a - shift_b to the first term, one lgamma difference of
+        A pair with both arguments past x_asym adds the difference of their
+        series (`_series_diff`) to its first term, and both of its terms
+        become q/2.  A pair above the cap otherwise steps down together, by
+        the n-steps of its larger argument, if its smaller one stays
+        positive: fewer than x_asym / n <= 56 steps.  Its n-steps then add
+        shift_a - shift_b to the first term, one lgamma difference of
         arguments n (y_a - y_b) apart per step (`_lgamma_diff`), which keeps
         its digits where each lgamma is large.  Every other argument is
         reduced on its own, and every m-lift is (`_reduce`).
@@ -427,79 +432,66 @@ class DoubleGamma:
         n, cap = self._n, self._x_cap
         xa, xb = x[:, 0::2], x[:, 1::2]
         low = np.minimum(xa, xb)
+        series = None
+        if low.max() > self._x_asym:
+            far = low > self._x_asym
+            series = [self._series_diff(u, v) if u >= v else -self._series_diff(v, u)
+                      for u, v in zip(xa[far].tolist(), xb[far].tolist())]
+            x = np.where(np.repeat(far, 2, axis=1), 0.5 * self.q, x)
+            xa, xb = x[:, 0::2], x[:, 1::2]
+            low = np.minimum(xa, xb)
         # a pair whose smaller argument is at most n cannot step (a lone value's q/2 < n)
         joint = low.max() > n
         if joint:
             k = np.ceil((np.maximum(xa, xb) - cap) / n)
-            together = (k > 0) & (k <= _SHIFT_BLOCK) & (low - k * n > 0.0)
+            together = (k > 0) & (low - k * n > 0.0)
             joint = together.any()
         if joint:
             x = x - np.repeat(np.where(together, k, 0.0), 2, axis=1) * n
-        y, shift = self._reduce(x.ravel().tolist(), cap)
-        y = np.reshape(y, x.shape)
+        y, shift = self._reduce(x.ravel().tolist())
         shift = np.zeros(x.shape) if shift is None else np.reshape(shift, x.shape)
+        if series is not None:
+            shift[:, 0::2][far] += series
         if joint:
             ya, yb, steps = x[:, 0::2][together], x[:, 1::2][together], k[together].astype(int)
             dz = n * (ya - yb)
             z = n * (np.repeat(yb, steps) + n * np.concatenate([np.arange(j) for j in steps]))
             diff = np.add.reduceat(_lgamma_diff(z, np.repeat(dz, steps)), np.cumsum(steps) - steps)
             shift[:, 0::2][together] -= diff + steps * dz * math.log(self._m)
-        return y, shift
+        return np.reshape(y, x.shape), shift
 
-    def _reduce(self, xs: list, top: float) -> tuple[list, list | None]:
+    def _reduce(self, xs: list) -> tuple[list, list | None]:
         """Arguments y and shifts with ln G(x) = ln G(y) + shift, or shift None if every
-        x is in [_X_FLOOR, top]; top > n, so that n-steps end above 0.
+        x is in [_X_FLOOR, cap].
 
-        Above top, x is taken down by n-steps into (top - n, top]; then, below
-        the floor, it is lifted by m-steps, which after n-steps are only
-        needed when top - n is below the floor (never for top = cap; for
-        top = q, when m is below it: gamma < 0.1).  A step at y adds
-        or takes away ln G(y) - ln G(y + s), which by the shift equation of
-        s = m or n is lgamma(s y) -/+ (s y - 1/2) ln m - ln sqrt(2 pi).  Along
-        each kind of step s y is an arithmetic progression, so all but the
-        lgamma terms are summed in closed form.  The lgamma terms are cut into
-        pieces of at most _SHIFT_BLOCK at fixed places, each summed on its own
-        and added in order, so a shift does not depend on its batch; whole
-        pieces share one `_lgamma_sums` call of at most _SHIFT_BLOCK terms,
-        which is one call for a batch of short reductions.
+        Past x_asym, x is taken to x_asym by the series (`_series_diff`).
+        Above the cap it then takes n-steps down into (cap - n, cap], at most
+        6 and only below gamma 0.26, where x_asym is above the cap; below the
+        floor m-steps lift it, at most 10.  The cap is above n + 13, so no x
+        takes both.  A step at y adds or takes away ln G(y) - ln G(y + s),
+        which by the shift equation of s = m or n is
+        lgamma(s y) -/+ (s y - 1/2) ln m - ln sqrt(2 pi); for an m-step,
+        lgamma(m y) is lgamma(1 + m y) - ln m - ln y, finite where m y
+        underflows.  The terms of each x are summed with math.fsum.
         """
-        m, n, floor = self._m, self._n, _X_FLOOR
-        if floor <= min(xs) and max(xs) <= top:
+        m, n, floor, cap, top = self._m, self._n, _X_FLOOR, self._x_cap, self._x_asym
+        if floor <= min(xs) and max(xs) <= cap:
             return xs, None
         ln_m = math.log(m)
         ys, shift = [], []
-        # per lgamma call: its pieces (first z, z step, size) and the (row, sign) of each
-        groups, terms = [([], [])], 0
-        for row, v in enumerate(xs):
-            k_n = max(math.ceil((v - top) / n), 0)
-            y_n = v - k_n * n
-            k_m = math.ceil(max(floor - y_n, 0.0) / m)
-            if k_n + k_m > _MAX_SHIFT_STEPS:
-                raise DomainError(
-                    f"double gamma argument {v!r} needs more than {_MAX_SHIFT_STEPS} shift steps"
-                )
-            ys.append(y_n + k_m * m)
-            total = 0.0
-            # n-steps down from x - n, then m-steps up from y_n
-            for sign, z0, dz, k, s in ((-1.0, n * (v - n), -n * n, k_n, ln_m),
-                                       (1.0, m * y_n, m * m, k_m, -ln_m)):
-                if not k:
-                    continue
-                z_sum = k * z0 + dz * (0.5 * k * (k - 1))
-                total += sign * (s * (z_sum - 0.5 * k) - _LOG_SQRT_2PI * k)
-                for j in range(0, k, _SHIFT_BLOCK):
-                    size = min(k - j, _SHIFT_BLOCK)
-                    if terms + size > _SHIFT_BLOCK:
-                        groups.append(([], []))
-                        terms = 0
-                    groups[-1][0].append((z0 + j * dz, dz, size))
-                    groups[-1][1].append((row, sign))
-                    terms += size
-            shift.append(total)
-        for pieces, owners in groups:
-            if pieces:
-                for (row, sign), value in zip(owners, _lgamma_sums(pieces)):
-                    shift[row] += sign * value
+        for v in xs:
+            terms = [self._series_diff(v, top)] if v > top else []
+            v = min(v, top)
+            k_n = max(math.ceil((v - cap) / n), 0)
+            y = v - k_n * n
+            k_m = math.ceil(max(floor - y, 0.0) / m)
+            for z in (n * (v - j * n) for j in range(1, k_n + 1)):
+                terms.append(-(math.lgamma(z) + ln_m * (z - 0.5) - _LOG_SQRT_2PI))
+            for u in (y + j * m for j in range(k_m)):
+                terms.append(math.lgamma(1.0 + m * u) - math.log(u) - ln_m * (m * u + 0.5)
+                             - _LOG_SQRT_2PI)
+            ys.append(y + k_m * m)
+            shift.append(math.fsum(terms))
         return ys, shift
 
     def log_value(self, num, *, den=None):
@@ -507,72 +499,67 @@ class DoubleGamma:
         numerator arguments less those over denominator ones.
 
         Without den, num is a float or an array of arguments, and the result
-        has its shape.  Each value x is the row (x, q/2), as ln G(q/2) = 0,
-        at most _BATCH_ROWS rows per `integrate_panels` call.  A row does not
-        depend on its batch, so a value equals `log_value([x], den=[])` bit
-        for bit.
+        has its shape.  Each value x is a row of one numerator term and no
+        denominator ones, at most _BATCH_ROWS rows per `integrate_panels`
+        call.  A row does not depend on its batch, so a value equals
+        `log_value([x], den=[])` bit for bit.
 
         With den, num and den are both 1-D, one row of terms, or both 2-D
         with as many rows, at most _BATCH_ROWS terms in all.  The result is
         the sum of ln G over each row of num less that over the row of den:
-        a float for one row, else an array.  Each row is one head-and-tail
-        sum and one integrand row (`_ln_signed`), so a whole closed form is
-        one `integrate_panels` call.  The terms are paired here: the shorter
-        side of a row is padded with q/2, each side is sorted, and the k-th
-        numerator argument is paired with the k-th denominator one.  On a
-        line, that matching of the two sets has the least total gap, and a
-        pair cancels before it is rounded, so the sum does not depend on the
-        order of num or of den.  x is reduced only below _X_FLOOR and above
-        the head's reach (`_reduce_pairs`).  A row differs from the sum of
-        its lone values by up to about 1e-13 / gamma^2 times
+        a float for one row, else an array (`_sum_rows`).  A row differs from
+        the sum of its lone values by up to about 1e-13 / gamma^2 times
         max(1, |sum|), not bit for bit.
 
         A value or sum that comes out non-finite raises DomainError.
         """
         xs = np.asarray(num, dtype=float)
-        flat = xs.ravel().tolist()
-        if den is not None:
-            ds = np.asarray(den, dtype=float)
-            if not (xs.ndim == ds.ndim in (1, 2) and xs.shape[:-1] == ds.shape[:-1]
-                    and 0 < xs.size + ds.size <= _BATCH_ROWS):
-                raise DomainError(
-                    f"num and den must be one row of terms each, or rows of them with as many "
-                    f"rows, at most {_BATCH_ROWS} terms in all; got shapes {xs.shape} and {ds.shape}"
-                )
-            flat += ds.ravel().tolist()
+        if den is None:
+            terms = xs.reshape(-1, 1)
+            out = np.empty(len(terms))
+            for i in range(0, len(terms), _BATCH_ROWS):
+                batch = terms[i : i + _BATCH_ROWS]
+                out[i : i + len(batch)] = self._sum_rows(batch, batch[:, :0])
+            return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+        ds = np.asarray(den, dtype=float)
+        if not (xs.ndim == ds.ndim in (1, 2) and xs.shape[:-1] == ds.shape[:-1]
+                and 0 < xs.size + ds.size <= _BATCH_ROWS):
+            raise DomainError(
+                f"num and den must be one row of terms each, or rows of them with as many "
+                f"rows, at most {_BATCH_ROWS} terms in all; got shapes {xs.shape} and {ds.shape}"
+            )
+        values = self._sum_rows(*((xs, ds) if xs.ndim == 2 else (xs[None], ds[None])))
+        return float(values[0]) if xs.ndim == 1 else values
+
+    def _sum_rows(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """Per row of num and den (2-D, as many rows), the sum of ln G over num less that
+        over den.
+
+        Each row is one head-and-tail sum and one integrand row
+        (`_ln_signed`), so a whole closed form is one `integrate_panels`
+        call.  The terms are paired here: the shorter side of a row is padded
+        with q/2, each side is sorted, and the k-th numerator argument is
+        paired with the k-th denominator one.  On a line, that matching of
+        the two sets has the least total gap, and a pair cancels before it
+        is rounded, so the sum does not depend on the order of num or of
+        den.  The rows are reduced (`_reduce_pairs`) only if an argument lies
+        outside [_X_FLOOR, cap], and a sum that is not finite raises
+        DomainError naming the row.
+        """
+        flat = num.ravel().tolist() + den.ravel().tolist()
         for v in flat:
             if not v > 0.0:
                 raise DomainError(f"double gamma needs x > 0, got {v!r}")
             if not math.isfinite(v):
                 raise DomainError(f"non-finite argument {v!r}")
-        if den is None:
-            out = np.empty(len(flat))
-            for i in range(0, len(flat), _BATCH_ROWS):
-                batch = flat[i : i + _BATCH_ROWS]
-                rows = np.empty((len(batch), 2))
-                rows[:, 0] = batch
-                rows[:, 1] = 0.5 * self.q
-                out[i : i + len(batch)] = self._sum_rows(rows, batch)
-            return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
-        num_rows, den_rows = (xs, ds) if xs.ndim == 2 else (xs[None], ds[None])
-        n_num, n_den = num_rows.shape[1], den_rows.shape[1]
-        # numerator terms at the even places, denominator ones at the odd, each side sorted
-        rows = np.full((len(num_rows), 2 * max(n_num, n_den)), 0.5 * self.q)
-        rows[:, 0 : 2 * n_num : 2] = num_rows
-        rows[:, 1 : 2 * n_den : 2] = den_rows
-        rows[:, 0::2].sort(axis=1)
-        rows[:, 1::2].sort(axis=1)
-        values = self._sum_rows(rows, flat)
-        return float(values[0]) if xs.ndim == 1 else values
-
-    def _sum_rows(self, x: np.ndarray, flat: list) -> np.ndarray:
-        """Per row of x, pairs as `_ln_signed` takes them, the sum of ln G over the first
-        term of each pair less that over the second.
-
-        flat is every argument but the q/2 pads: the rows are reduced only
-        if one of flat lies outside [_X_FLOOR, cap], and a sum that is not
-        finite raises DomainError naming the row.
-        """
+        n_num, n_den = num.shape[1], den.shape[1]
+        # per row, the k-th pair is (k-th numerator term, k-th denominator one), each side sorted
+        pairs = np.empty((len(num), max(n_num, n_den), 2))
+        pairs.fill(0.5 * self.q)  # the shorter side's pads; np.full costs twice as much
+        pairs[:, :n_num, 0] = num
+        pairs[:, :n_den, 1] = den
+        pairs.sort(axis=1)
+        x = pairs.reshape(len(num), -1)
         if _X_FLOOR <= min(flat) and max(flat) <= self._x_cap:
             values = self._ln_signed(x, None)
         else:

@@ -406,6 +406,8 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
     (["mc-moment", "--gamma", "1", "--p", "0.5", "--a", "1e300", *_SMALL_MC], {}, 1),
     (["mc-moment", "--gamma", "1", "--p", "0.5", "--b", "1e300", *_SMALL_MC], {}, 1),
     (["mc-moment", "--gamma", "1", "--p", "0.5", "--a", "inf", *_SMALL_MC], {}, 1),
+    # past the asymptotic series' reach a value costs the same at any x
+    (["dgamma", "--gamma", "2", "--x-min", "1e8", "--x-max", "5e8", "--count", "2"], {}, 0),
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]

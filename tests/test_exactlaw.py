@@ -465,7 +465,7 @@ _SIGNED_SUMS = [
 def test_one_integral_per_closed_form(monkeypatch, gamma, fn, rows):
     # one integrate_panels call, whose integrand gives one row per row of terms,
     # and no shift reduction: every argument is inside the integral's reach
-    panels, shapes, lgamma_calls = [], [], []
+    panels, shapes, reductions = [], [], []
 
     def counted_panels(f, first, stop):
         def g(t):
@@ -476,10 +476,10 @@ def test_one_integral_per_closed_form(monkeypatch, gamma, fn, rows):
         panels.append((first, stop))
         return quadrature.integrate_panels(g, first, stop)
 
-    lgamma_sums = specfun._lgamma_sums
+    reduce_pairs = specfun.DoubleGamma._reduce_pairs
     monkeypatch.setattr(specfun, "integrate_panels", counted_panels)
-    monkeypatch.setattr(specfun, "_lgamma_sums",
-                        lambda pieces: lgamma_calls.append(pieces) or lgamma_sums(pieces))
+    monkeypatch.setattr(specfun.DoubleGamma, "_reduce_pairs",
+                        lambda self, x: reductions.append(x) or reduce_pairs(self, x))
     # every closed form enters through log_value, whose spans the benchmark's tracer counts
     log_value = specfun.DoubleGamma.log_value
     entries = []
@@ -490,7 +490,7 @@ def test_one_integral_per_closed_form(monkeypatch, gamma, fn, rows):
     assert len(entries) == 1
     assert panels == [(3, len(quadrature.LADDER) - 1)]
     assert shapes == [(rows, len(quadrature.LADDER) - 4, 48)]
-    assert lgamma_calls == []
+    assert reductions == []
 
 
 # ln M from the 40-digit oracle (_oracles.exact_moment), frozen as (gamma, p, a, b, ln M).

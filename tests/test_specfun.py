@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _oracles import beta22_log_from_values, beta22_log_moment, gamma_fn
+from _oracles import (
+    beta22_log_from_values,
+    beta22_log_moment,
+    gamma_fn,
+    lanczos_lgamma,
+    reduce_into_window,
+)
 from gmcint import exactlaw, quadrature, specfun
 from gmcint.errors import (
     ConvergenceError,
@@ -105,6 +111,27 @@ TOP_OF_WINDOW = (
     (0.022594597786155107, 65.80065453251133, -1.344807396462590727818),
 )
 
+
+# ln G past the reach x_asym of the asymptotic series, frozen as gamma: (x0,
+# ln G(x0), ln G(1e4), ln G(1e8)), x0 = 1.01 x_asym.  ln G(x0) is the 40-digit
+# integral oracle (_oracles.ln_dgamma); the others add to it the 40-digit
+# difference of 40-term series from x0 (_oracles.dgamma_series_diff), which
+# meets both shift equations at x = 1e4 to 1e-32.  The integral oracle alone
+# is off at the larger x: its quadrature starts at t = 1e-20 and so drops
+# about x^3/6 * 1e-20 (1667 at x = 1e8), and at gamma 0.05 it also reads
+# 1.7e-5 high at x = 1e4.
+LONE_PAST_SERIES_REACH = {
+    0.01: (1446.7184327053285, -5166804.258117054606684, -377342187.1115967775248,
+           -84603229508665635.21014),
+    0.05: (289.3436865410657, -148278.3768851382537138, -383875247.7117561990962,
+           -84603368856627042.35452),
+    0.3: (56.11111111111111, -3414.832225429634275858, -385237218.5321805742608,
+          -84603397782213212.59693),
+    1.0: (56.11111111111111, -3768.418816329224059671, -385414394.629335759892,
+          -84603401542176745.21644),
+    2.0: (56.11111111111111, -3810.244795558591731957, -385434918.8673017195575,
+          -84603401977693760.47535),
+}
 
 # The same oracle at a seeded sample of the CLI's domain, frozen: gamma
 # log-uniform in [0.01, 2], then x log-uniform in [0.01, 300], drawn from
@@ -281,6 +308,15 @@ class TestDoubleGamma:
     def test_top_of_window_against_oracle(self, gamma, x, expected):
         assert abs(DoubleGamma(gamma).log_value(x) - expected) <= 3e-13 * max(1.0, abs(expected))
 
+    @pytest.mark.parametrize("gamma", sorted(LONE_PAST_SERIES_REACH))
+    def test_lone_values_past_the_series_reach_against_oracle(self, gamma):
+        x0, *refs = LONE_PAST_SERIES_REACH[gamma]
+        ev = DoubleGamma(gamma)
+        assert x0 == 1.01 * ev._x_asym
+        refs = np.array(refs)
+        values = ev.log_value(np.array([x0, 1e4, 1e8]))
+        assert np.all(np.abs(values - refs) <= 2e-13 * np.maximum(1.0, np.abs(refs)))
+
     def test_lone_values_against_oracle_over_the_cli_domain(self):
         rng = np.random.default_rng(2017)
         gammas = np.exp(rng.uniform(np.log(0.01), np.log(2.0), len(CLI_DOMAIN_GRID)))
@@ -402,14 +438,15 @@ class TestDoubleGamma:
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 1.9, 2.0])
     def test_batch_matches_scalar_bit_for_bit(self, gamma):
         rng = np.random.default_rng(5)
-        xs = np.concatenate((rng.uniform(0.01, 12.0, 30), [0.001, 0.02, 7.3, 40.0, 1e3]))
+        xs = np.concatenate((rng.uniform(0.01, 12.0, 30),
+                             [0.001, 0.02, 7.3, 40.0, 1e3, 1e5, 1e6, 1e7, 1e8, 5e8]))
         scalar = np.array([DoubleGamma(gamma).log_value(float(x)) for x in xs])
         perm = rng.permutation(len(xs))
         others = rng.uniform(0.01, 50.0, 9)
         batch = DoubleGamma(gamma).log_value(np.concatenate((others, xs[perm])))
         assert np.array_equal(batch[len(others):], scalar[perm])
-        table = DoubleGamma(gamma).log_value(xs[perm][::-1].reshape(5, 7))
-        assert table.shape == (5, 7)
+        table = DoubleGamma(gamma).log_value(xs[perm][::-1].reshape(5, 8))
+        assert table.shape == (5, 8)
         assert np.array_equal(table.ravel(), scalar[perm][::-1])
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0])
@@ -423,13 +460,28 @@ class TestDoubleGamma:
         assert abs(lv - ev.log_value(x + m) - ln_m) <= 1e-13 * abs(lv)
         assert abs(lv - ev.log_value(x + n) - ln_n) <= 1e-13 * abs(lv)
 
+    @pytest.mark.parametrize("gamma", [0.125, 0.25, 0.5, 1.0, 2.0])
+    def test_far_pairs_against_shift_equations(self, gamma):
+        # pairs (x, x + s), s = m or n, as one signed row: past x_asym both terms are
+        # their series difference, below it the pair steps jointly.  gamma, m, n, x and
+        # s x are exact doubles, so the reference carries a few ulp of lgamma(s x) and
+        # of (s x - 1/2) ln m, which cancel at most twofold
+        ev = DoubleGamma(gamma)
+        m, n = gamma / 2.0, 2.0 / gamma
+        for x in (2.0**k for k in range(6, 21)):
+            for s, ref in ((m, math.lgamma(m * x) + (0.5 - m * x) * math.log(m)),
+                           (n, math.lgamma(n * x) + (n * x - 0.5) * math.log(m))):
+                ref -= LOG_SQRT_2PI
+                assert abs(ev.log_value([x], den=[x + s]) - ref) <= 1e-14 * max(1.0, abs(ref))
+
     @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.09])
     def test_n_steps_down_then_m_steps_up(self, gamma):
-        # below gamma 0.1, n-steps take these x into (m, _X_FLOOR) and m-steps lift them
+        # below gamma 0.1, the window route's n-steps take these x into (m, _X_FLOOR) and
+        # its m-steps lift them; the package's n-steps end above 13, so it never lifts them
         m, n = gamma / 2.0, 2.0 / gamma
         xs = np.array([y + k * n for y in (1.01 * m, 0.5 * (m + 0.05), 0.0499) for k in (1, 2, 7)])
         ev = DoubleGamma(gamma)
-        ys, _ = ev._reduce(xs.tolist(), ev.q)
+        ys, _ = reduce_into_window(ev, xs.tolist())
         assert specfun._X_FLOOR <= min(ys) and max(ys) < specfun._X_FLOOR + m
         lv = ev.log_value(xs)
         for x, v in zip(xs.tolist(), lv.tolist()):
@@ -441,12 +493,16 @@ class TestDoubleGamma:
         assert np.array_equal(DoubleGamma(gamma).log_value(xs), [alone.log_value(x) for x in xs])
 
     def test_huge_argument_is_fast(self):
-        start = time.perf_counter()
-        value = DoubleGamma(1.0).log_value(1e7)
-        assert time.perf_counter() - start < 1.0
-        assert math.isfinite(value)
-        with pytest.raises(DomainError):
-            DoubleGamma(1.0).log_value(1e300)  # refused, not reduced step by step
+        # past x_asym a value costs the same at any x, until ln G overflows
+        for gamma, x in ((1.0, 1e7), (2.0, 5e8)):
+            start = time.perf_counter()
+            value = DoubleGamma(gamma).log_value(x)
+            assert time.perf_counter() - start < 1.0
+            assert math.isfinite(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                DoubleGamma(1.0).log_value(1e300)  # ln G(x) ~ -x^2/2 ln x overflows
 
     def test_subnormal_argument(self):
         # lifted by the m-shift, whose lgamma(m x) is -log(m x) down there
@@ -455,16 +511,6 @@ class TestDoubleGamma:
             -math.log(0.5 * 1e-320) + ev.log_value(0.5) + 0.5 * math.log(0.5) - LOG_SQRT_2PI,
             rel=1e-15,
         )
-
-    def test_shift_pieces_do_not_depend_on_the_batch(self, monkeypatch):
-        xs = np.array([0.001, 7.3, 40.0, 1e3, 0.02, 55.5])
-        want = DoubleGamma(0.5).log_value(xs)
-        # pieces of 7 terms: long reductions span several pieces and lgamma calls
-        monkeypatch.setattr(specfun, "_SHIFT_BLOCK", 7)
-        scalar = [DoubleGamma(0.5).log_value(float(x)) for x in xs]
-        assert np.array_equal(DoubleGamma(0.5).log_value(xs), scalar)
-        assert np.array_equal(DoubleGamma(0.5).log_value(xs[::-1]), scalar[::-1])
-        assert_allclose(scalar, want, rtol=1e-13)  # only the order of the sums changed
 
     def test_reduction_warns_about_nothing(self):
         with warnings.catch_warnings():
@@ -475,7 +521,8 @@ class TestDoubleGamma:
             DoubleGamma(0.01).log_value(DoubleGamma(0.01).q)
 
     def test_lgamma_against_oracle(self):
-        # 40-digit mpmath over [5e-324, 1e9], with points near the zeros at 1 and 2
+        # the window route's Lanczos lgamma (_oracles.lanczos_lgamma) against 40-digit
+        # mpmath over [5e-324, 1e9], with points near the zeros at 1 and 2
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(8)
         z = np.concatenate((np.exp(rng.uniform(math.log(5e-324), math.log(1e9), 300)),
@@ -483,7 +530,7 @@ class TestDoubleGamma:
                             rng.uniform(0.0, 20.0, 60), [5e-324, 1e-320, 1.0, 2.0, 1e9]))
         with mp.workdps(40):
             ref = np.array([float(mp.loggamma(mp.mpf(v))) for v in z.tolist()])
-        assert np.all(np.abs(specfun._lgamma(z) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        assert np.all(np.abs(lanczos_lgamma(z) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
     def test_series_head_uses_exact_bernoulli_numbers(self):
         b = specfun._bernoulli(11)
