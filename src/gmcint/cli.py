@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -42,10 +43,19 @@ from .verify import IdentityGridSpec, fmt
 
 _KINDS = {k.value: k for k in ObservableKind}
 _MAX_TABLE_ROWS = 1_000_000  # bounds the memory and time of a table: dgamma, barnes, tail's u grid
+# argparse's own pattern takes only the -1 and -1.5 forms for negative numbers
+# (Python 3.11), and reads -1e-6, -2e0 or -inf after a flag as a flag; here a
+# "-" then a digit, "." and a digit, inf or nan starts a value
+_NEGATIVE_NUMBER = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports a usage error as one line, with exit code 64."""
+    """argparse parser that reports a usage error as one line, with exit code 64, and
+    takes any float literal after a flag as its value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.exit(64, f"{self.prog}: error: {message}\n")

@@ -10,7 +10,8 @@ All products of Gamma-type factors are assembled in log space; signs are
 tracked separately where individual Euler Gamma factors can be negative.
 The double gamma factors of each closed form, its numerator and
 denominator arguments, are one `DoubleGamma.log_value` call, that is one
-integral.
+integral; exact moments at many points of one gamma are rows of one such
+call (`log_exact_moments`), and a lone moment is its one-point case.
 """
 from __future__ import annotations
 
@@ -124,16 +125,37 @@ def exact_moment_factors(params: GmcParams) -> tuple[float, float, np.ndarray]:
     return ln_num, ln_den, args
 
 
-def log_exact_moment(params: GmcParams) -> float:
-    """ln of the exact fractional moment.
+def log_exact_moments(points) -> np.ndarray:
+    """ln of the exact fractional moment at each of a sequence of points at one gamma.
 
-    Its eight double gamma factors, four over four, are one
-    `DoubleGamma.log_value` call, so the moment is one integral.
+    Each point's eight double gamma factors, four over four, are one row of
+    terms, and the rows are one `DoubleGamma.log_value` call, so a batch of
+    moments is one integral per slice of rows.  A row does not depend on
+    its batch, so each value equals `log_exact_moment` of its point bit for
+    bit.  The first point at another gamma than the first point's raises
+    DomainError, and the first point outside the bounds BoundsError, which
+    names it.
     """
-    _require_bounds(params)
-    ln_num, ln_den, args = exact_moment_factors(params)
-    dg = double_gamma_evaluator(params.gamma).log_value(args[:4], den=args[4:])
-    return (ln_num - ln_den) + dg
+    points = list(points)
+    if not points:
+        return np.empty(0)
+    gamma = points[0].gamma
+    prefactors, rows = [], []
+    for pt in points:
+        if pt.gamma != gamma:
+            raise DomainError(f"moments are batched at one gamma, got {gamma!r} and {pt.gamma!r}")
+        _require_bounds(pt)
+        ln_num, ln_den, args = exact_moment_factors(pt)
+        prefactors.append(ln_num - ln_den)
+        rows.append(args)
+    rows = np.array(rows)
+    dg = double_gamma_evaluator(gamma).log_value(rows[:, :4], den=rows[:, 4:])
+    return np.array(prefactors) + dg
+
+
+def log_exact_moment(params: GmcParams) -> float:
+    """ln of the exact fractional moment: the one-point case of `log_exact_moments`."""
+    return float(log_exact_moments([params])[0])
 
 
 def exact_moment(params: GmcParams) -> float:

@@ -55,8 +55,8 @@ def _bernoulli(n: int) -> list:
 _BERNOULLI = _bernoulli(_HEAD_TERMS + 1)
 _INV_H = np.array([float((-1) ** k * b / math.factorial(k)) for k, b in enumerate(_BERNOULLI)])
 _EVALUATORS_KEPT = 128  # per-gamma evaluators kept by double_gamma_evaluator
-# lone values, or numerator and denominator terms, per `integrate_panels` call,
-# which bounds its memory
+# rows of one term per `integrate_panels` call, fewer in proportion for rows of
+# more terms, which bounds its memory
 _BATCH_ROWS = 128
 # The double gamma integral's Taylor head covers [0, LADDER[k]] and the
 # quadrature LADDER the rest.  The head's series converges for t < pi gamma,
@@ -499,37 +499,38 @@ class DoubleGamma:
         numerator arguments less those over denominator ones.
 
         Without den, num is a float or an array of arguments, and the result
-        has its shape.  Each value x is a row of one numerator term and no
-        denominator ones, at most _BATCH_ROWS rows per `integrate_panels`
-        call.  A row does not depend on its batch, so a value equals
-        `log_value([x], den=[])` bit for bit.
-
+        has its shape: each value x is a row of one numerator term and no
+        denominator ones, so it equals `log_value([x], den=[])` bit for bit.
         With den, num and den are both 1-D, one row of terms, or both 2-D
-        with as many rows, at most _BATCH_ROWS terms in all.  The result is
+        with as many rows, and a row has at least one term.  The result is
         the sum of ln G over each row of num less that over the row of den:
-        a float for one row, else an array (`_sum_rows`).  A row differs from
-        the sum of its lone values by up to about 1e-13 / gamma^2 times
-        max(1, |sum|), not bit for bit.
+        a float for one row, else an array.  A row differs from the sum of
+        its lone values by up to about 1e-13 / gamma^2 times max(1, |sum|).
 
-        A value or sum that comes out non-finite raises DomainError.
+        Every call runs in slices of at most _BATCH_ROWS // max(terms of num,
+        terms of den) rows, at least one, per `_sum_rows` call.  A row does
+        not depend on its slice or batch.  A value or sum that comes out
+        non-finite raises DomainError.
         """
         xs = np.asarray(num, dtype=float)
         if den is None:
-            terms = xs.reshape(-1, 1)
-            out = np.empty(len(terms))
-            for i in range(0, len(terms), _BATCH_ROWS):
-                batch = terms[i : i + _BATCH_ROWS]
-                out[i : i + len(batch)] = self._sum_rows(batch, batch[:, :0])
-            return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
-        ds = np.asarray(den, dtype=float)
-        if not (xs.ndim == ds.ndim in (1, 2) and xs.shape[:-1] == ds.shape[:-1]
-                and 0 < xs.size + ds.size <= _BATCH_ROWS):
-            raise DomainError(
-                f"num and den must be one row of terms each, or rows of them with as many "
-                f"rows, at most {_BATCH_ROWS} terms in all; got shapes {xs.shape} and {ds.shape}"
-            )
-        values = self._sum_rows(*((xs, ds) if xs.ndim == 2 else (xs[None], ds[None])))
-        return float(values[0]) if xs.ndim == 1 else values
+            rows, ds = xs.reshape(-1, 1), np.empty((xs.size, 0))
+        else:
+            ds = np.asarray(den, dtype=float)
+            if not (xs.ndim == ds.ndim in (1, 2) and xs.shape[:-1] == ds.shape[:-1]
+                    and xs.shape[-1] + ds.shape[-1] > 0):
+                raise DomainError(
+                    f"num and den must be one row of terms each, or rows of them with as "
+                    f"many rows, at least one term a row; got shapes {xs.shape} and {ds.shape}"
+                )
+            rows, ds = (xs, ds) if xs.ndim == 2 else (xs[None], ds[None])
+        step = max(_BATCH_ROWS // max(rows.shape[1], ds.shape[1]), 1)
+        values = []
+        for i in range(0, len(rows), step):
+            values += self._sum_rows(rows[i : i + step], ds[i : i + step]).tolist()
+        if den is None:
+            return values[0] if xs.ndim == 0 else np.reshape(values, xs.shape)
+        return values[0] if xs.ndim == 1 else np.array(values)
 
     def _sum_rows(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """Per row of num and den (2-D, as many rows), the sum of ln G over num less that

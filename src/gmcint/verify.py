@@ -28,6 +28,7 @@ from .exactlaw import (
     hyp_triple,
     law_decomposition_log_moment,
     log_exact_moment,
+    log_exact_moments,
     predict_observable,
     selberg_product,
     shift_ratio,
@@ -35,7 +36,7 @@ from .exactlaw import (
 )
 from .montecarlo import McConfig, mc_moments
 from .quadrature import LADDER, integrate_panels
-from .specfun import connection_coeffs, gamma_ratio, log_gamma_ratio
+from .specfun import checked_exp, connection_coeffs, gamma_ratio, log_gamma_ratio
 
 SELBERG_TOL = 1e-9
 FUBINI_TOL = 1e-10
@@ -85,6 +86,12 @@ def _report(check_id, lhs, rhs, tol, metadata, absolute=False) -> CheckReport:
                        float(rel), tol, metadata)
 
 
+def _failed(check_id: str, tol: float, metadata: dict, exc: GmcError) -> CheckReport:
+    """The fail report of a check whose evaluation raised exc."""
+    return CheckReport(check_id, "fail", math.nan, math.nan, math.nan, tol,
+                       {**metadata, "error": f"{type(exc).__name__}: {exc}"})
+
+
 def _guarded(reports: list[CheckReport], check_id: str, tol: float, metadata: dict, fn,
              *args, absolute: bool = False) -> None:
     """Run one identity check, (lhs, rhs) = fn(*args), and append its report.
@@ -94,8 +101,7 @@ def _guarded(reports: list[CheckReport], check_id: str, tol: float, metadata: di
     try:
         lhs, rhs = fn(*args)
     except GmcError as exc:
-        reports.append(CheckReport(check_id, "fail", math.nan, math.nan, math.nan, tol,
-                                   {**metadata, "error": f"{type(exc).__name__}: {exc}"}))
+        reports.append(_failed(check_id, tol, metadata, exc))
     else:
         reports.append(_report(check_id, lhs, rhs, tol, metadata, absolute))
 
@@ -130,16 +136,21 @@ def run_identity_suite(grid: IdentityGridSpec | None = None) -> list[CheckReport
     rng = default_rng(grid.seed)
     reports: list[CheckReport] = []
 
-    # integer moments against the finite product
+    # integer moments against the finite product; each gamma's grid is one batch of
+    # exact moments, and a batch that raises fails every check of its gamma
     for g in _SELBERG_GAMMAS:
-        for p in range(0, 4):
-            for a in _SELBERG_AB:
-                for b in _SELBERG_AB:
-                    params = GmcParams(g, float(p), a, b)
-                    if not bounds_check(params):
-                        continue
-                    _guarded(reports, f"selberg/g={g:.6g}/p={p}/a={a:g}/b={b:g}", SELBERG_TOL,
-                             _meta(params), _selberg_check, params)
+        points = [GmcParams(g, float(p), a, b) for p in range(0, 4)
+                  for a in _SELBERG_AB for b in _SELBERG_AB]
+        points = [params for params in points if bounds_check(params)]
+        ids = [f"selberg/g={g:.6g}/p={int(pt.p)}/a={pt.a:g}/b={pt.b:g}" for pt in points]
+        try:
+            ln_moments = log_exact_moments(points).tolist()
+        except GmcError as exc:
+            reports += [_failed(check_id, SELBERG_TOL, _meta(pt), exc)
+                        for check_id, pt in zip(ids, points)]
+            continue
+        for check_id, params, ln_m in zip(ids, points, ln_moments):
+            _guarded(reports, check_id, SELBERG_TOL, _meta(params), _selberg_check, params, ln_m)
 
     # first moment reduces to an Euler Beta value
     for i in range(grid.n_random):
@@ -176,8 +187,9 @@ def run_identity_suite(grid: IdentityGridSpec | None = None) -> list[CheckReport
     return reports
 
 
-def _selberg_check(params: GmcParams):
-    return exact_moment(params), selberg_product(params.gamma, params.p, params.a, params.b)
+def _selberg_check(params: GmcParams, ln_m: float):
+    return (checked_exp(ln_m, "moment"),
+            selberg_product(params.gamma, params.p, params.a, params.b))
 
 
 def _fubini_check(params: GmcParams):
@@ -187,7 +199,8 @@ def _fubini_check(params: GmcParams):
 
 
 def _shift_check(params: GmcParams, kind: ShiftKind):
-    ln_ratio = log_exact_moment(shifted_params(params, kind)) - log_exact_moment(params)
+    ln_shifted, ln_base = log_exact_moments([shifted_params(params, kind), params]).tolist()
+    ln_ratio = ln_shifted - ln_base
     if kind is ShiftKind.P_MINUS_ONE_TO_P:
         ln_ratio = -ln_ratio  # the ratio is M(p) / M(p-1)
     return math.exp(ln_ratio), shift_ratio(params, kind)

@@ -345,6 +345,28 @@ def test_csv_header_at_any_row_count(capsys, argv, want, count):
     assert out == "\n".join(want[: 1 + count]) + "\n"
 
 
+# A negative value in exponent form, or -inf, may follow its flag as the next
+# argument; it gives the exit code and bytes of its --flag=value form.
+@pytest.mark.parametrize("argv,code", [
+    (["predict-u", "--gamma", "1", "--p", "0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
+      "--t", "-1e-6"], 0),
+    (["exact", "--gamma", "1", "--p", "-2e0"], 0),
+    (["predict-u", "--gamma", "1", "--p", "0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
+      "--t", "-inf"], 1),
+])
+def test_float_literal_after_its_flag(capsys, argv, code):
+    def run(args):
+        try:
+            status = main(args)
+        except SystemExit as exc:  # a usage error
+            status = exc.code
+        return status, *capsys.readouterr()
+
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert run(argv) == run(joined)
+    assert run(argv)[0] == code
+
+
 _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches", "10"]
 
 

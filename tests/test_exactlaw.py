@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -18,9 +19,11 @@ from gmcint.exactlaw import (
     c_of_p,
     derivative_martingale_moment,
     exact_moment,
+    exact_moment_factors,
     hyp_triple,
     law_decomposition_log_moment,
     log_exact_moment,
+    log_exact_moments,
     predict_observable,
     reflection_boundary_1d,
     reflection_bulk_2d,
@@ -491,6 +494,46 @@ def test_one_integral_per_closed_form(monkeypatch, gamma, fn, rows):
     assert panels == [(3, len(quadrature.LADDER) - 1)]
     assert shapes == [(rows, len(quadrature.LADDER) - 4, 48)]
     assert reductions == []
+
+
+def test_batch_of_moments_equals_lone_moments():
+    # 70 seeded points at each of four gammas, three slices of rows each, with p up
+    # to its cap and a, b up to 60: arguments below the m-lift floor, between the
+    # cap and x_asym (n-steps, gamma < 0.26 only) and past x_asym (the series)
+    rng = np.random.default_rng(2101)
+    bands = set()
+    for g in (0.02, 0.15, 0.7, 1.6):
+        u = g * g / 4.0
+        ev = specfun.DoubleGamma(g)
+        points = []
+        while len(points) < 70:
+            a, b = (-1.0 - u + np.exp(rng.uniform(math.log(0.01), math.log(60.0), 2))).tolist()
+            cap = min(1.0 / u, 1.0 + (1.0 + a) / u, 1.0 + (1.0 + b) / u)
+            params = GmcParams(g, cap - math.exp(rng.uniform(math.log(1e-3), math.log(cap + 3.0))),
+                               a, b)
+            if bounds_check(params):
+                points.append(params)
+        batch = log_exact_moments(points)
+        assert batch.shape == (70,)
+        for params, value in zip(points, batch.tolist()):
+            # the moment's own formula, as one call of its eight terms
+            ln_num, ln_den, args = exact_moment_factors(params)
+            direct = (ln_num - ln_den) + ev.log_value(args[:4], den=args[4:])
+            assert value == log_exact_moment(params) == direct, params
+            bands.update({"lift"} if args.min() < specfun._X_FLOOR else set())
+            bands.update({"series"} if args.max() > ev._x_asym else set())
+            if np.any((args > ev._x_cap) & (args <= ev._x_asym)):
+                bands.add("n-step")
+    assert bands == {"lift", "n-step", "series"}
+
+
+def test_batch_of_moments_refusals():
+    assert log_exact_moments([]).shape == (0,)
+    with pytest.raises(DomainError, match="one gamma"):
+        log_exact_moments([GmcParams(1.0, 0.5, 0.0, 0.0), GmcParams(1.1, 0.5, 0.0, 0.0)])
+    outside = GmcParams(1.0, 4.5, 0.0, 0.0)
+    with pytest.raises(BoundsError, match=re.escape(str(outside))):
+        log_exact_moments([GmcParams(1.0, 0.5, 0.0, 0.0), outside])
 
 
 # ln M from the 40-digit oracle (_oracles.exact_moment), frozen as (gamma, p, a, b, ln M).

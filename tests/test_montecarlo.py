@@ -151,6 +151,28 @@ class TestDefaultGrid:
             assert abs(np.mean(i4**p) / np.mean(i8**p) - 1.0) <= 1e-6, p
 
 
+# The sampler against the exact moments of its own discretization, with no margin:
+# on the cells E[I] = sum(w) and E[I^2] = w' exp(gamma^2/4 C_N) w, C_N the truncated
+# covariance 4 ln 2 + sum_{n<=N} (4/n) cos(n theta_i) cos(n theta_j) at the cell
+# midpoints.  Seed, replicate counts and the |z| bound were fixed before the first run.
+@pytest.mark.parametrize("gamma", [0.5, 0.8])
+@pytest.mark.parametrize("n_modes,replicates", [(64, 40_000), (256, 20_000)])
+def test_sampler_meets_its_discrete_moments(gamma, n_modes, replicates):
+    a, b = 0.2, 0.1
+    cfg = config_for(replicates, n_modes, 20261019)
+    w = cell_weights(cfg.grid, n_modes, a, b)
+    m = cfg.grid.m_cells
+    theta = (np.arange(m) + 0.5) * (math.pi / m)
+    n = np.arange(1, n_modes + 1)
+    modes = np.cos(np.outer(n, theta)) * np.sqrt(4.0 / n)[:, None]
+    cov = 4.0 * math.log(2.0) + modes.T @ modes
+    vals = _simulate_integrals(cfg, gamma, w[None], False, 1)[:, 0]
+    for k, exact in ((1, math.fsum(w)), (2, float(w @ np.exp(gamma * gamma / 4.0 * cov) @ w))):
+        powered = vals**k
+        z = (powered.mean() - exact) / (powered.std(ddof=1) / math.sqrt(replicates))
+        assert abs(z) <= 4.0, (k, z)
+
+
 class TestTailFit:
     def test_survival_monotone_and_slope(self):
         cfg = small_cfg(20, replicates=20_000, n_modes=256)

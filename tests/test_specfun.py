@@ -386,11 +386,30 @@ class TestDoubleGamma:
         ev = DoubleGamma(1.0)
         assert ev.log_value([0.7], den=[0.7]) == 0.0
         for num, den in (([0.5], [[0.7]]), ([[0.5], [0.6]], [[0.7]]), (0.5, 0.7), ([], []),
-                         (np.ones(65), np.ones(64))):
+                         (np.ones((2, 0)), np.ones((2, 0)))):
             with pytest.raises(DomainError, match="num and den"):
                 ev.log_value(num, den=den)
         with pytest.raises(TypeError):
             ev.log_value([0.5], [1.0])  # den is keyword-only
+        assert ev.log_value(np.ones((0, 4)), den=np.ones((0, 4))).shape == (0,)
+        # a row of any length: 65 + 64 terms, within the documented bound of its lone values
+        rng = np.random.default_rng(21)
+        num, den = rng.uniform(0.05, 2.0 * ev.q, 65), rng.uniform(0.05, 2.0 * ev.q, 64)
+        v = ev.log_value(num, den=den)
+        lone = math.fsum(ev.log_value(num)) - math.fsum(ev.log_value(den))
+        assert abs(v - lone) <= 1e-13 / ev.gamma**2 * max(1.0, abs(v))
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    def test_rows_run_in_slices_of_bounded_terms(self, gamma, monkeypatch):
+        # rows of up to 40 terms a side take _BATCH_ROWS // 40 = 3 rows per slice
+        rng = np.random.default_rng(22)
+        num, den = rng.uniform(0.02, 9.0, (10, 40)), rng.uniform(0.02, 9.0, (10, 31))
+        alone = [DoubleGamma(gamma).log_value(n, den=d) for n, d in zip(num, den)]
+        sum_rows, slices = specfun.DoubleGamma._sum_rows, []
+        monkeypatch.setattr(specfun.DoubleGamma, "_sum_rows",
+                            lambda self, n, d: slices.append(len(n)) or sum_rows(self, n, d))
+        assert DoubleGamma(gamma).log_value(num, den=den).tolist() == alone
+        assert slices == [3, 3, 3, 1]
 
     def test_window_sweep_passes_every_panel_with_margin(self, monkeypatch):
         # one round, no refinement: every ladder panel of every window x must

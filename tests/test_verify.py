@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -72,6 +73,35 @@ class TestGuardedChecks:
         assert len(reports) == 1
         assert reports[0].status == "fail"
         assert "PoleError" in reports[0].metadata["error"]
+
+    def test_a_batch_that_raises_fails_its_checks(self, monkeypatch):
+        # the Selberg grid of a gamma and each shift check's two points are one batch
+        # of exact moments; a batch that raises fails its checks, the suite runs on
+        from gmcint import verify
+        from gmcint.errors import PoleError
+
+        def boom(points):
+            raise PoleError("synthetic pole")
+
+        monkeypatch.setattr(verify, "log_exact_moments", boom)
+        reports = run_identity_suite()
+        batched = {"selberg", "shift"}
+        assert sum(r.check_id.split("/")[0] in batched for r in reports) == 135 + 60
+        for r in reports:
+            if r.check_id.split("/")[0] in batched:
+                assert r.status == "fail" and math.isnan(r.lhs)
+                assert r.metadata["error"] == "PoleError: synthetic pole"
+            else:
+                assert r.status == "pass"
+
+    @pytest.mark.parametrize("seed,digest", [
+        (20240601, "7648c98c3523491a7439bd38e14e475de1d7796738708758c79b188fec790fdc"),
+        (7, "041296d600b17c7fee92ed9e62ea04bdf652806cc1111416c454a9eeaea186c9"),
+    ])
+    def test_json_is_frozen(self, seed, digest):
+        # sha256 of the suite's JSON, as computed one moment per call
+        text = reports_to_json(run_identity_suite(IdentityGridSpec(seed=seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_other_grid_seeds_never_raise(self, seed):
