@@ -125,7 +125,8 @@ def _add_mc_opts(p, replicates, n_modes):
     p.add_argument("--n-modes", type=int, default=n_modes)
     p.add_argument("--batches", type=int, default=50)
     p.add_argument("--cells-per-mode", type=int, default=4,
-                   help="angle-uniform cells per field mode (default 4); must be >= 4")
+                   help="angle-uniform cells per field mode (default 4); must be >= 4, "
+                        "with an even product with --n-modes")
     p.add_argument("--threads", type=int, default=None)
 
 

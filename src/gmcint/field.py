@@ -15,19 +15,24 @@ gmc_integral_batch reduces every field against a matrix of such rows.
 
 A batch of coefficient rows streams through one workspace of at most
 _BLOCK_BYTES, sized to stay in cache: per block of rows the scaled modes are
-written in as a half spectrum, transformed by one real inverse FFT and
+packed into a half-length complex spectrum, transformed in place by one
+complex inverse FFT, whose float view is the density block, and
 exponentiated in place, then weighted and summed row by row in numpy's
 fixed pairwise order.  A value therefore depends on its own row and weight
 alone, never on the chunk or block it was computed in or on the other
 weights, and a batch call's memory does not grow with its rows.
 
-The DCT-III is Makhoul's (IEEE Trans. ASSP 28 (1980) 27-34): with the
-spectrum m e^{i pi n/(2m)} (x_n - i x_{m-n}), numpy.fft.irfft returns the
-transform in its own cell order, cell 2j at j and cell 2j+1 at m-1-j
-(_fft_order).  The field's modes stop at N < m/2, so only x_n is nonzero.
-The weight rows are put in that order once per call; the density never is.
-The cell masses come from an incomplete Beta function evaluated here
-(_cell_masses), so no part of the package imports SciPy.
+The DCT-III (_dct3) is Makhoul's (IEEE Trans. ASSP 28 (1980) 27-34), whose
+real inverse FFT of length m is taken as one complex inverse FFT of length
+m/2 by the standard packing (Sorensen et al., IEEE Trans. ASSP 35 (1987)
+849-863); per row it takes about a fifth less time than numpy.fft.irfft
+at m = 4096 and 16384 (BENCH_22.json).  Its packing tables are kept per
+layout at unit gamma (_field_tables).  It leaves the transform in Makhoul's
+cell order, cell 2j at j and cell 2j+1 at m-1-j (_fft_order), so the grid
+needs an even m.  The weight rows are put in that order once per call; the
+density never is.  The truncated variance is the same transform of other
+modes.  The cell masses come from an incomplete Beta function evaluated
+here (_cell_masses), so no part of the package imports SciPy.
 
 Replicate r of a run draws its coefficients from an own counter-based
 stream keyed by seed XOR r, so results do not depend on worker count or
@@ -45,9 +50,9 @@ from .errors import DomainError, GridError
 
 _TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 _FOUR_LN2 = 4.0 * math.log(2.0)
-_LAYOUTS_KEPT = 8  # grid workspaces, and cell-mass vectors, kept by the caches
-# bytes of density and spectrum rows in flight per batch call: with the weight
-# rows they stay in one core's L2 cache, the spectra's zero tails included
+_LAYOUTS_KEPT = 8  # grid workspaces, transform tables and cell-mass vectors kept by the caches
+# bytes of workspace and spare rows in flight per batch call: with the weight
+# rows they stay in one core's L2 cache
 _BLOCK_BYTES = 1 << 20
 # continued-fraction steps before an incomplete Beta is refused; at the
 # switch point x_s a fraction takes about 60 steps at p = q = 1000
@@ -58,9 +63,13 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class QuadGrid:
-    """Composite-rule layout: the number of angle-uniform cells."""
+    """Composite-rule layout: the number of angle-uniform cells, an even count."""
 
     m_cells: int
+
+    def __post_init__(self):
+        if self.m_cells % 2:  # _dct3 transforms pairs of cells
+            raise GridError(f"m_cells={self.m_cells} is odd; the grid needs an even cell count")
 
 
 def replicate_rng(seed: int, replicate: int,
@@ -86,13 +95,50 @@ def replicate_rng(seed: int, replicate: int,
 # grid workspaces (deterministic, cached per layout)
 
 def _fft_order(cells: np.ndarray) -> np.ndarray:
-    """Cells (last axis) in the order irfft leaves a DCT-III: 2j at j, 2j+1 at m-1-j."""
+    """Cells (last axis) in the order _dct3 leaves them: 2j at j, 2j+1 at m-1-j."""
     return np.concatenate((cells[..., 0::2], cells[..., 1::2][..., ::-1]), axis=-1)
 
 
-def _twiddle(m_cells: int, count: int) -> np.ndarray:
-    """m e^{i pi n / (2m)} for n < count: the DCT-III's spectrum factors."""
-    return m_cells * np.exp((0.5j * math.pi / m_cells) * np.arange(count))
+def _dct3_tables(scale: np.ndarray, m_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packing tables of v_j = sum_{n<=K} scale_n c_n cos(n theta_j), K = len(scale)-1 <= m/2.
+
+    Makhoul's spectrum of this DCT-III is X_n = e^{i pi n/(2m)} scale_n / 2 for
+    0 < n < m/2, with X_0 = scale_0 and X_{m/2} = scale_{m/2} / sqrt 2 (times
+    c_n); v is irfft(m X, m) in _fft_order's cell order.  Its pairs z_k = v_{2k}
+    + i v_{2k+1} are the unnormalized inverse FFT of length M = m/2 of Z_k = X_k
+    (1 + i w^k) + conj(X_{M-k}) (1 - i w^k), w = e^{2 pi i/m} (Sorensen et al.,
+    IEEE Trans. ASSP 35 (1987) 849-863).  low is the factor of c_k in Z_k for
+    k <= min(K, M-1), high the factor of c_{M-k} in the last min(K, M) Z_k.
+    """
+    half = m_cells // 2
+    n_coef = len(scale)
+    x = 0.5 * scale * np.exp((0.5j * math.pi / m_cells) * np.arange(n_coef))
+    x[0] = scale[0]
+    if n_coef > half:
+        x[half] = scale[half] / math.sqrt(2.0)
+    n_low, n_high = min(n_coef, half), min(n_coef - 1, half)
+    k = np.arange(half - n_high, half)
+    low = x[:n_low] * (1.0 + 1j * np.exp((2j * math.pi / m_cells) * np.arange(n_low)))
+    high = np.conj(x[half - k]) * (1.0 - 1j * np.exp((2j * math.pi / m_cells) * k))
+    return low, high
+
+
+def _dct3(coefs: np.ndarray, low: np.ndarray, high: np.ndarray, out: np.ndarray) -> None:
+    """DCT-III of each real row of coefs into out, complex m/2 per row, by one inverse FFT.
+
+    out.view(float) holds the transform in _fft_order's cell order.  Z is
+    written whole, the zeros between the two tables' ranges included, so out
+    need not be cleared between calls.
+    """
+    half = out.shape[1]
+    n_low, start = len(low), half - len(high)
+    top = max(n_low, start)  # from here on Z_k holds c_{M-k} alone
+    np.multiply(coefs[:, :n_low], low, out=out[:, :n_low])
+    out[:, n_low:start] = 0.0
+    np.multiply(coefs[:, half - top : 0 : -1], high[top - start :], out=out[:, top:])
+    if start < n_low:  # both halves meet: one Z_k at m = 4N, every Z_k in the variance
+        out[:, start:n_low] += coefs[:, len(high) : half - n_low : -1] * high[: n_low - start]
+    np.fft.ifft(out, axis=1, norm="forward", out=out)
 
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
@@ -101,16 +147,26 @@ def _grid_workspace(n_modes: int, m_cells: int):
     theta_edges = np.linspace(0.0, math.pi, m_cells + 1)
     theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
     x_mid = 0.5 * (1.0 - np.cos(theta_mid))
-    # Var_N on the midpoints: 4 ln2 + 2 H_N + sum (2/n) cos(2n theta), the DCT-III of
-    # d; at m = 4N its top term sits at m/2, so the mirrored half d_{m-n} is kept
-    d = np.zeros(m_cells + 1)
-    d[2 : 2 * n_modes + 1 : 2] = 1.0 / np.arange(1, n_modes + 1)
+    # Var_N on the midpoints: 4 ln2 + 2 H_N + sum (2/n) cos(2n theta), a DCT-III whose
+    # top mode, 2N, reaches m/2 at m = 4N
+    d = np.zeros(2 * n_modes + 1)
+    d[2::2] = 2.0 / np.arange(1, n_modes + 1)
     d[0] = _FOUR_LN2 + 2.0 * float(np.sum(1.0 / np.arange(1, n_modes + 1)))
-    half = m_cells // 2 + 1
-    spectrum = _twiddle(m_cells, half) * (d[:half] - 1j * d[m_cells : m_cells - half : -1])
+    var = np.empty((1, m_cells // 2), complex)
+    _dct3(np.ones((1, len(d))), *_dct3_tables(d, m_cells), var)
     var_mid = np.empty(m_cells)
-    var_mid[_fft_order(np.arange(m_cells))] = np.fft.irfft(spectrum, m_cells)
+    var_mid[_fft_order(np.arange(m_cells))] = var.view(float)[0]
     return x_mid, var_mid
+
+
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
+def _field_tables(n_modes: int, m_cells: int, drop_mean: bool):
+    """_dct3_tables of the field times 1/2 at unit gamma: modes sqrt(ln 2) alpha_0 (0 with
+    drop_mean) and alpha_n / sqrt(n); gamma scales both tables."""
+    scale = np.empty(n_modes + 1)
+    scale[0] = 0.0 if drop_mean else 0.5 * _TWO_SQRT_LN2
+    scale[1:] = 1.0 / np.sqrt(np.arange(1, n_modes + 1))
+    return _dct3_tables(scale, m_cells)
 
 
 def _beta_fraction(p: float, q: float, x: np.ndarray) -> np.ndarray:
@@ -206,8 +262,8 @@ def cell_weights(grid: QuadGrid, n_modes: int, a: float, b: float, t: float = 0.
 
 
 def _block_rows(m_cells: int) -> int:
-    """Rows per block, at least one: a row is m doubles of density and m/2+1 complexes
-    of spectrum, about 16 m bytes."""
+    """Rows per block, at least one: a row is m/2 complexes of transform workspace and,
+    for a second weight, m doubles of spare, at most 16 m bytes."""
     return max(1, _BLOCK_BYTES // (16 * m_cells))
 
 
@@ -230,20 +286,15 @@ def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, gr
     # exp(gamma/2 X - gamma^2/8 Var) w = exp(gamma/2 X) (w exp(-gamma^2/8 Var)): the
     # variance factor goes into the weights once per call, in the transform's cell order
     weights = _fft_order(weights * np.exp((-gamma * gamma / 8.0) * var))
-    # spectrum of mode n: (gamma/2) (2 / sqrt(n)) alpha_n, halved, times the twiddle
-    twiddle = _twiddle(m_cells, n_coef)
-    twiddle[0] *= 0.0 if drop_mean else 0.5 * gamma * _TWO_SQRT_LN2
-    twiddle[1:] *= (0.5 * gamma) / np.sqrt(np.arange(1, n_coef))
+    low, high = (gamma * table for table in _field_tables(n_modes, m_cells, drop_mean))
     block = min(n_rows, _block_rows(m_cells))
-    work = np.empty((block, m_cells))
-    # irfft only reads its input, so the spectrum's zero tail past mode N stays zero
-    spectrum = np.zeros((block, m_cells // 2 + 1), complex)
+    work = np.empty((block, m_cells // 2), complex)
     spare = np.empty((block, m_cells)) if len(weights) > 1 else None
     out = np.empty((n_rows, len(weights)))
     for start in range(0, n_rows, block):
         rows = alphas[start : start + block]
-        np.multiply(rows, twiddle, out=spectrum[: len(rows), :n_coef])
-        dens = np.fft.irfft(spectrum[: len(rows)], m_cells, axis=1, out=work[: len(rows)])
+        _dct3(rows, low, high, work[: len(rows)])
+        dens = work[: len(rows)].view(float)
         np.exp(dens, out=dens)
         sums = out[start : start + len(rows)]
         # not a BLAS product: its summation order follows the BLAS thread count

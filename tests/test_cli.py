@@ -252,6 +252,13 @@ class TestStochasticCommands:
         assert (code, out) == (1, "")
         assert err == "error: m_cells=48 < 4*n_modes=64\n"
 
+    def test_odd_cell_count_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1",
+                                 "--replicates", "100", "--n-modes", "99", "--batches", "10",
+                                 "--cells-per-mode", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: m_cells=495 is odd; the grid needs an even cell count\n"
+
     def test_verify_identities_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--format", "json")
         _, out2, _ = run_cli(capsys, "verify", "--suite", "identities", "--format", "json")

@@ -119,6 +119,50 @@ class TestFieldVariance:
         np.testing.assert_allclose(var_mid, direct, rtol=1e-12)
 
 
+def _cosine_sum(coefs: np.ndarray, m_cells: int) -> np.ndarray:
+    """sum_n coefs_n cos(n theta_j) at the m cell midpoints, in long double.
+
+    The angle n theta_j = pi n (2j+1) / (2m) is reduced exactly, as the
+    integer n (2j+1) mod 4m, and its cosine looked up in a table of 4m.
+    """
+    pi = 4.0 * np.arctan(np.longdouble(1.0))
+    table = np.cos(pi * np.arange(4 * m_cells, dtype=np.longdouble) / (2 * m_cells))
+    k = (np.arange(coefs.shape[1])[:, None] * np.arange(1, 2 * m_cells, 2)) % (4 * m_cells)
+    return coefs.astype(np.longdouble) @ table[k]
+
+
+class TestTransform:
+    """The DCT-III by one half-length complex FFT, against a direct cosine sum."""
+
+    @pytest.mark.parametrize("n_modes,m_cells", [(1, 4), (2, 8), (3, 12), (64, 512),
+                                                 (300, 1500), (512, 4096)])
+    @pytest.mark.parametrize("top", ["field", "variance"])
+    def test_rows_against_direct_sum(self, n_modes, m_cells, top):
+        # the field's modes stop at N <= m/4; the variance's reach 2N, up to m/2
+        from gmcint.field import _block_rows, _dct3, _dct3_tables, _fft_order
+
+        n_coef = n_modes + 1 if top == "field" else 2 * n_modes + 1
+        rng = np.random.default_rng(2210 + m_cells)
+        scale = rng.uniform(0.5, 2.0, n_coef) / np.sqrt(np.arange(1, n_coef + 1))
+        low, high = _dct3_tables(scale, m_cells)
+        block = _block_rows(m_cells)
+        # the field's rows end in a partial last block; one variance row is used per layout
+        n_rows = block + block // 2 + 1 if top == "field" else 3
+        coefs = rng.standard_normal((n_rows, n_coef))
+        # the stale values of the earlier block, and the NaN it starts with, must not leak
+        work = np.full((block, m_cells // 2), np.nan, complex)
+        cells = _fft_order(np.arange(m_cells))
+        got = np.empty((len(coefs), m_cells))
+        for start in range(0, len(coefs), block):
+            rows = coefs[start : start + block]
+            _dct3(rows, low, high, work[: len(rows)])
+            got[start : start + len(rows), cells] = work[: len(rows)].view(float)
+        want = _cosine_sum(coefs * scale, m_cells)
+        err = np.max(np.abs(got - want), axis=1)
+        bound = 4e-15 * np.max(np.abs(want), axis=1)
+        assert np.all(err <= bound), float(np.max(err / bound))
+
+
 class TestBoundedCaches:
     def test_caches_stay_at_their_size(self):
         from gmcint import field
@@ -128,8 +172,10 @@ class TestBoundedCaches:
         masses = field._cell_masses(16, 0.25, 0.5)
         for k in range(size + 2):
             field._grid_workspace(4, 32 + 2 * k)
+            field._field_tables(4, 32 + 2 * k, False)
             field._cell_masses(16, 0.1 * k, 0.0)
         assert field._grid_workspace.cache_info().currsize == size
+        assert field._field_tables.cache_info().currsize == size
         assert field._cell_masses.cache_info().currsize == size
         # the first keys were dropped; asking again recomputes equal arrays
         for got, want in zip(field._grid_workspace(4, 16), grid):
@@ -245,6 +291,12 @@ class TestGmcIntegral:
         s = make_sample(np.zeros(17))
         with pytest.raises(GridError):
             gmc_integral(s, 1.0, 0.0, 0.0, 0.0, 0.0, QuadGrid(32))
+
+    def test_odd_cell_count_is_refused(self):
+        # the transform runs on pairs of cells; 1505 >= 4 * 301 but is odd
+        with pytest.raises(GridError, match="m_cells=1505 is odd"):
+            QuadGrid(1505)
+        assert QuadGrid(1506).m_cells == 1506
 
     def test_weight_domain(self):
         s = make_sample(np.zeros(5))

@@ -121,6 +121,8 @@ class TestMcMoment:
                                            (1000, 16, 10**12)):
             with pytest.raises(DomainError, match="plan too large"):
                 McConfig(replicates, n_modes, QuadGrid(cells), 1, batches=10)
+        with pytest.raises(GridError, match="m_cells=1505 is odd"):
+            config_for(1000, 301, 1, cells_per_mode=5)
 
     def test_negative_and_huge_seeds_accepted(self):
         params = GmcParams(1.0, -1.0, 0.0, 0.0)
