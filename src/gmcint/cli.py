@@ -28,10 +28,11 @@ from .exactlaw import (
     derivative_martingale_moment,
     exact_moment,
     exact_moment_factors,
+    law_and_exact_log_moments,
     log_exact_moment,
-    law_decomposition_log_moment,
     log_reflection_boundary_1d,
     predict_observable,
+    predict_observables,
     reflection_bulk_2d,
     selberg_product,
     shift_ratio,
@@ -281,9 +282,7 @@ def _cmd_reflection(args) -> int:
 
 
 def _cmd_law_decomp(args) -> int:
-    params = _gmc_params(args)
-    lhs = law_decomposition_log_moment(params)
-    rhs = log_exact_moment(params)
+    lhs, rhs = law_and_exact_log_moments(_gmc_params(args))
     return _emit(args, [(lhs, rhs, abs(lhs - rhs))])
 
 
@@ -366,8 +365,8 @@ def _cmd_small_dev(args) -> int:
 
 def _cmd_predict_u(args) -> int:
     params = _gmc_params(args)
-    kind = _KINDS[args.kind]
-    return _emit(args, [(t, predict_observable(params, kind, t)) for t in args.t])
+    values = predict_observables(params, _KINDS[args.kind], args.t)
+    return _emit(args, zip(args.t, values))
 
 
 def _cmd_verify(args) -> int:

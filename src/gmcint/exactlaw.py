@@ -10,8 +10,11 @@ All products of Gamma-type factors are assembled in log space; signs are
 tracked separately where individual Euler Gamma factors can be negative.
 The double gamma factors of each closed form, its numerator and
 denominator arguments, are one `DoubleGamma.log_value` call, that is one
-integral; exact moments at many points of one gamma are rows of one such
-call (`log_exact_moments`), and a lone moment is its one-point case.
+integral.  Closed forms at one gamma can share that call as rows of it
+(`_log_forms`): exact moments at many points (`log_exact_moments`), the
+normalization constant at many p (`c_of_ps`), and the law decomposition
+beside the exact moment it decomposes (`law_and_exact_log_moments`).  Each
+lone function is the one-point case of its batch.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ _INT_GUARD = 1e-9  # distance to the nearest integer below which the basis degen
 # it the basis at 0 can cancel, below it the |t|^-1 series takes up to 37/|t| terms
 _BASIS_SWITCH = 0.005
 _MAX_SELBERG_ORDER = 10**6  # one loop step per order: about 1.2 s at the cap
+_LN_2, _LN_2PI = math.log(2.0), math.log(2.0 * math.pi)
 
 # the double gamma factors of the exact moment, in exact_moment_factors order
 EXACT_DG_FACTORS = ("num_a", "num_b", "num_ab", "num_p", "den_base", "den_a", "den_b", "den_ab")
@@ -114,48 +118,81 @@ def exact_moment_factors(params: GmcParams) -> tuple[float, float, np.ndarray]:
     g, p, a, b = params.gamma, params.p, params.a, params.b
     m = g / 2.0
     n = 2.0 / g
-    ab = (a + 1.0) + (b + 1.0)  # grouped so a <-> b symmetry is bit-exact
-    ln_num = p * math.log(2.0 * math.pi)
-    ln_den = p * (g * g / 4.0) * math.log(m) + p * math.lgamma(1.0 - g * g / 4.0)
+    u = g * g / 4.0
+    na, nb = n * (a + 1.0), n * (b + 1.0)
+    nab = n * ((a + 1.0) + (b + 1.0))  # grouped so a <-> b symmetry is bit-exact
+    p1m = (p - 1.0) * m
+    ln_num = p * _LN_2PI
+    ln_den = p * u * math.log(m) + p * math.lgamma(1.0 - u)
     args = np.array([
-        n * (a + 1.0) - (p - 1.0) * m, n * (b + 1.0) - (p - 1.0) * m,
-        n * ab - (p - 2.0) * m, n - p * m,
-        n, n * (a + 1.0) + m, n * (b + 1.0) + m, n * ab - (2.0 * p - 2.0) * m,
+        na - p1m, nb - p1m, nab - (p - 2.0) * m, n - p * m,
+        n, na + m, nb + m, nab - (2.0 * p - 2.0) * m,
     ])
     return ln_num, ln_den, args
+
+
+def _log_forms(gamma: float, forms) -> list[float]:
+    """ln of closed forms at one gamma, with all their double gamma factors as one call.
+
+    A form is (ln prefactor, num rows, den rows): at least one numerator
+    row, each with a denominator row of as many terms.  Its value is the
+    prefactor plus, row by row in order, the sum of ln G over the numerator
+    row less that over the denominator row.  The rows of all forms are the
+    rows of one `DoubleGamma.log_value` call, a lone row as its 1-D form,
+    which builds no array of rows.  A row does not depend on its batch, so a
+    form's value does not depend on the forms beside it, and a lone form is
+    the one-point case of a batch of its kind.
+    """
+    if len(forms) == 1 and len(forms[0][1]) == 1:
+        ln_value, (num,), (den,) = forms[0]
+        return [ln_value + double_gamma_evaluator(gamma).log_value(num, den=den)]
+    if not forms:
+        return []
+    num, den = [], []
+    for _, form_num, form_den in forms:
+        num += form_num
+        den += form_den
+    sums = iter(double_gamma_evaluator(gamma).log_value(np.array(num), den=np.array(den)).tolist())
+    values = []
+    for ln_value, form_num, _ in forms:
+        for _ in form_num:
+            ln_value += next(sums)
+        values.append(ln_value)
+    return values
+
+
+def _moment_form(params: GmcParams) -> tuple:
+    """The exact moment as a `_log_forms` form: its prefactor and its one row, four over four."""
+    _require_bounds(params)
+    ln_num, ln_den, args = exact_moment_factors(params)
+    return ln_num - ln_den, [args[:4]], [args[4:]]
 
 
 def log_exact_moments(points) -> np.ndarray:
     """ln of the exact fractional moment at each of a sequence of points at one gamma.
 
     Each point's eight double gamma factors, four over four, are one row of
-    terms, and the rows are one `DoubleGamma.log_value` call, so a batch of
-    moments is one integral per slice of rows.  A row does not depend on
-    its batch, so each value equals `log_exact_moment` of its point bit for
-    bit.  The first point at another gamma than the first point's raises
-    DomainError, and the first point outside the bounds BoundsError, which
-    names it.
+    terms, and the rows are one `DoubleGamma.log_value` call (`_log_forms`),
+    so a batch of moments is one integral per slice of rows.  Each value
+    equals `log_exact_moment` of its point bit for bit.  The first point at
+    another gamma than the first point's raises DomainError, and the first
+    point outside the bounds BoundsError, which names it.
     """
     points = list(points)
     if not points:
         return np.empty(0)
     gamma = points[0].gamma
-    prefactors, rows = [], []
+    forms = []
     for pt in points:
         if pt.gamma != gamma:
             raise DomainError(f"moments are batched at one gamma, got {gamma!r} and {pt.gamma!r}")
-        _require_bounds(pt)
-        ln_num, ln_den, args = exact_moment_factors(pt)
-        prefactors.append(ln_num - ln_den)
-        rows.append(args)
-    rows = np.array(rows)
-    dg = double_gamma_evaluator(gamma).log_value(rows[:, :4], den=rows[:, 4:])
-    return np.array(prefactors) + dg
+        forms.append(_moment_form(pt))
+    return np.array(_log_forms(gamma, forms))
 
 
 def log_exact_moment(params: GmcParams) -> float:
     """ln of the exact fractional moment: the one-point case of `log_exact_moments`."""
-    return float(log_exact_moments([params])[0])
+    return _log_forms(params.gamma, [_moment_form(params)])[0]
 
 
 def exact_moment(params: GmcParams) -> float:
@@ -189,17 +226,33 @@ def selberg_product(gamma: float, p: int, a: float, b: float) -> float:
     return checked_exp(logval, "Selberg product")
 
 
-def c_of_p(gamma: float, p: float) -> float:
-    """Normalization constant of the moment formula at weight exponents 0.
+def _c_form(gamma: float, p: float) -> tuple:
+    """The normalization constant's log as a `_log_forms` form.
 
-    The moment's prefactor times its a,b-free double gamma factors
-    Gamma_gamma(n - p m) / Gamma_gamma(n), from `exact_moment_factors`.
+    The moment's prefactor at weight exponents 0 and its a,b-free double
+    gamma factors Gamma_gamma(n - p m) / Gamma_gamma(n), from
+    `exact_moment_factors`.  Needs p < 4/gamma^2.
     """
     ln_num, ln_den, args = exact_moment_factors(GmcParams(gamma, p, 0.0, 0.0))
     if not p < 4.0 / (gamma * gamma):
         raise DomainError(f"need p < 4/gamma^2, got p={p!r}")
-    dg = double_gamma_evaluator(gamma).log_value(args[3:4], den=args[4:5])
-    return checked_exp(ln_num - ln_den + dg, "normalization constant")
+    return ln_num - ln_den, [args[3:4]], [args[4:5]]
+
+
+def c_of_ps(gamma: float, ps) -> list[float]:
+    """Normalization constant of the moment formula (`_c_form`) at each p of ps.
+
+    The constants are rows of one `DoubleGamma.log_value` call, and each
+    equals `c_of_p` of its p bit for bit.  The first p at or above
+    4/gamma^2 raises DomainError.
+    """
+    values = _log_forms(gamma, [_c_form(gamma, p) for p in ps])
+    return [checked_exp(v, "normalization constant") for v in values]
+
+
+def c_of_p(gamma: float, p: float) -> float:
+    """Normalization constant of the moment formula: the one-point case of `c_of_ps`."""
+    return checked_exp(_log_forms(gamma, [_c_form(gamma, p)])[0], "normalization constant")
 
 
 def shifted_params(params: GmcParams, kind: ShiftKind) -> GmcParams:
@@ -287,24 +340,46 @@ def reflection_bulk_2d(gamma: float, alpha: float) -> float:
     return -sign * checked_exp(logval + lg, "reflection coefficient")
 
 
-def law_decomposition_log_moment(params: GmcParams) -> float:
-    """ln of the moment assembled from five independent laws.
+def _law_form(params: GmcParams) -> tuple:
+    """The law decomposition as a `_log_forms` form.
 
     Constant * log-normal * circle-mass law * three inverse generalized
-    beta variables; evaluating the inverse-beta moments at -p.
+    beta variables, whose moments are taken at -p: the prefactor is ln of
+    the first three factors, and each beta law is a row of four numerator
+    and four denominator double gamma arguments.
     """
     _require_bounds(params)
     g, p, a, b = params.gamma, params.p, params.a, params.b
-    v = 4.0 / (g * g)
-    ln_const = math.log(2.0 * math.pi) - (3.0 * (1.0 + g * g / 4.0) + 2.0 * (a + b)) * math.log(2.0)
-    ln_l = p * p * g * g * math.log(2.0) / 2.0
-    ln_y = math.lgamma(1.0 - p * g * g / 4.0) - p * math.lgamma(1.0 - g * g / 4.0)
-    x1 = Beta22Params(g, 1.0 + v * (1.0 + a), (b - a) * v / 2.0, (b - a) * v / 2.0)
+    u, v = g * g / 4.0, 4.0 / (g * g)
+    ln_const = _LN_2PI - (3.0 * (1.0 + u) + 2.0 * (a + b)) * _LN_2
+    ln_l = p * p * g * g * _LN_2 / 2.0
+    ln_y = math.lgamma(1.0 - p * g * g / 4.0) - p * math.lgamma(1.0 - u)
+    b12, b3 = (b - a) * v / 2.0, 0.5 + v * (1.0 + a + b) / 2.0
+    x1 = Beta22Params(g, 1.0 + v * (1.0 + a), b12, b12)
     x2 = Beta22Params(g, 1.0 + v * (2.0 + a + b) / 2.0, 0.5, v / 2.0)
-    x3 = Beta22Params(g, 1.0 + v, 0.5 + v * (1.0 + a + b) / 2.0, 0.5 + v * (1.0 + a + b) / 2.0)
-    num, den = zip(*(beta22_args(x, -p) for x in (x1, x2, x3)))  # one row per beta law
-    lv = double_gamma_evaluator(g).log_value(np.array(num), den=np.array(den)).tolist()
-    return p * ln_const + ln_l + ln_y + lv[0] + lv[1] + lv[2]
+    x3 = Beta22Params(g, 1.0 + v, b3, b3)
+    # one row per beta law
+    num, den = zip(beta22_args(x1, -p), beta22_args(x2, -p), beta22_args(x3, -p))
+    return p * ln_const + ln_l + ln_y, num, den
+
+
+def law_decomposition_log_moment(params: GmcParams) -> float:
+    """ln of the moment assembled from five independent laws (`_law_form`).
+
+    The one-form case of `law_and_exact_log_moments`, without the exact
+    moment's row.
+    """
+    return _log_forms(params.gamma, [_law_form(params)])[0]
+
+
+def law_and_exact_log_moments(params: GmcParams) -> tuple[float, float]:
+    """(`law_decomposition_log_moment`, `log_exact_moment`) at params, bit for bit.
+
+    The three generalized-beta rows and the exact moment's row are one
+    `DoubleGamma.log_value` call (`_log_forms`).
+    """
+    law, exact = _log_forms(params.gamma, [_law_form(params), _moment_form(params)])
+    return law, exact
 
 
 def derivative_martingale_moment(p: float) -> float:
@@ -337,8 +412,8 @@ def _check_generic(triple: HypTriple) -> None:
             )
 
 
-def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> float:
-    """Value of the auxiliary observable at a finite t <= 0, from the exact moment.
+def predict_observables(params: GmcParams, kind: ObservableKind, ts) -> list[float]:
+    """Value of the auxiliary observable at each finite t <= 0 of ts, from one exact moment.
 
     The expansion-at-infinity constants are (d1, 0), d1 the exact moment.
     For t <= -_BASIS_SWITCH that expansion is summed as it stands,
@@ -352,29 +427,43 @@ def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> flo
     Kind one with a near -1 at small gamma is the exception: there both
     bases lose digits for |t| near the switch.  A value that is not a
     finite double, as when |t|^-a overflows, raises DomainError.
+
+    The t are taken in order, and the parameters are checked and d1
+    computed at the first of them, so each value and each error is that of
+    `predict_observable` at its t.
     """
-    if not -math.inf < t <= 0.0:
-        raise DomainError(f"observable defined for finite t <= 0, got {t!r}")
-    _require_bounds(params)
-    chi = kind.chi(params.gamma)
-    _require_bounds(GmcParams(params.gamma, params.p, params.a + chi, params.b))
-    triple = hyp_triple(params, kind)
-    _check_generic(triple)
-    a, b, c = triple.a_param, triple.b_param, triple.c_param
-    d1 = exact_moment(params)
-    try:
-        if t <= -_BASIS_SWITCH:
-            tail = hyp2f1_negative(HypTriple(a, 1.0 + a - c, 1.0 + a - b), 1.0 / t)
-            value = d1 * abs(t) ** (-a) * tail
-        else:
-            c1, c2 = connection_coeffs(triple, d1)
-            first = c1 * hyp2f1_negative(triple, t)
-            second = c2 * abs(t) ** (1.0 - c) * hyp2f1_negative(
-                HypTriple(1.0 + a - c, 1.0 + b - c, 2.0 - c), t
-            )
-            value = first + second
-    except OverflowError:  # a float power overflowed
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"observable is not a finite double at t={t!r}")
-    return value
+    values, d1 = [], None
+    for t in ts:
+        if not -math.inf < t <= 0.0:
+            raise DomainError(f"observable defined for finite t <= 0, got {t!r}")
+        if d1 is None:
+            _require_bounds(params)
+            chi = kind.chi(params.gamma)
+            _require_bounds(GmcParams(params.gamma, params.p, params.a + chi, params.b))
+            triple = hyp_triple(params, kind)
+            _check_generic(triple)
+            a, b, c = triple.a_param, triple.b_param, triple.c_param
+            d1 = exact_moment(params)
+        try:
+            if t <= -_BASIS_SWITCH:
+                tail = hyp2f1_negative(HypTriple(a, 1.0 + a - c, 1.0 + a - b), 1.0 / t)
+                value = d1 * abs(t) ** (-a) * tail
+            else:
+                c1, c2 = connection_coeffs(triple, d1)
+                first = c1 * hyp2f1_negative(triple, t)
+                second = c2 * abs(t) ** (1.0 - c) * hyp2f1_negative(
+                    HypTriple(1.0 + a - c, 1.0 + b - c, 2.0 - c), t
+                )
+                value = first + second
+        except OverflowError:  # a float power overflowed
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"observable is not a finite double at t={t!r}")
+        values.append(value)
+    return values
+
+
+def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> float:
+    """Value of the auxiliary observable at a finite t <= 0: the one-point case of
+    `predict_observables`."""
+    return predict_observables(params, kind, (t,))[0]

@@ -23,13 +23,13 @@ from .exactlaw import (
     ObservableKind,
     ShiftKind,
     bounds_check,
-    c_of_p,
+    c_of_ps,
     exact_moment,
     hyp_triple,
-    law_decomposition_log_moment,
+    law_and_exact_log_moments,
     log_exact_moment,
     log_exact_moments,
-    predict_observable,
+    predict_observables,
     selberg_product,
     shift_ratio,
     shifted_params,
@@ -126,43 +126,59 @@ def _meta(params: GmcParams, **extra) -> dict:
     return out
 
 
+def _batched(reports: list[CheckReport], tol: float, checks, evaluate, check) -> None:
+    """Run checks that share one batch of evaluations, and append their reports.
+
+    values = evaluate() gives one value per check, and a check (check_id,
+    metadata, *args) reports check(*args, value) as `_guarded` does.  A
+    batch that raises a domain problem fails each of its checks with it.
+    """
+    try:
+        values = evaluate()
+    except GmcError as exc:
+        reports += [_failed(check_id, tol, metadata, exc) for check_id, metadata, *_ in checks]
+        return
+    for (check_id, metadata, *args), value in zip(checks, values):
+        _guarded(reports, check_id, tol, metadata, check, *args, value)
+
+
 def run_identity_suite(grid: IdentityGridSpec | None = None) -> list[CheckReport]:
     """All deterministic exact-identity checks; no RNG beyond the fixed seed.
 
     A check that raises (possible off the default grid when a sampled point
     grazes a Gamma pole) is reported as a failure, never as an exception.
+    The double gamma factors that a check family needs at one gamma are one
+    batch: each Selberg gamma's grid, and per sampled point its three shift
+    checks, its c-ratio check and its law-decomposition check.  A batch
+    that raises fails the checks it serves.
     """
     grid = grid or IdentityGridSpec()
     rng = default_rng(grid.seed)
     reports: list[CheckReport] = []
 
-    # integer moments against the finite product; each gamma's grid is one batch of
-    # exact moments, and a batch that raises fails every check of its gamma
+    # integer moments against the finite product, one batch of exact moments per gamma
     for g in _SELBERG_GAMMAS:
         points = [GmcParams(g, float(p), a, b) for p in range(0, 4)
                   for a in _SELBERG_AB for b in _SELBERG_AB]
         points = [params for params in points if bounds_check(params)]
-        ids = [f"selberg/g={g:.6g}/p={int(pt.p)}/a={pt.a:g}/b={pt.b:g}" for pt in points]
-        try:
-            ln_moments = log_exact_moments(points).tolist()
-        except GmcError as exc:
-            reports += [_failed(check_id, SELBERG_TOL, _meta(pt), exc)
-                        for check_id, pt in zip(ids, points)]
-            continue
-        for check_id, params, ln_m in zip(ids, points, ln_moments):
-            _guarded(reports, check_id, SELBERG_TOL, _meta(params), _selberg_check, params, ln_m)
+        checks = [(f"selberg/g={g:.6g}/p={int(pt.p)}/a={pt.a:g}/b={pt.b:g}", _meta(pt), pt)
+                  for pt in points]
+        _batched(reports, SELBERG_TOL, checks, lambda: log_exact_moments(points).tolist(),
+                 _selberg_check)
 
     # first moment reduces to an Euler Beta value
     for i in range(grid.n_random):
         params = replace(sample_valid_params(rng), p=1.0)
         _guarded(reports, f"fubini/{i:03d}", FUBINI_TOL, _meta(params), _fubini_check, params)
 
-    # shift-equation closure at fractional p, all three kinds
+    # shift-equation closure at fractional p, all three kinds: the point and its
+    # three shifted points are one batch of exact moments
     for i in range(grid.n_random):
         params = sample_valid_params(rng)
-        for kind in ShiftKind:
-            _guarded(reports, f"shift/{kind.value}/{i:03d}", SHIFT_TOL,
-                     _meta(params, kind=kind.value), _shift_check, params, kind)
+        checks = [(f"shift/{kind.value}/{i:03d}", _meta(params, kind=kind.value), params, kind)
+                  for kind in ShiftKind]
+        points = [params] + [shifted_params(params, kind) for kind in ShiftKind]
+        _batched(reports, SHIFT_TOL, checks, lambda: _shift_pairs(points), _shift_check)
 
     # recursion of the normalization constant in the moment order
     for i in range(grid.n_random):
@@ -180,8 +196,8 @@ def run_identity_suite(grid: IdentityGridSpec | None = None) -> list[CheckReport
     # product-of-laws decomposition agrees with the exact moment in log
     for i in range(grid.n_random):
         params = sample_valid_params(rng)
-        _guarded(reports, f"law-decomp/{i:03d}", LAW_TOL_ABS, _meta(params), _law_check, params,
-                 absolute=True)
+        _guarded(reports, f"law-decomp/{i:03d}", LAW_TOL_ABS, _meta(params),
+                 law_and_exact_log_moments, params, absolute=True)
 
     reports.sort(key=lambda r: r.check_id)
     return reports
@@ -198,8 +214,14 @@ def _fubini_check(params: GmcParams):
     return exact_moment(params), math.exp(lg)
 
 
-def _shift_check(params: GmcParams, kind: ShiftKind):
-    ln_shifted, ln_base = log_exact_moments([shifted_params(params, kind), params]).tolist()
+def _shift_pairs(points: list[GmcParams]) -> list[tuple[float, float]]:
+    """(ln M at each shifted point, ln M at the point), points = [point, *shifted points]."""
+    ln_base, *ln_shifted = log_exact_moments(points).tolist()
+    return [(ln_s, ln_base) for ln_s in ln_shifted]
+
+
+def _shift_check(params: GmcParams, kind: ShiftKind, ln_pair: tuple[float, float]):
+    ln_shifted, ln_base = ln_pair
     ln_ratio = ln_shifted - ln_base
     if kind is ShiftKind.P_MINUS_ONE_TO_P:
         ln_ratio = -ln_ratio  # the ratio is M(p) / M(p-1)
@@ -209,7 +231,8 @@ def _shift_check(params: GmcParams, kind: ShiftKind):
 def _c_ratio_check(params: GmcParams):
     g, p = params.gamma, params.p
     u = g * g / 4.0
-    lhs = c_of_p(g, p) / c_of_p(g, p - 1.0)
+    c_p, c_below = c_of_ps(g, [p, p - 1.0])
+    lhs = c_p / c_below
     rhs = (math.sqrt(2.0 * math.pi) * (g / 2.0) ** ((p - 1.0) * u - 0.5)
            * math.exp(math.lgamma(1.0 - p * u) - math.lgamma(1.0 - u)))
     return lhs, rhs
@@ -217,10 +240,6 @@ def _c_ratio_check(params: GmcParams):
 
 def _c2_check(g: float, p: float, a: float):
     return _c2_from_fusion(g, p, a), _c2_from_connection(g, p, a)
-
-
-def _law_check(params: GmcParams):
-    return law_decomposition_log_moment(params), log_exact_moment(params)
 
 
 def _c2_from_fusion(g: float, p: float, a: float) -> float:
@@ -249,7 +268,7 @@ def verify_observable_prediction(params: GmcParams, kind: ObservableKind, t_list
     guarding against three-sigma flukes at suite scale.
     """
     chi = kind.chi(params.gamma)
-    predicted = [predict_observable(params, kind, t) for t in t_list]
+    predicted = predict_observables(params, kind, t_list)
 
     def allowance(est, pred):
         return 3.0 * est.stderr + MC_REL_MARGIN * abs(pred)

@@ -17,14 +17,17 @@ from gmcint.exactlaw import (
     ShiftKind,
     bounds_check,
     c_of_p,
+    c_of_ps,
     derivative_martingale_moment,
     exact_moment,
     exact_moment_factors,
     hyp_triple,
+    law_and_exact_log_moments,
     law_decomposition_log_moment,
     log_exact_moment,
     log_exact_moments,
     predict_observable,
+    predict_observables,
     reflection_boundary_1d,
     reflection_bulk_2d,
     selberg_product,
@@ -456,7 +459,9 @@ def test_shift_closure_property(params):
 _SIGNED_SUMS = [
     ("exact_moment", lambda g: log_exact_moment(GmcParams(g, -1.2, 0.7, 0.05)), 1),
     ("law_decomposition", lambda g: law_decomposition_log_moment(GmcParams(g, 0.6, 0.3, 0.8)), 3),
+    ("law_and_exact", lambda g: law_and_exact_log_moments(GmcParams(g, 0.6, 0.3, 0.8))[0], 4),
     ("c_of_p", lambda g: c_of_p(g, -1.4), 1),
+    ("c_of_ps", lambda g: c_of_ps(g, [-1.4, -2.4])[0], 2),
     ("reflection_1d", lambda g: reflection_boundary_1d(g, g / 2.0 + 0.3 * 2.0 / g), 1),
     ("martingale", lambda g: derivative_martingale_moment(0.9 - g), 1),  # at gamma 2
 ]
@@ -536,6 +541,52 @@ def test_batch_of_moments_refusals():
         log_exact_moments([GmcParams(1.0, 0.5, 0.0, 0.0), outside])
 
 
+def test_batches_of_closed_forms_equal_lone_values():
+    # c at 12 seeded p and the law decomposition at 8 seeded points, at each of
+    # four gammas; every batch value equals its lone value bit for bit
+    rng = np.random.default_rng(2301)
+    for g in (0.05, 0.3, 1.0, 1.8):
+        u = g * g / 4.0
+        ev = specfun.DoubleGamma(g)
+        ps = rng.uniform(-30.0, min(1.0 / u, 30.0), 12).tolist()
+        for p, c in zip(ps, c_of_ps(g, ps)):
+            # the constant's own formula, as one call of its two a,b-free terms
+            ln_num, ln_den, args = exact_moment_factors(GmcParams(g, p, 0.0, 0.0))
+            direct = math.exp(ln_num - ln_den + ev.log_value(args[3:4], den=args[4:5]))
+            assert c == c_of_p(g, p) == direct, (g, p)
+        checked = 0
+        while checked < 8:
+            a, b = rng.uniform(-1.0 - u, 20.0, 2).tolist()
+            params = GmcParams(g, rng.uniform(-30.0, 1.0 / u), a, b)
+            if not bounds_check(params):
+                continue
+            assert law_and_exact_log_moments(params) == (
+                law_decomposition_log_moment(params), log_exact_moment(params)), params
+            checked += 1
+
+
+def test_observables_at_many_t_equal_lone_values():
+    # t on both sides of the basis switch, and 0; each value is predict_observable's
+    ts = [0.0, -1e-6, -0.0049, -0.005, -0.5, -2.0, -1e3]
+    for params in (GmcParams(1.0, -0.5, 0.2, 0.1), GmcParams(0.6, 0.9, -0.3, 1.4)):
+        for kind in ObservableKind:
+            assert predict_observables(params, kind, ts) == [
+                predict_observable(params, kind, t) for t in ts]
+
+
+def test_batched_closed_form_refusals():
+    assert c_of_ps(1.0, []) == []
+    with pytest.raises(DomainError, match="p=4.0"):
+        c_of_ps(1.0, [0.5, 4.0])
+    assert predict_observables(GmcParams(1.0, 9.0, 0.0, 0.0), ObservableKind.POWER_ONE, []) == []
+    # the t are taken in order, and the parameters are checked at the first of them
+    outside, kind = GmcParams(1.0, 9.0, 0.2, 0.1), ObservableKind.POWER_ONE
+    with pytest.raises(BoundsError):
+        predict_observables(outside, kind, [-1.0, 0.5])
+    with pytest.raises(DomainError, match="got 0.5"):
+        predict_observables(outside, kind, [0.5, -1.0])
+
+
 # ln M from the 40-digit oracle (_oracles.exact_moment), frozen as (gamma, p, a, b, ln M).
 # They cover the benchmark's domain, gamma 1.95, p near 4/gamma^2 and near
 # 1 + (4/gamma^2)(1 + a), a or b near -1 - gamma^2/4, where a denominator
@@ -587,10 +638,11 @@ def test_log_moment_against_oracle_at_double_arguments(g, p, a, b, ln_m):
     assert abs(log_exact_moment(GmcParams(g, p, a, b)) - ln_m) <= 3e-13 * max(1.0, abs(ln_m))
 
 
-# Below gamma 0.05 the signed sum is no worse than the eight-value route: no
-# worse than its error at the same point, or than the figures on record for
-# it (8.1e-11 at gamma 0.01, 6e-12 at 0.02), whichever is larger.  At the
-# gamma 0.02 point the eight-value route itself is 3.4e-11 off.
+# Below gamma 0.05 the signed sum is held to the larger of the eight-value
+# route's error at the same point and a figure on record (8.1e-11 at gamma
+# 0.01, 6e-12 at 0.02).  The signed sum reads 2.39e-11 off at gamma 0.01,
+# inside its figure, and 1.72e-11 at 0.02, above its figure: there it passes
+# through the eight-value route, which is 3.63e-11 off (1.63e-11 at 0.01).
 @pytest.mark.parametrize("g,p,a,b,ln_m,recorded", [
     (0.01, 1.5, 0.3, 0.2, -0.717318170836707455728, 8.1e-11),
     (0.02, -2.0, 0.5, 0.1, 1.057098416706031517861, 6e-12),

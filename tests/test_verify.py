@@ -75,18 +75,20 @@ class TestGuardedChecks:
         assert "PoleError" in reports[0].metadata["error"]
 
     def test_a_batch_that_raises_fails_its_checks(self, monkeypatch):
-        # the Selberg grid of a gamma and each shift check's two points are one batch
-        # of exact moments; a batch that raises fails its checks, the suite runs on
+        # each Selberg gamma's grid, and per sampled point its three shift checks, its
+        # c-ratio check and its law check, is one batch; a batch that raises fails
+        # its checks, the suite runs on
         from gmcint import verify
         from gmcint.errors import PoleError
 
-        def boom(points):
+        def boom(*args):
             raise PoleError("synthetic pole")
 
-        monkeypatch.setattr(verify, "log_exact_moments", boom)
+        for name in ("log_exact_moments", "c_of_ps", "law_and_exact_log_moments"):
+            monkeypatch.setattr(verify, name, boom)
         reports = run_identity_suite()
-        batched = {"selberg", "shift"}
-        assert sum(r.check_id.split("/")[0] in batched for r in reports) == 135 + 60
+        batched = {"selberg", "shift", "c-ratio", "law-decomp"}
+        assert sum(r.check_id.split("/")[0] in batched for r in reports) == 135 + 60 + 20 + 20
         for r in reports:
             if r.check_id.split("/")[0] in batched:
                 assert r.status == "fail" and math.isnan(r.lhs)
@@ -94,12 +96,61 @@ class TestGuardedChecks:
             else:
                 assert r.status == "pass"
 
+    def test_a_sample_whose_batch_raises_fails_only_its_checks(self, suite, monkeypatch):
+        # the sixth shift sample, the third c-ratio sample and the eighth law sample
+        # raise; every other report is the suite's own
+        from gmcint import verify
+        from gmcint.errors import PoleError
+
+        def raising_on(name, call, counts=lambda args: True):
+            real, calls = getattr(verify, name), [0]
+
+            def fn(*args):
+                if counts(args):
+                    calls[0] += 1
+                    if calls[0] == call:
+                        raise PoleError(f"synthetic pole in {name}")
+                return real(*args)
+
+            monkeypatch.setattr(verify, name, fn)
+
+        # a shift sample is a batch of four moments; a Selberg grid has more
+        raising_on("log_exact_moments", 6, lambda args: len(args[0]) == 4)
+        raising_on("c_of_ps", 3)
+        raising_on("law_and_exact_log_moments", 8)
+        reports = run_identity_suite()
+        errors = {"shift/a+gamma^2/4/005": "log_exact_moments", "shift/a+1/005": "log_exact_moments",
+                  "shift/p-1->p/005": "log_exact_moments", "c-ratio/002": "c_of_ps",
+                  "law-decomp/007": "law_and_exact_log_moments"}
+        assert [r.check_id for r in reports] == [r.check_id for r in suite]
+        for r, own in zip(reports, suite):
+            if r.check_id in errors:
+                assert r.status == "fail" and math.isnan(r.lhs) and math.isnan(r.rhs)
+                assert r.metadata == {**own.metadata,
+                                      "error": f"PoleError: synthetic pole in {errors[r.check_id]}"}
+            else:
+                assert r == own
+
+    def test_one_integral_per_sample_and_check_family(self, monkeypatch):
+        # 5 Selberg grids, then 20 samples of each family: fubini 1, shift 1 (the
+        # point and its three shifted points), c-ratio 1 (c(p) and c(p-1)), law 1
+        # (three beta rows and the moment's row); 10 c2 points of 2 each.  185 when
+        # each shift check, c value and law side was its own call.
+        from gmcint import specfun
+
+        log_value, entries = specfun.DoubleGamma.log_value, []
+        monkeypatch.setattr(specfun.DoubleGamma, "log_value",
+                            lambda self, *args, **kw: entries.append(args) or log_value(self, *args, **kw))
+        run_identity_suite()
+        assert len(entries) == 5 + 4 * 20 + 2 * 10 == 105
+
     @pytest.mark.parametrize("seed,digest", [
         (20240601, "7648c98c3523491a7439bd38e14e475de1d7796738708758c79b188fec790fdc"),
         (7, "041296d600b17c7fee92ed9e62ea04bdf652806cc1111416c454a9eeaea186c9"),
     ])
     def test_json_is_frozen(self, seed, digest):
-        # sha256 of the suite's JSON, as computed one moment per call
+        # sha256 of the suite's JSON, frozen when every exact moment, c value and law
+        # side was its own double gamma call: a batch changes no byte
         text = reports_to_json(run_identity_suite(IdentityGridSpec(seed=seed)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -186,9 +237,9 @@ class TestObservablePrediction:
         ts = [-1e-6, -0.5, -2.0]
         # far outside the allowance at both replicate counts
         shift = {-0.5: 1.15, -2.0: 0.9}
-        real_predict = verify.predict_observable
-        monkeypatch.setattr(verify, "predict_observable",
-                            lambda p, k, t: real_predict(p, k, t) * shift.get(t, 1.0))
+        real_predict = verify.predict_observables
+        monkeypatch.setattr(verify, "predict_observables", lambda p, k, t_list: [
+            v * shift.get(t, 1.0) for t, v in zip(t_list, real_predict(p, k, t_list))])
         calls = []
 
         def recorded(params_, tchis, cfg_, threads=None):
@@ -202,7 +253,7 @@ class TestObservablePrediction:
         # the same reports as one check per t, each rerun on its own
         chi = kind.chi(params.gamma)
         for t, rep in zip(ts, reports):
-            pred = verify.predict_observable(params, kind, t)
+            pred = verify.predict_observables(params, kind, [t])[0]
             est = mc_moment(params, t, chi, cfg)
             retried = abs(est.mean - pred) > 3.0 * est.stderr + verify.MC_REL_MARGIN * abs(pred)
             if retried:
