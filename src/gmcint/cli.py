@@ -42,7 +42,6 @@ from .montecarlo import config_for, mc_moment, mc_small_deviation, mc_tail_fit
 from .specfun import barnes_g, checked_exp, double_gamma_evaluator
 from .verify import IdentityGridSpec, fmt
 
-_KINDS = {k.value: k for k in ObservableKind}
 _MAX_TABLE_ROWS = 1_000_000  # bounds the memory and time of a table: dgamma, barnes, tail's u grid
 # argparse's own pattern takes only the -1 and -1.5 forms for negative numbers
 # (Python 3.11), and reads -1e-6, -2e0 or -inf after a flag as a flag; here a
@@ -92,7 +91,7 @@ def _emit(args, rows) -> int:
     flags, whose values every row already carries.  The CSV header is the
     echo keys and then the columns, at any row count.
     """
-    skip = {"command", "format", "output", "threads", "row_flags", "columns",
+    skip = {"command", "run", "format", "output", "threads", "row_flags", "columns",
             *getattr(args, "row_flags", ())}
     parameters = {k: fmt(v) for k, v in vars(args).items() if k not in skip}
     columns = [*parameters, *args.columns]
@@ -106,11 +105,6 @@ def _emit(args, rows) -> int:
         text = "\n".join(lines) + "\n"
     _write(args, text)
     return 0
-
-
-def _add_output_opts(p):
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
 def _add_gmc_params(p, integer_p=False):
@@ -137,31 +131,27 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("exact", help="exact fractional moment with factor breakdown")
     _add_gmc_params(p)
-    p.set_defaults(columns=("value", "log_value", "log_prefactor",
-                            *(f"log_dg_{name}" for name in EXACT_DG_FACTORS)))
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_exact, columns=("value", "log_value", "log_prefactor",
+                                            *(f"log_dg_{name}" for name in EXACT_DG_FACTORS)))
 
     p = sub.add_parser("selberg", help="integer moment as the finite Gamma product")
     _add_gmc_params(p, integer_p=True)
-    p.set_defaults(columns=("value",))
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_selberg, columns=("value",))
 
     p = sub.add_parser("shift", help="all three shift-equation ratios")
     _add_gmc_params(p)
-    p.set_defaults(columns=("kind", "ratio"))
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_shift, columns=("kind", "ratio"))
 
     p = sub.add_parser("reflection", help="tail reflection coefficients")
     p.add_argument("--dim", type=int, choices=(1, 2), required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(columns=("value", "log_value"))
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_reflection, columns=("value", "log_value"))
 
     p = sub.add_parser("law-decomp", help="product-of-laws log moment vs exact")
     _add_gmc_params(p)
-    p.set_defaults(columns=("log_moment_decomposition", "log_moment_exact", "abs_diff"))
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_law_decomp,
+                   columns=("log_moment_decomposition", "log_moment_exact", "abs_diff"))
 
     p = sub.add_parser("dgamma", help="double gamma table")
     p.add_argument("--gamma", type=float, required=True)
@@ -169,28 +159,26 @@ def build_parser() -> _Parser:
     p.add_argument("--x-max", type=float, default=5.0)
     p.add_argument("--count", type=_table_rows, default=50)
     # every row carries x: see _emit
-    p.set_defaults(row_flags=("x_min", "x_max", "count"), columns=("x", "log_value", "value"))
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_dgamma, row_flags=("x_min", "x_max", "count"),
+                   columns=("x", "log_value", "value"))
 
     p = sub.add_parser("barnes", help="Barnes G table")
     p.add_argument("--x-min", type=float, default=0.5)
     p.add_argument("--x-max", type=float, default=4.0)
     p.add_argument("--count", type=_table_rows, default=50)
-    p.set_defaults(row_flags=("x_min", "x_max", "count"), columns=("x", "value"))
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_barnes, row_flags=("x_min", "x_max", "count"),
+                   columns=("x", "value"))
 
     p = sub.add_parser("martingale-moment", help="derivative martingale moment")
     p.add_argument("--p", type=float, required=True)
-    p.set_defaults(columns=("value", "barnes_form"))
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_martingale, columns=("value", "barnes_form"))
 
     p = sub.add_parser("mc-moment", help="Monte Carlo moment vs closed form")
     _add_gmc_params(p)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--chi", type=float, default=0.0)
-    p.set_defaults(columns=("mean", "stderr", "degraded_ci", "closed_form"))
+    p.set_defaults(run=_cmd_mc_moment, columns=("mean", "stderr", "degraded_ci", "closed_form"))
     _add_mc_opts(p, replicates=10_000, n_modes=4096)
-    _add_output_opts(p)
 
     p = sub.add_parser("tail", help="empirical tail exponent vs closed form")
     p.add_argument("--gamma", type=float, required=True)
@@ -199,27 +187,24 @@ def build_parser() -> _Parser:
     p.add_argument("--u-min", type=float, default=18.0)
     p.add_argument("--u-max", type=float, default=52.0)
     p.add_argument("--u-count", type=int, default=8)
-    p.set_defaults(row_flags=("u_min", "u_max", "u_count"),
+    p.set_defaults(run=_cmd_tail, row_flags=("u_min", "u_max", "u_count"),
                    columns=("u", "log_survival", "count", "wilson_low", "wilson_high", "slope",
                             "intercept", "r_squared", "slope_closed_form", "ln_reflection_1d"))
     _add_mc_opts(p, replicates=100_000, n_modes=1024)
-    _add_output_opts(p)
 
     p = sub.add_parser("small-dev", help="small-deviation probabilities")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eps", type=float, action="append", default=None,
                    help="repeatable; default grid 0.25..2")
-    p.set_defaults(row_flags=("eps",),
+    p.set_defaults(run=_cmd_small_dev, row_flags=("eps",),
                    columns=("eps", "log_prob", "count", "envelope_c", "envelope_exponent"))
     _add_mc_opts(p, replicates=100_000, n_modes=1024)
-    _add_output_opts(p)
 
     p = sub.add_parser("predict-u", help="hypergeometric-basis observable prediction")
     _add_gmc_params(p)
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--kind", choices=sorted(k.value for k in ObservableKind), required=True)
     p.add_argument("--t", type=float, action="append", required=True)
-    p.set_defaults(row_flags=("t",), columns=("t", "predicted"))
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_predict_u, row_flags=("t",), columns=("t", "predicted"))
 
     p = sub.add_parser("verify", help="cross-verification suites")
     p.add_argument("--suite", choices=("identities", "quadrature", "observable", "all"),
@@ -230,8 +215,11 @@ def build_parser() -> _Parser:
     p.add_argument("--n-modes", type=int, default=4096)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--grid-seed", type=int, default=IdentityGridSpec.seed)
-    _add_output_opts(p)
+    p.set_defaults(run=_cmd_verify)
 
+    for p in sub.choices.values():  # the last flags of every subcommand
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--output", default=None, help="write to a file instead of stdout")
     return parser
 
 
@@ -365,7 +353,7 @@ def _cmd_small_dev(args) -> int:
 
 def _cmd_predict_u(args) -> int:
     params = _gmc_params(args)
-    values = predict_observables(params, _KINDS[args.kind], args.t)
+    values = predict_observables(params, ObservableKind(args.kind), args.t)
     return _emit(args, zip(args.t, values))
 
 
@@ -394,30 +382,13 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "exact": _cmd_exact,
-    "selberg": _cmd_selberg,
-    "shift": _cmd_shift,
-    "reflection": _cmd_reflection,
-    "law-decomp": _cmd_law_decomp,
-    "dgamma": _cmd_dgamma,
-    "barnes": _cmd_barnes,
-    "martingale-moment": _cmd_martingale,
-    "mc-moment": _cmd_mc_moment,
-    "tail": _cmd_tail,
-    "small-dev": _cmd_small_dev,
-    "predict-u": _cmd_predict_u,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         # every result is checked for finiteness, so numpy's warnings only add noise
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args)
+            return args.run(args)
     except GmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

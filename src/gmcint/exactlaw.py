@@ -432,7 +432,7 @@ def predict_observables(params: GmcParams, kind: ObservableKind, ts) -> list[flo
     computed at the first of them, so each value and each error is that of
     `predict_observable` at its t.
     """
-    values, d1 = [], None
+    values, d1, coeffs = [], None, None
     for t in ts:
         if not -math.inf < t <= 0.0:
             raise DomainError(f"observable defined for finite t <= 0, got {t!r}")
@@ -443,17 +443,19 @@ def predict_observables(params: GmcParams, kind: ObservableKind, ts) -> list[flo
             triple = hyp_triple(params, kind)
             _check_generic(triple)
             a, b, c = triple.a_param, triple.b_param, triple.c_param
+            # c and a-b are not integers, so neither lower parameter degenerates
+            far = HypTriple(a, 1.0 + a - c, 1.0 + a - b)
+            second_at_zero = HypTriple(1.0 + a - c, 1.0 + b - c, 2.0 - c)
             d1 = exact_moment(params)
         try:
             if t <= -_BASIS_SWITCH:
-                tail = hyp2f1_negative(HypTriple(a, 1.0 + a - c, 1.0 + a - b), 1.0 / t)
-                value = d1 * abs(t) ** (-a) * tail
+                value = d1 * abs(t) ** (-a) * hyp2f1_negative(far, 1.0 / t)
             else:
-                c1, c2 = connection_coeffs(triple, d1)
+                if coeffs is None:  # at the first such t, where its error belongs
+                    coeffs = connection_coeffs(triple, d1)
+                c1, c2 = coeffs
                 first = c1 * hyp2f1_negative(triple, t)
-                second = c2 * abs(t) ** (1.0 - c) * hyp2f1_negative(
-                    HypTriple(1.0 + a - c, 1.0 + b - c, 2.0 - c), t
-                )
+                second = c2 * abs(t) ** (1.0 - c) * hyp2f1_negative(second_at_zero, t)
                 value = first + second
         except OverflowError:  # a float power overflowed
             value = math.inf

@@ -144,6 +144,8 @@ def _dct3(coefs: np.ndarray, low: np.ndarray, high: np.ndarray, out: np.ndarray)
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _grid_workspace(n_modes: int, m_cells: int):
     """Midpoints and truncated variance on the angle-uniform grid, in cell order."""
+    if m_cells < 4 * n_modes:
+        raise GridError(f"m_cells={m_cells} < 4*n_modes={4 * n_modes}")
     theta_edges = np.linspace(0.0, math.pi, m_cells + 1)
     theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
     x_mid = 0.5 * (1.0 - np.cos(theta_mid))
@@ -248,15 +250,13 @@ def cell_weights(grid: QuadGrid, n_modes: int, a: float, b: float, t: float = 0.
                  chi: float = 0.0, eta: float = 1.0) -> np.ndarray:
     """Weight of every cell for the mass of (x-t)^chi x^a (1-x)^b on [0, eta], 0 < eta <= 1."""
     m_cells = grid.m_cells
-    if m_cells < 4 * n_modes:
-        raise GridError(f"m_cells={m_cells} < 4*n_modes={4 * n_modes}")
+    x_mid = _grid_workspace(n_modes, m_cells)[0]  # first, so a bad grid is reported first
     if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
         raise DomainError(f"quadrature needs finite a, b > -1, got a={a!r}, b={b!r}")
     if not (-math.inf < t <= 0.0 and math.isfinite(chi)):
         raise DomainError(f"insertion needs finite chi and t <= 0, got t={t!r}, chi={chi!r}")
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta!r}")
-    x_mid = _grid_workspace(n_modes, m_cells)[0]
     # a new array, never the cached masses; at chi = 0 the factor is exactly 1
     return _cell_masses(m_cells, a, b, eta) * (x_mid - t) ** chi
 
@@ -279,8 +279,6 @@ def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, gr
     n_rows, n_coef = alphas.shape
     n_modes = n_coef - 1
     m_cells = grid.m_cells
-    if m_cells < 4 * n_modes:
-        raise GridError(f"m_cells={m_cells} < 4*n_modes={4 * n_modes}")
     _, var_mid = _grid_workspace(n_modes, m_cells)
     var = var_mid - _FOUR_LN2 if drop_mean else var_mid
     # exp(gamma/2 X - gamma^2/8 Var) w = exp(gamma/2 X) (w exp(-gamma^2/8 Var)): the

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BoundsError, DomainError, ResolutionError
-from .exactlaw import GmcParams, _check_gamma, bounds_check
+from .errors import DomainError, ResolutionError
+from .exactlaw import GmcParams, _check_gamma, _require_bounds, bounds_check
 from .field import QuadGrid, cell_weights, gmc_integral_batch, replicate_rng
 
 _CHUNK = 128  # replicates per task: the scheduling grain; results do not depend on it
@@ -170,8 +170,7 @@ def mc_moments(params: GmcParams, tchis, cfg: McConfig,
     if not rows:
         raise DomainError("need at least one (t, chi) to estimate")
     weights = np.stack(rows)
-    if not bounds_check(params):
-        raise BoundsError(f"moment does not exist for {params}")
+    _require_bounds(params)
     vals = _simulate_integrals(cfg, params.gamma, weights, False, threads)
     degraded = not bounds_check(replace(params, p=2.0 * params.p))
     ests = []

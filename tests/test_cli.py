@@ -339,6 +339,19 @@ def test_parameter_echo_is_frozen(capsys, argv, echo, header):
     assert out.splitlines()[0] == header
 
 
+_OUTPUT_CASES = [case[0] for case in _ECHO_CASES] + [["verify", "--suite", "quadrature"]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", _OUTPUT_CASES, ids=[argv[0] for argv in _OUTPUT_CASES])
+def test_output_file_equals_stdout(capsys, tmp_path, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    path = tmp_path / f"out.{fmt}"
+    assert run_cli(capsys, *argv, "--format", fmt, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
 @pytest.mark.parametrize("argv,want", [
     (["barnes"], ["x,value", "0.5,0.60324428120944606"]),
     (["dgamma", "--gamma", "1"],

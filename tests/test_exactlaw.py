@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import beta22_log_moment, gamma_fn
-from gmcint import quadrature, specfun
+from gmcint import exactlaw, quadrature, specfun
 from gmcint.errors import BoundsError, DegenerateParamsError, DomainError, GmcError
 from gmcint.exactlaw import (
     GmcParams,
@@ -572,6 +572,19 @@ def test_observables_at_many_t_equal_lone_values():
         for kind in ObservableKind:
             assert predict_observables(params, kind, ts) == [
                 predict_observable(params, kind, t) for t in ts]
+
+
+def test_observables_near_zero_share_one_connection(monkeypatch):
+    # the connection pair depends on the parameters alone, not on t
+    params, kind = GmcParams(1.0, -0.5, 0.2, 0.1), ObservableKind.POWER_ONE
+    ts = [0.0, -1e-6, -0.0049]
+    lone = [predict_observable(params, kind, t) for t in ts]
+    calls = []
+    coeffs = exactlaw.connection_coeffs
+    monkeypatch.setattr(exactlaw, "connection_coeffs",
+                        lambda *args: calls.append(args) or coeffs(*args))
+    assert predict_observables(params, kind, ts) == lone
+    assert len(calls) == 1
 
 
 def test_batched_closed_form_refusals():

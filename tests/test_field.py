@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -291,6 +292,11 @@ class TestGmcIntegral:
         s = make_sample(np.zeros(17))
         with pytest.raises(GridError):
             gmc_integral(s, 1.0, 0.0, 0.0, 0.0, 0.0, QuadGrid(32))
+        # the grid is checked before the weight's own parameters
+        with pytest.raises(GridError, match=re.escape("m_cells=32 < 4*n_modes=64")):
+            cell_weights(QuadGrid(32), 16, -2.0, 0.0, t=1.0)
+        with pytest.raises(GridError, match=re.escape("m_cells=32 < 4*n_modes=64")):
+            gmc_integral_batch(np.zeros((1, 17)), 1.0, np.ones((1, 32)), QuadGrid(32))
 
     def test_odd_cell_count_is_refused(self):
         # the transform runs on pairs of cells; 1505 >= 4 * 301 but is odd
