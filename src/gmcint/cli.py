@@ -370,9 +370,8 @@ def _cmd_verify(args) -> int:
         params = GmcParams(1.0, -0.5, 0.2, 0.1)
         cfg = config_for(args.replicates, args.n_modes, args.seed,
                          batches=max(10, min(50, args.replicates // 10)))
-        for kind in ObservableKind:
-            reports.extend(verify_mod.verify_observable_prediction(
-                params, kind, (-1e-6, -0.5, -2.0), cfg, args.threads))
+        checks = [(kind, t) for kind in ObservableKind for t in (-1e-6, -0.5, -2.0)]
+        reports.extend(verify_mod.verify_observable_prediction(params, checks, cfg, args.threads))
     _write(args, verify_mod.reports_to_json(reports) if args.format == "json"
            else verify_mod.reports_to_csv(reports))
     failures = verify_mod.failure_count(reports)

@@ -27,12 +27,13 @@ real inverse FFT of length m is taken as one complex inverse FFT of length
 m/2 by the standard packing (Sorensen et al., IEEE Trans. ASSP 35 (1987)
 849-863); per row it takes about a fifth less time than numpy.fft.irfft
 at m = 4096 and 16384 (BENCH_22.json).  Its packing tables are kept per
-layout at unit gamma (_field_tables).  It leaves the transform in Makhoul's
-cell order, cell 2j at j and cell 2j+1 at m-1-j (_fft_order), so the grid
-needs an even m.  The weight rows are put in that order once per call; the
-density never is.  The truncated variance is the same transform of other
-modes.  The cell masses come from an incomplete Beta function evaluated
-here (_cell_masses), so no part of the package imports SciPy.
+layout at unit gamma, with the grid's midpoints and variance, by
+_grid_workspace.  It leaves the transform in Makhoul's cell order, cell 2j
+at j and cell 2j+1 at m-1-j (_fft_order), so the grid needs an even m.  The
+weight rows are put in that order once per call; the density never is.  The
+truncated variance is the same transform of other modes.  The cell masses
+come from an incomplete Beta function evaluated here (_cell_masses), so no
+part of the package imports SciPy.
 
 Replicate r of a run draws its coefficients from an own counter-based
 stream keyed by seed XOR r, so results do not depend on worker count or
@@ -50,7 +51,7 @@ from .errors import DomainError, GridError
 
 _TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 _FOUR_LN2 = 4.0 * math.log(2.0)
-_LAYOUTS_KEPT = 8  # grid workspaces, transform tables and cell-mass vectors kept by the caches
+_LAYOUTS_KEPT = 8  # grid workspaces and cell-mass vectors kept by the caches
 # bytes of workspace and spare rows in flight per batch call: with the weight
 # rows they stay in one core's L2 cache
 _BLOCK_BYTES = 1 << 20
@@ -77,14 +78,14 @@ def replicate_rng(seed: int, replicate: int,
     """Counter-based stream for one replicate: key = seed XOR replicate.
 
     The key is reduced modulo 2^64, so any Python integer seed is usable.
-    Without bit_generator the stream gets a new Philox.  With one, that
-    Philox is re-keyed in place (zero counter, empty buffer), which draws
-    the same stream without seeding a new bit generator from OS entropy;
-    the caller must not share it between threads.
+    The stream's Philox, bit_generator or else a new one, is re-keyed in
+    place (zero counter, empty buffer).  Passing one saves seeding a new bit
+    generator from OS entropy per replicate; the caller must not share it
+    between threads.
     """
     key = (seed ^ replicate) & 0xFFFFFFFFFFFFFFFF
     if bit_generator is None:
-        return np.random.Generator(np.random.Philox(key=key))
+        bit_generator = np.random.Philox()
     state = {"counter": _PHILOX_ZEROS, "key": np.array([key, 0], np.uint64)}
     bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": _PHILOX_ZEROS,
                            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -143,7 +144,9 @@ def _dct3(coefs: np.ndarray, low: np.ndarray, high: np.ndarray, out: np.ndarray)
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _grid_workspace(n_modes: int, m_cells: int):
-    """Midpoints and truncated variance on the angle-uniform grid, in cell order."""
+    """Midpoints and truncated variance on the angle-uniform grid, in cell order, and the
+    field's _dct3_tables at unit gamma: the field times 1/2 has modes sqrt(ln 2) alpha_0
+    and alpha_n / sqrt(n).  gamma scales both tables; only low[0] holds the mean mode."""
     if m_cells < 4 * n_modes:
         raise GridError(f"m_cells={m_cells} < 4*n_modes={4 * n_modes}")
     theta_edges = np.linspace(0.0, math.pi, m_cells + 1)
@@ -158,17 +161,10 @@ def _grid_workspace(n_modes: int, m_cells: int):
     _dct3(np.ones((1, len(d))), *_dct3_tables(d, m_cells), var)
     var_mid = np.empty(m_cells)
     var_mid[_fft_order(np.arange(m_cells))] = var.view(float)[0]
-    return x_mid, var_mid
-
-
-@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
-def _field_tables(n_modes: int, m_cells: int, drop_mean: bool):
-    """_dct3_tables of the field times 1/2 at unit gamma: modes sqrt(ln 2) alpha_0 (0 with
-    drop_mean) and alpha_n / sqrt(n); gamma scales both tables."""
     scale = np.empty(n_modes + 1)
-    scale[0] = 0.0 if drop_mean else 0.5 * _TWO_SQRT_LN2
+    scale[0] = 0.5 * _TWO_SQRT_LN2
     scale[1:] = 1.0 / np.sqrt(np.arange(1, n_modes + 1))
-    return _dct3_tables(scale, m_cells)
+    return x_mid, var_mid, *_dct3_tables(scale, m_cells)
 
 
 def _beta_fraction(p: float, q: float, x: np.ndarray) -> np.ndarray:
@@ -277,14 +273,15 @@ def gmc_integral_batch(alphas: np.ndarray, gamma: float, weights: np.ndarray, gr
     product is summed over its row alone in fixed (pairwise) order.
     """
     n_rows, n_coef = alphas.shape
-    n_modes = n_coef - 1
     m_cells = grid.m_cells
-    _, var_mid = _grid_workspace(n_modes, m_cells)
-    var = var_mid - _FOUR_LN2 if drop_mean else var_mid
+    _, var, low, high = _grid_workspace(n_coef - 1, m_cells)
+    low, high = gamma * low, gamma * high
+    if drop_mean:  # the mean mode alpha_0 leaves the field, and its 4 ln 2 the variance
+        var = var - _FOUR_LN2
+        low[0] = 0.0
     # exp(gamma/2 X - gamma^2/8 Var) w = exp(gamma/2 X) (w exp(-gamma^2/8 Var)): the
     # variance factor goes into the weights once per call, in the transform's cell order
     weights = _fft_order(weights * np.exp((-gamma * gamma / 8.0) * var))
-    low, high = (gamma * table for table in _field_tables(n_modes, m_cells, drop_mean))
     block = min(n_rows, _block_rows(m_cells))
     work = np.empty((block, m_cells // 2), complex)
     spare = np.empty((block, m_cells)) if len(weights) > 1 else None

@@ -25,6 +25,7 @@ from .exactlaw import GmcParams, _check_gamma, _require_bounds, bounds_check
 from .field import QuadGrid, cell_weights, gmc_integral_batch, replicate_rng
 
 _CHUNK = 128  # replicates per task: the scheduling grain; results do not depend on it
+_MAX_WORKERS = 32  # ThreadPoolExecutor's own default ceiling on worker threads
 # the largest plan: 10^8 replicates fill 0.8 GB per value column, 2^20 modes a
 # 1 GiB coefficient chunk, and 2^24 cells 128 MiB per grid workspace array
 _MAX_REPLICATES = 10**8
@@ -146,7 +147,7 @@ def _simulate_integrals(cfg: McConfig, gamma: float, weights: np.ndarray, drop_m
         out[start:stop] = gmc_integral_batch(alphas, gamma, weights, cfg.grid, drop_mean)
 
     starts = range(0, cfg.replicates, _CHUNK)
-    n_workers = _resolve_threads(threads)
+    n_workers = min(_resolve_threads(threads), len(starts), _MAX_WORKERS)
     if n_workers == 1:
         for s in starts:
             work(s)

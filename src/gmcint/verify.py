@@ -257,32 +257,34 @@ def _c2_from_connection(g: float, p: float, a: float) -> float:
     return connection_coeffs(triple, exact_moment(params))[1]
 
 
-def verify_observable_prediction(params: GmcParams, kind: ObservableKind, t_list, cfg: McConfig,
+def verify_observable_prediction(params: GmcParams, checks, cfg: McConfig,
                                  threads: int | None = None) -> list[CheckReport]:
-    """Simulated moments of the moving-weight mass against the prediction.
+    """Simulated moments of the moving-weight mass against the prediction, per (kind, t).
 
     Exercises the whole chain: exact moment, connection matrix,
-    hypergeometric series, and the simulated field; every t is one weight
-    row on the same simulated fields.  The failing comparisons are rerun
+    hypergeometric series, and the simulated field; every check is one
+    weight row on the same simulated fields.  The failing checks are rerun
     together once with four times the replicates before they are reported,
     guarding against three-sigma flukes at suite scale.
     """
-    chi = kind.chi(params.gamma)
-    predicted = predict_observables(params, kind, t_list)
+    per_kind = {kind: iter(predict_observables(params, kind, [t for k, t in checks if k is kind]))
+                for kind in dict.fromkeys(kind for kind, _ in checks)}
+    predicted = [next(per_kind[kind]) for kind, _ in checks]
+    tchis = [(t, kind.chi(params.gamma)) for kind, t in checks]
 
     def allowance(est, pred):
         return 3.0 * est.stderr + MC_REL_MARGIN * abs(pred)
 
-    ests = mc_moments(params, [(t, chi) for t in t_list], cfg, threads)
+    ests = mc_moments(params, tchis, cfg, threads)
     failing = [i for i, (est, pred) in enumerate(zip(ests, predicted))
                if abs(est.mean - pred) > allowance(est, pred)]
     if failing:
-        reruns = mc_moments(params, [(t_list[i], chi) for i in failing],
+        reruns = mc_moments(params, [tchis[i] for i in failing],
                             replace(cfg, replicates=4 * cfg.replicates), threads)
         for i, est in zip(failing, reruns):
             ests[i] = est
     reports = []
-    for i, (t, pred, est) in enumerate(zip(t_list, predicted, ests)):
+    for i, ((kind, t), pred, est) in enumerate(zip(checks, predicted, ests)):
         allow = allowance(est, pred)
         meta = _meta(params, kind=kind.value, t=fmt(t), stderr=fmt(est.stderr), seed=cfg.seed,
                      n_modes=cfg.n_modes, replicates=est.replicates,

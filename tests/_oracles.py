@@ -486,7 +486,7 @@ def gmc_integral_batch_full_chunk(
 ) -> np.ndarray:
     """Batch integrals with all density rows formed at once and a gemv reduction."""
     n_modes = alphas.shape[1] - 1
-    x_mid, var_mid = _grid_workspace(n_modes, grid.m_cells)
+    x_mid, var_mid, _, _ = _grid_workspace(n_modes, grid.m_cells)
     weights = _cell_masses(grid.m_cells, a, b, eta)
     if chi != 0.0:
         weights = weights * (x_mid - t) ** chi

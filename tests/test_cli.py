@@ -271,6 +271,22 @@ class TestStochasticCommands:
         assert code == 0
         assert all(r["status"] == "pass" for r in json.loads(out))
 
+    def test_verify_observable_simulates_its_fields_once(self, capsys, monkeypatch):
+        from gmcint import cli as cli_mod
+
+        real, calls = cli_mod.verify_mod.mc_moments, []
+
+        def recorded(params, tchis, cfg, threads=None):
+            calls.append((len(tchis), cfg.replicates, cfg.n_modes))
+            return real(params, tchis, cfg, threads)
+
+        monkeypatch.setattr(cli_mod.verify_mod, "mc_moments", recorded)
+        rows = run_json(capsys, "verify", "--suite", "observable", "--seed", "5",
+                        "--replicates", "400", "--n-modes", "256")
+        # both kinds' three t are weight rows on one simulation; none needed a rerun
+        assert calls == [(6, 400, 256)]
+        assert [r["metadata"]["retried"] for r in rows] == ["false"] * 6
+
 
 class TestVerifyFailurePath:
     def test_exit_two_with_count_on_stderr(self, capsys, monkeypatch):

@@ -56,6 +56,15 @@ class TestSampling:
         c = sample_field(16, replicate_rng(123, 1)).alpha
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [-1, 0, 2**64 + 5])
+    def test_stream_is_keyed_alike_with_and_without_bit_generator(self, seed):
+        # the key is seed XOR replicate reduced mod 2^64, however the stream gets its Philox
+        reused = np.random.Philox()
+        for r in (0, 1, 130):
+            want = np.random.Generator(np.random.Philox(key=(seed ^ r) % 2**64)).standard_normal(9)
+            assert np.array_equal(replicate_rng(seed, r).standard_normal(9), want)
+            assert np.array_equal(replicate_rng(seed, r, reused).standard_normal(9), want)
+
     def test_standard_normal_marginals(self):
         draws = draw_alphas(2024, 100_000, 4)
         a1 = draws[:, 1]
@@ -115,7 +124,7 @@ class TestFieldVariance:
         from gmcint.field import _grid_workspace
 
         n_modes, m_cells = 32, 256
-        x_mid, var_mid = _grid_workspace(n_modes, m_cells)
+        x_mid, var_mid, _, _ = _grid_workspace(n_modes, m_cells)
         direct = field_variance(n_modes, x_mid)
         np.testing.assert_allclose(var_mid, direct, rtol=1e-12)
 
@@ -173,10 +182,8 @@ class TestBoundedCaches:
         masses = field._cell_masses(16, 0.25, 0.5)
         for k in range(size + 2):
             field._grid_workspace(4, 32 + 2 * k)
-            field._field_tables(4, 32 + 2 * k, False)
             field._cell_masses(16, 0.1 * k, 0.0)
         assert field._grid_workspace.cache_info().currsize == size
-        assert field._field_tables.cache_info().currsize == size
         assert field._cell_masses.cache_info().currsize == size
         # the first keys were dropped; asking again recomputes equal arrays
         for got, want in zip(field._grid_workspace(4, 16), grid):

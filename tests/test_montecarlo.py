@@ -266,6 +266,40 @@ class TestOneSampler:
             assert np.array_equal(row, np.random.Generator(np.random.Philox(key=key))
                                   .standard_normal(17))
 
+    @pytest.mark.parametrize("threads,env,replicates,want", [
+        (100_000, None, 100 * 128, 32), (8, None, 300, 3), (8, None, 2560, 8),
+        (None, "100000", 40 * 128, 32), (2, None, 100, None)])
+    def test_workers_are_capped(self, threads, env, replicates, want, monkeypatch):
+        # at most one worker per chunk of replicates and at most 32; a stub pool
+        # records the count and runs the chunks inline, so no thread is started
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo, "gmc_integral_batch",
+                            lambda alphas, gamma, weights, *args: alphas[:, : len(weights)].copy())
+        if env is None:
+            monkeypatch.delenv("GMC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("GMC_THREADS", env)
+        cfg = config_for(replicates, 1, 11, batches=10)
+        got = _simulate_integrals(cfg, 1.0, np.zeros((2, cfg.grid.m_cells)), False, threads)
+        assert started == ([] if want is None else [want])
+        assert np.array_equal(got, _simulate_integrals(cfg, 1.0, np.zeros((2, cfg.grid.m_cells)),
+                                                       False, 1))
+
     def test_no_weights_are_refused(self):
         with pytest.raises(DomainError):
             mc_moments(GmcParams(1.0, -0.5, 0.2, 0.1), [], small_cfg(7, replicates=200))

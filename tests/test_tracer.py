@@ -58,3 +58,26 @@ def test_a_lone_value_is_one_log_value_span(tracer):
     totals = tracer.summarize(tr.spans)
     assert totals["specfun.dgamma_calls"] == totals["specfun.dgamma_fresh"] == 1
     assert totals["quadrature.calls"] == 1
+
+
+def test_install_traces_the_field_and_montecarlo_layers(tracer):
+    # the benchmark's Monte Carlo workloads read rows and cells off the
+    # gmc_integral_batch arguments by name and time each replicate's draw
+    from gmcint import field, montecarlo
+
+    tr = tracer.install()
+    try:
+        assert tr.missing == []
+        montecarlo.mc_moment(exactlaw.GmcParams(1.0, -0.5, 0.0, 0.0), 0.0, 0.0,
+                             montecarlo.config_for(100, 16, 7, batches=10))
+    finally:
+        tr.uninstall()
+    names = [(span[3], span[4]) for span in tr.spans]
+    assert names.count(("field", "draw")) == 100
+    assert names.count(("montecarlo", "mc_moment")) == 1
+    batches = [span for span in tr.spans if span[3:5] == ("field", "gmc_integral_batch")]
+    assert [span[11] for span in batches] == [[100, 64]]
+    totals = tracer.summarize(tr.spans)
+    assert [totals[k] for k in ("field.batch_calls", "field.rows", "field.draws")] == [1, 100, 100]
+    assert montecarlo.gmc_integral_batch is field.gmc_integral_batch
+    assert montecarlo.replicate_rng is field.replicate_rng

@@ -205,7 +205,7 @@ class TestObservablePrediction:
         params = GmcParams(1.0, -0.5, 0.2, 0.1)
         cfg = config_for(2000, 1024, 12345, 0.2, 0.1)
         reports = verify_observable_prediction(
-            params, ObservableKind.POWER_GAMMA_SQ_OVER_4, [-0.5], cfg
+            params, [(ObservableKind.POWER_GAMMA_SQ_OVER_4, -0.5)], cfg
         )
         assert len(reports) == 1
         assert reports[0].status == "pass"
@@ -217,7 +217,7 @@ class TestObservablePrediction:
         params = GmcParams(1.0, -0.5, 0.2, 0.1)
         cfg = config_for(2000, 1024, 222, 0.2, 0.1)
         reports = verify_observable_prediction(
-            params, ObservableKind.POWER_ONE, [-1e-6], cfg
+            params, [(ObservableKind.POWER_ONE, -1e-6)], cfg
         )
         assert reports[0].status == "pass"
         # the prediction at t -> 0- is the unit-shifted exact moment
@@ -232,27 +232,32 @@ class TestObservablePrediction:
         from gmcint import verify
         from gmcint.montecarlo import mc_moment, mc_moments
 
-        params, kind = GmcParams(1.0, -0.5, 0.2, 0.1), ObservableKind.POWER_ONE
+        params = GmcParams(1.0, -0.5, 0.2, 0.1)
         cfg = config_for(400, 256, 5, batches=40)
         ts = [-1e-6, -0.5, -2.0]
-        # far outside the allowance at both replicate counts
-        shift = {-0.5: 1.15, -2.0: 0.9}
+        checks = [(kind, t) for kind in ObservableKind for t in ts]
+        # far outside the allowance at both replicate counts, for checks of both kinds
+        shift = {(ObservableKind.POWER_ONE, -0.5): 1.15, (ObservableKind.POWER_ONE, -2.0): 0.9,
+                 (ObservableKind.POWER_GAMMA_SQ_OVER_4, -2.0): 1.2}
         real_predict = verify.predict_observables
         monkeypatch.setattr(verify, "predict_observables", lambda p, k, t_list: [
-            v * shift.get(t, 1.0) for t, v in zip(t_list, real_predict(p, k, t_list))])
+            v * shift.get((k, t), 1.0) for t, v in zip(t_list, real_predict(p, k, t_list))])
         calls = []
 
         def recorded(params_, tchis, cfg_, threads=None):
-            calls.append(([t for t, _ in tchis], cfg_.replicates))
+            calls.append((list(tchis), cfg_.replicates))
             return mc_moments(params_, tchis, cfg_, threads)
 
         monkeypatch.setattr(verify, "mc_moments", recorded)
-        reports = verify.verify_observable_prediction(params, kind, ts, cfg)
-        assert calls == [(ts, 400), ([-0.5, -2.0], 1600)]
-        assert [r.status for r in reports] == ["pass", "fail", "fail"]
-        # the same reports as one check per t, each rerun on its own
-        chi = kind.chi(params.gamma)
-        for t, rep in zip(ts, reports):
+        reports = verify.verify_observable_prediction(params, checks, cfg)
+        tchis = [(t, kind.chi(params.gamma)) for kind, t in checks]
+        assert calls == [(tchis, 400), ([tchis[2], tchis[4], tchis[5]], 1600)]
+        assert [r.status for r in reports] == ["pass", "pass", "fail", "pass", "fail", "fail"]
+        assert [r.check_id for r in reports] == [
+            f"observable/{kind.value}/t={t:.6g}" for kind, t in checks]
+        # the same reports as one check per (kind, t), each rerun on its own
+        for (kind, t), rep in zip(checks, reports):
+            chi = kind.chi(params.gamma)
             pred = verify.predict_observables(params, kind, [t])[0]
             est = mc_moment(params, t, chi, cfg)
             retried = abs(est.mean - pred) > 3.0 * est.stderr + verify.MC_REL_MARGIN * abs(pred)
