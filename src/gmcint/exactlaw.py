@@ -8,13 +8,13 @@ auxiliary observables.
 
 All products of Gamma-type factors are assembled in log space; signs are
 tracked separately where individual Euler Gamma factors can be negative.
-The double gamma factors of each closed form, its numerator and
-denominator arguments, are one `DoubleGamma.log_value` call, that is one
-integral.  Closed forms at one gamma can share that call as rows of it
-(`_log_forms`): exact moments at many points (`log_exact_moments`), the
-normalization constant at many p (`c_of_ps`), and the law decomposition
+Each closed form with double gamma factors is a form of `_log_forms`, the
+one caller of `DoubleGamma.log_value`, whose forms at one gamma are one call,
+that is one integral: exact moments at many points (`log_exact_moments`),
+the normalization constant at many p (`c_of_ps`), and the law decomposition
 beside the exact moment it decomposes (`law_and_exact_log_moments`).  Each
-lone function is the one-point case of its batch.
+lone function, the reflection coefficient and the martingale moment
+included, is the one-point case of a batch.
 """
 from __future__ import annotations
 
@@ -135,17 +135,14 @@ def _log_forms(gamma: float, forms) -> list[float]:
     """ln of closed forms at one gamma, with all their double gamma factors as one call.
 
     A form is (ln prefactor, num rows, den rows): at least one numerator
-    row, each with a denominator row of as many terms.  Its value is the
+    row, each with a denominator row; forms batched together have numerator
+    rows of one length and denominator rows of one length.  Its value is the
     prefactor plus, row by row in order, the sum of ln G over the numerator
     row less that over the denominator row.  The rows of all forms are the
-    rows of one `DoubleGamma.log_value` call, a lone row as its 1-D form,
-    which builds no array of rows.  A row does not depend on its batch, so a
-    form's value does not depend on the forms beside it, and a lone form is
-    the one-point case of a batch of its kind.
+    rows of one `DoubleGamma.log_value` call.  A row does not depend on its
+    batch, so a form's value does not depend on the forms beside it, and a
+    lone form is the one-point case of a batch of its kind.
     """
-    if len(forms) == 1 and len(forms[0][1]) == 1:
-        ln_value, (num,), (den,) = forms[0]
-        return [ln_value + double_gamma_evaluator(gamma).log_value(num, den=den)]
     if not forms:
         return []
     num, den = [], []
@@ -252,7 +249,7 @@ def c_of_ps(gamma: float, ps) -> list[float]:
 
 def c_of_p(gamma: float, p: float) -> float:
     """Normalization constant of the moment formula: the one-point case of `c_of_ps`."""
-    return checked_exp(_log_forms(gamma, [_c_form(gamma, p)])[0], "normalization constant")
+    return c_of_ps(gamma, [p])[0]
 
 
 def shifted_params(params: GmcParams, kind: ShiftKind) -> GmcParams:
@@ -314,15 +311,13 @@ def tail_exponent(gamma: float, alpha: float) -> tuple[float, float]:
 def log_reflection_boundary_1d(gamma: float, alpha: float) -> float:
     """ln of the tail constant of GMC with a boundary insertion of strength alpha."""
     q_alpha, s = tail_exponent(gamma, alpha)
-    dg = double_gamma_evaluator(gamma).log_value([alpha - gamma / 2.0], den=[q_alpha])
-    logval = (
-        (s - 0.5) * math.log(2.0 * math.pi)
+    ln_value = (
+        (s - 0.5) * _LN_2PI
         + ((gamma / 2.0) * q_alpha - 0.5) * math.log(2.0 / gamma)
         - math.log(q_alpha)
         - s * math.lgamma(1.0 - gamma * gamma / 4.0)
-        + dg
     )
-    return logval
+    return _log_forms(gamma, [(ln_value, [[alpha - gamma / 2.0]], [[q_alpha]])])[0]
 
 
 def reflection_boundary_1d(gamma: float, alpha: float) -> float:
@@ -386,10 +381,8 @@ def derivative_martingale_moment(p: float) -> float:
     """Moment of twice the derivative-martingale total mass, for p < 1."""
     if not p < 1.0:
         raise DomainError(f"need p < 1, got {p!r}")
-    dg = double_gamma_evaluator(2.0).log_value([2.0 - p, 2.0 - p, 4.0 - p, 1.0 - p],
-                                               den=[2.0, 2.0, 4.0 - 2.0 * p])
-    logval = p * math.log(2.0 * math.pi) + dg
-    return checked_exp(logval, "derivative martingale moment")
+    form = (p * _LN_2PI, [[2.0 - p, 2.0 - p, 4.0 - p, 1.0 - p]], [[2.0, 2.0, 4.0 - 2.0 * p]])
+    return checked_exp(_log_forms(2.0, [form])[0], "derivative martingale moment")
 
 
 def hyp_triple(params: GmcParams, kind: ObservableKind) -> HypTriple:

@@ -257,7 +257,7 @@ def mc_small_deviation(
     Every eps must be finite and positive.  Unresolved grid points (no
     events) are reported with log_prob = -inf and count 0.  The envelope
     constant c in P <= exp(-c eps^(-4/gamma^2)) is fitted from the two
-    smallest resolvable eps.
+    smallest resolvable eps, or None where eps^(-4/gamma^2) leaves the double range.
     """
     _check_gamma(gamma)
     eps_grid = np.asarray(eps_grid, dtype=float)
@@ -276,5 +276,8 @@ def mc_small_deviation(
     if len(resolved) >= 2 and resolved[0].eps != resolved[1].eps:
         s = 4.0 / (gamma * gamma)
         e1, e2 = resolved[0], resolved[1]
-        envelope_c = (e2.log_prob - e1.log_prob) / (e1.eps**-s - e2.eps**-s)
+        try:
+            envelope_c = (e2.log_prob - e1.log_prob) / (e1.eps**-s - e2.eps**-s)
+        except (OverflowError, ZeroDivisionError):  # eps^-s out of the double range
+            envelope_c = None
     return SmallDeviationResult(tuple(points), envelope_c)

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -329,7 +327,7 @@ class DoubleGamma:
         self._head_w = c @ recip
         self._asym_w = (recip * _ASYM_SCALE).tolist()
         # (-q/2)^j, j >= 1, by a running product
-        self._q_powers = np.array(list(itertools.accumulate([-0.5 * self.q] * len(i), operator.mul)))
+        self._q_powers = np.full(len(i), -0.5 * self.q).cumprod()
         self._x_cap = _HEAD_XS / _LADDER_EDGES[self._head_panels]
         self._x_asym = max(self._x_cap, _ASYM_REACH / (math.pi * self.gamma))
         # 1 / (den t) on the ladder nodes past the head, den the integrand's denominator

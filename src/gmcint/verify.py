@@ -27,7 +27,6 @@ from .exactlaw import (
     exact_moment,
     hyp_triple,
     law_and_exact_log_moments,
-    log_exact_moment,
     log_exact_moments,
     predict_observables,
     selberg_product,
@@ -148,9 +147,9 @@ def run_identity_suite(grid: IdentityGridSpec | None = None) -> list[CheckReport
     A check that raises (possible off the default grid when a sampled point
     grazes a Gamma pole) is reported as a failure, never as an exception.
     The double gamma factors that a check family needs at one gamma are one
-    batch: each Selberg gamma's grid, and per sampled point its three shift
-    checks, its c-ratio check and its law-decomposition check.  A batch
-    that raises fails the checks it serves.
+    batch: each Selberg gamma's grid, per sampled point its three shift
+    checks, its c-ratio check and its law-decomposition check, and each c2
+    check's two moments.  A batch that raises fails the checks it serves.
     """
     grid = grid or IdentityGridSpec()
     rng = default_rng(grid.seed)
@@ -209,9 +208,8 @@ def _selberg_check(params: GmcParams, ln_m: float):
 
 
 def _fubini_check(params: GmcParams):
-    lg = (math.lgamma(params.a + 1.0) + math.lgamma(params.b + 1.0)
-          - math.lgamma(params.a + params.b + 2.0))
-    return exact_moment(params), math.exp(lg)
+    return (exact_moment(params),
+            gamma_ratio((params.a + 1.0, params.b + 1.0), (params.a + params.b + 2.0,)))
 
 
 def _shift_pairs(points: list[GmcParams]) -> list[tuple[float, float]]:
@@ -225,7 +223,7 @@ def _shift_check(params: GmcParams, kind: ShiftKind, ln_pair: tuple[float, float
     ln_ratio = ln_shifted - ln_base
     if kind is ShiftKind.P_MINUS_ONE_TO_P:
         ln_ratio = -ln_ratio  # the ratio is M(p) / M(p-1)
-    return math.exp(ln_ratio), shift_ratio(params, kind)
+    return checked_exp(ln_ratio, "moment ratio"), shift_ratio(params, kind)
 
 
 def _c_ratio_check(params: GmcParams):
@@ -234,27 +232,25 @@ def _c_ratio_check(params: GmcParams):
     c_p, c_below = c_of_ps(g, [p, p - 1.0])
     lhs = c_p / c_below
     rhs = (math.sqrt(2.0 * math.pi) * (g / 2.0) ** ((p - 1.0) * u - 0.5)
-           * math.exp(math.lgamma(1.0 - p * u) - math.lgamma(1.0 - u)))
+           * gamma_ratio((1.0 - p * u,), (1.0 - u,)))
     return lhs, rhs
 
 
 def _c2_check(g: float, p: float, a: float):
-    return _c2_from_fusion(g, p, a), _c2_from_connection(g, p, a)
+    """The subleading constant c2 at b = 0 by two routes, from one batch of two moments.
 
-
-def _c2_from_fusion(g: float, p: float, a: float) -> float:
-    """p Gamma(a+1) Gamma(-a-g^2/4-1) / Gamma(-g^2/4) * M(p-1, a-g^2/4, 0)."""
+    Fusion: p Gamma(a+1) Gamma(-a-g^2/4-1) / Gamma(-g^2/4) * M(p-1, a-g^2/4, 0).
+    Connection: the c2 that `predict_observable` forms, the connection of
+    (M(p, a, 0), 0).
+    """
     u = g * g / 4.0
-    logv, sign = log_gamma_ratio((a + 1.0, -a - u - 1.0), (-u,))
-    logv += math.log(abs(p)) + log_exact_moment(GmcParams(g, p - 1.0, a - u, 0.0))
-    return sign * math.copysign(1.0, p) * math.exp(logv)
-
-
-def _c2_from_connection(g: float, p: float, a: float) -> float:
-    """The c2 that `predict_observable` forms at b = 0: the connection of (M(p, a, 0), 0)."""
     params = GmcParams(g, p, a, 0.0)
+    logv, sign = log_gamma_ratio((a + 1.0, -a - u - 1.0), (-u,))
+    ln_below, ln_m = log_exact_moments([GmcParams(g, p - 1.0, a - u, 0.0), params]).tolist()
+    logv += math.log(abs(p)) + ln_below
+    fusion = sign * math.copysign(1.0, p) * checked_exp(logv, "c2 by fusion")
     triple = hyp_triple(params, ObservableKind.POWER_GAMMA_SQ_OVER_4)
-    return connection_coeffs(triple, exact_moment(params))[1]
+    return fusion, connection_coeffs(triple, checked_exp(ln_m, "moment"))[1]
 
 
 def verify_observable_prediction(params: GmcParams, checks, cfg: McConfig,
@@ -265,7 +261,8 @@ def verify_observable_prediction(params: GmcParams, checks, cfg: McConfig,
     hypergeometric series, and the simulated field; every check is one
     weight row on the same simulated fields.  The failing checks are rerun
     together once with four times the replicates before they are reported,
-    guarding against three-sigma flukes at suite scale.
+    guarding against three-sigma flukes at suite scale; that rerun's plan is
+    checked before the first simulation.
     """
     per_kind = {kind: iter(predict_observables(params, kind, [t for k, t in checks if k is kind]))
                 for kind in dict.fromkeys(kind for kind, _ in checks)}
@@ -275,12 +272,12 @@ def verify_observable_prediction(params: GmcParams, checks, cfg: McConfig,
     def allowance(est, pred):
         return 3.0 * est.stderr + MC_REL_MARGIN * abs(pred)
 
+    rerun_cfg = replace(cfg, replicates=4 * cfg.replicates)
     ests = mc_moments(params, tchis, cfg, threads)
     failing = [i for i, (est, pred) in enumerate(zip(ests, predicted))
                if abs(est.mean - pred) > allowance(est, pred)]
     if failing:
-        reruns = mc_moments(params, [tchis[i] for i in failing],
-                            replace(cfg, replicates=4 * cfg.replicates), threads)
+        reruns = mc_moments(params, [tchis[i] for i in failing], rerun_cfg, threads)
         for i, est in zip(failing, reruns):
             ests[i] = est
     reports = []

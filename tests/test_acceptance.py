@@ -133,14 +133,14 @@ def test_04_shift_equation_closure_and_c_recursion():
 
 
 def test_05_subleading_constant_two_routes():
-    from gmcint.verify import _c2_from_connection, _c2_from_fusion
+    from gmcint.verify import _c2_check
 
     worst = 0.0
     for i in range(10):
         g = 0.5 + 0.08 * i
         a = 0.5 * (1.0 - g * g / 4.0)
         p = -0.4 - 0.05 * i
-        fusion, connection = _c2_from_fusion(g, p, a), _c2_from_connection(g, p, a)
+        fusion, connection = _c2_check(g, p, a)
         worst = max(worst, abs(fusion - connection) / abs(connection))
     report("05 c2-identity", worst <= 1e-8, f"worst rel err {worst:.2e} <= 1e-8")
 

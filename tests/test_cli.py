@@ -287,6 +287,22 @@ class TestStochasticCommands:
         assert calls == [(6, 400, 256)]
         assert [r["metadata"]["retried"] for r in rows] == ["false"] * 6
 
+    def test_verify_observable_refuses_a_rerun_plan_before_simulating(self, capsys, monkeypatch):
+        # the rerun takes four times the replicates; a plan cap below that ends the
+        # run with one line before the first simulation
+        from gmcint import cli as cli_mod
+        from gmcint import montecarlo
+
+        calls = []
+        monkeypatch.setattr(montecarlo, "_MAX_REPLICATES", 2000)
+        monkeypatch.setattr(cli_mod.verify_mod, "mc_moments", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "verify", "--suite", "observable", "--seed", "3",
+                                 "--replicates", "2000", "--n-modes", "1")
+        assert (code, out, calls) == (1, "", [])
+        assert err.strip().splitlines() == [
+            "error: plan too large: at most 2000 replicates, 1048576 modes and 16777216 cells, "
+            "got 8000, 1 and 4"]
+
 
 class TestVerifyFailurePath:
     def test_exit_two_with_count_on_stderr(self, capsys, monkeypatch):
@@ -464,6 +480,11 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
     (["mc-moment", "--gamma", "1", "--p", "0.5", "--a", "1e300", *_SMALL_MC], {}, 1),
     (["mc-moment", "--gamma", "1", "--p", "0.5", "--b", "1e300", *_SMALL_MC], {}, 1),
     (["mc-moment", "--gamma", "1", "--p", "0.5", "--a", "inf", *_SMALL_MC], {}, 1),
+    # eps^(-4/gamma^2) overflows (eps < 1) or underflows to 0 for both eps (eps > 1)
+    (["small-dev", "--gamma", "0.001", "--seed", "7", "--eps", "0.9997", "--eps", "0.9999",
+      "--n-modes", "64", "--replicates", "1000", "--batches", "10"], {}, 0),
+    (["small-dev", "--gamma", "0.001", "--seed", "7", "--eps", "1.5", "--eps", "2",
+      "--n-modes", "64", "--replicates", "1000", "--batches", "10"], {}, 0),
     # past the asymptotic series' reach a value costs the same at any x
     (["dgamma", "--gamma", "2", "--x-min", "1e8", "--x-max", "5e8", "--count", "2"], {}, 0),
 ])

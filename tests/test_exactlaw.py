@@ -427,9 +427,10 @@ class TestPredictObservable:
 class TestC2Identity:
     @pytest.mark.parametrize("g,p,a", [(1.0, -0.5, 0.3), (1.2, 0.4, 0.2), (0.8, -1.1, 0.25)])
     def test_two_expressions_agree(self, g, p, a):
-        from gmcint.verify import _c2_from_connection, _c2_from_fusion
+        from gmcint.verify import _c2_check
 
-        assert _c2_from_fusion(g, p, a) == pytest.approx(_c2_from_connection(g, p, a), rel=1e-9)
+        fusion, connection = _c2_check(g, p, a)
+        assert fusion == pytest.approx(connection, rel=1e-9)
 
 
 @st.composite
@@ -488,14 +489,19 @@ def test_one_integral_per_closed_form(monkeypatch, gamma, fn, rows):
     monkeypatch.setattr(specfun, "integrate_panels", counted_panels)
     monkeypatch.setattr(specfun.DoubleGamma, "_reduce_pairs",
                         lambda self, x: reductions.append(x) or reduce_pairs(self, x))
-    # every closed form enters through log_value, whose spans the benchmark's tracer counts
+    # every closed form enters through log_value, whose spans the benchmark's tracer counts,
+    # and reaches it as one form batch of _log_forms
     log_value = specfun.DoubleGamma.log_value
     entries = []
     monkeypatch.setattr(specfun.DoubleGamma, "log_value",
                         lambda self, *args, **kw: entries.append(args) or log_value(self, *args, **kw))
+    log_forms, form_batches = exactlaw._log_forms, []
+    monkeypatch.setattr(exactlaw, "_log_forms",
+                        lambda g, forms: form_batches.append(forms) or log_forms(g, forms))
     specfun.double_gamma_evaluator.cache_clear()
     assert math.isfinite(fn(gamma))
     assert len(entries) == 1
+    assert len(form_batches) == 1
     assert panels == [(3, len(quadrature.LADDER) - 1)]
     assert shapes == [(rows, len(quadrature.LADDER) - 4, 48)]
     assert reductions == []

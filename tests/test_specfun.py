@@ -112,6 +112,16 @@ TOP_OF_WINDOW = (
 )
 
 
+# ln G(a) - ln G(b) by the same oracle, frozen as (gamma, a, b, value): pairs that
+# step jointly to below Stirling's reach, where `_lgamma_diff` subtracts two
+# math.lgamma values (at gamma 1, (57, 6) steps to (55, 4), where z = 8)
+LGAMMA_DIFF_BELOW_STIRLING = (
+    (1.0, 57.0, 6.0, -3916.431130831410046927),
+    (0.5, 57.0, 5.5, -3771.469537203054178508),
+    (1.5, 57.0, 3.0, -3953.957871253814826762),
+    (1.0, 6.0, 57.0, 3916.431130831410046927),
+)
+
 # ln G past the reach x_asym of the asymptotic series, frozen as gamma: (x0,
 # ln G(x0), ln G(1e4), ln G(1e8)), x0 = 1.01 x_asym.  ln G(x0) is the 40-digit
 # integral oracle (_oracles.ln_dgamma); the others add to it the 40-digit
@@ -478,6 +488,20 @@ class TestDoubleGamma:
         ln_n = math.lgamma(n * x) + (n * x - 0.5) * math.log(m) - LOG_SQRT_2PI
         assert abs(lv - ev.log_value(x + m) - ln_m) <= 1e-13 * abs(lv)
         assert abs(lv - ev.log_value(x + n) - ln_n) <= 1e-13 * abs(lv)
+
+    @pytest.mark.parametrize("gamma,a,b,expected", LGAMMA_DIFF_BELOW_STIRLING)
+    def test_joint_steps_below_stirling_reach_against_oracle(self, gamma, a, b, expected,
+                                                             monkeypatch):
+        lgamma_diff, below = specfun._lgamma_diff, []
+
+        def spy(z, dz):
+            below.append(bool(np.minimum(z, z + dz).min() < specfun._STIRLING_MIN))
+            return lgamma_diff(z, dz)
+
+        monkeypatch.setattr(specfun, "_lgamma_diff", spy)
+        value = DoubleGamma(gamma).log_value([a], den=[b])
+        assert below == [True]  # its math.lgamma branch ran
+        assert abs(value - expected) <= 2e-13 * max(1.0, abs(expected))
 
     @pytest.mark.parametrize("gamma", [0.125, 0.25, 0.5, 1.0, 2.0])
     def test_far_pairs_against_shift_equations(self, gamma):

@@ -60,6 +60,28 @@ def test_a_lone_value_is_one_log_value_span(tracer):
     assert totals["quadrature.calls"] == 1
 
 
+@pytest.mark.parametrize("name,args", [
+    ("reflection_boundary_1d", (1.0, 1.5)),
+    ("derivative_martingale_moment", (-1.0,)),
+])
+def test_a_closed_form_is_one_exactlaw_span_over_one_log_value_span(tracer, name, args):
+    # both reach the double gamma integral through the one form route, under a name
+    # the tracer wraps
+    tr = tracer.install()
+    try:
+        assert tr.missing == []
+        getattr(exactlaw, name)(*args)
+    finally:
+        tr.uninstall()
+    spans = {(span[3], span[4]): span for span in tr.spans}
+    assert [span[3:5] for span in tr.spans if span[3] != "quadrature"] == [
+        ("specfun", "log_value"), ("exactlaw", name)]
+    assert spans["specfun", "log_value"][10] == 1  # its one quadrature child
+    totals = tracer.summarize(tr.spans)
+    assert totals["exactlaw.calls"] == totals["specfun.dgamma_fresh"] == 1
+    assert totals["quadrature.calls"] == 1
+
+
 def test_install_traces_the_field_and_montecarlo_layers(tracer):
     # the benchmark's Monte Carlo workloads read rows and cells off the
     # gmc_integral_batch arguments by name and time each replicate's draw

@@ -75,9 +75,9 @@ class TestGuardedChecks:
         assert "PoleError" in reports[0].metadata["error"]
 
     def test_a_batch_that_raises_fails_its_checks(self, monkeypatch):
-        # each Selberg gamma's grid, and per sampled point its three shift checks, its
-        # c-ratio check and its law check, is one batch; a batch that raises fails
-        # its checks, the suite runs on
+        # each Selberg gamma's grid, per sampled point its three shift checks, its
+        # c-ratio check and its law check, and each c2 check's two moments, is one
+        # batch; a batch that raises fails its checks, the suite runs on
         from gmcint import verify
         from gmcint.errors import PoleError
 
@@ -87,8 +87,8 @@ class TestGuardedChecks:
         for name in ("log_exact_moments", "c_of_ps", "law_and_exact_log_moments"):
             monkeypatch.setattr(verify, name, boom)
         reports = run_identity_suite()
-        batched = {"selberg", "shift", "c-ratio", "law-decomp"}
-        assert sum(r.check_id.split("/")[0] in batched for r in reports) == 135 + 60 + 20 + 20
+        batched = {"selberg", "shift", "c-ratio", "law-decomp", "c2-identity"}
+        assert sum(r.check_id.split("/")[0] in batched for r in reports) == 135 + 60 + 20 + 20 + 10
         for r in reports:
             if r.check_id.split("/")[0] in batched:
                 assert r.status == "fail" and math.isnan(r.lhs)
@@ -134,15 +134,16 @@ class TestGuardedChecks:
     def test_one_integral_per_sample_and_check_family(self, monkeypatch):
         # 5 Selberg grids, then 20 samples of each family: fubini 1, shift 1 (the
         # point and its three shifted points), c-ratio 1 (c(p) and c(p-1)), law 1
-        # (three beta rows and the moment's row); 10 c2 points of 2 each.  185 when
-        # each shift check, c value and law side was its own call.
+        # (three beta rows and the moment's row); 10 c2 points of 1 each (M(p-1) of
+        # the fusion route and M(p) of the connection route).  185 when each shift
+        # check, c value, law side and c2 route was its own call.
         from gmcint import specfun
 
         log_value, entries = specfun.DoubleGamma.log_value, []
         monkeypatch.setattr(specfun.DoubleGamma, "log_value",
                             lambda self, *args, **kw: entries.append(args) or log_value(self, *args, **kw))
         run_identity_suite()
-        assert len(entries) == 5 + 4 * 20 + 2 * 10 == 105
+        assert len(entries) == 5 + 4 * 20 + 10 == 95
 
     @pytest.mark.parametrize("seed,digest", [
         (20240601, "7648c98c3523491a7439bd38e14e475de1d7796738708758c79b188fec790fdc"),
