@@ -122,7 +122,7 @@ def _add_mc_opts(p, replicates, n_modes):
     p.add_argument("--cells-per-mode", type=int, default=4,
                    help="angle-uniform cells per field mode (default 4); must be >= 4, "
                         "with an even product with --n-modes")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> _Parser:
@@ -213,7 +213,7 @@ def build_parser() -> _Parser:
                    help="required for the observable suite")
     p.add_argument("--replicates", type=int, default=4000)
     p.add_argument("--n-modes", type=int, default=4096)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--grid-seed", type=int, default=IdentityGridSpec.seed)
     p.set_defaults(run=_cmd_verify)
 
@@ -358,6 +358,8 @@ def _cmd_predict_u(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.suite in ("observable", "all") and args.seed is None:
+        raise GmcError("the observable suite is stochastic: --seed is required")
     reports = []
     if args.suite in ("identities", "all"):
         reports.extend(verify_mod.run_identity_suite(IdentityGridSpec(seed=args.grid_seed)))
@@ -365,8 +367,6 @@ def _cmd_verify(args) -> int:
         for a, p in ((0.5, -1.0), (0.3, -0.5), (0.7, -2.0)):
             reports.append(verify_mod.quadrature_identity_check(a, p))
     if args.suite in ("observable", "all"):
-        if args.seed is None:
-            raise GmcError("the observable suite is stochastic: --seed is required")
         params = GmcParams(1.0, -0.5, 0.2, 0.1)
         cfg = config_for(args.replicates, args.n_modes, args.seed,
                          batches=max(10, min(50, args.replicates // 10)))

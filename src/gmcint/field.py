@@ -74,18 +74,15 @@ class QuadGrid:
 
 
 def replicate_rng(seed: int, replicate: int,
-                  bit_generator: np.random.Philox | None = None) -> np.random.Generator:
+                  bit_generator: np.random.Philox) -> np.random.Generator:
     """Counter-based stream for one replicate: key = seed XOR replicate.
 
     The key is reduced modulo 2^64, so any Python integer seed is usable.
-    The stream's Philox, bit_generator or else a new one, is re-keyed in
-    place (zero counter, empty buffer).  Passing one saves seeding a new bit
-    generator from OS entropy per replicate; the caller must not share it
-    between threads.
+    The caller's bit_generator is re-keyed in place (zero counter, empty
+    buffer), so the stream is a function of the key alone, whatever the
+    Philox held before; the caller must not share it between threads.
     """
     key = (seed ^ replicate) & 0xFFFFFFFFFFFFFFFF
-    if bit_generator is None:
-        bit_generator = np.random.Philox()
     state = {"counter": _PHILOX_ZEROS, "key": np.array([key, 0], np.uint64)}
     bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": _PHILOX_ZEROS,
                            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

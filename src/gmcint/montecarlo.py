@@ -14,7 +14,6 @@ and set of other weights.  Standard errors come from batch means.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -78,13 +77,11 @@ def config_for(replicates: int, n_modes: int, seed: int, a: float = 0.0, b: floa
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Point estimate with batch-mean standard error and provenance."""
+    """Point estimate with batch-mean standard error and its replicate count."""
 
     mean: float
     stderr: float
     replicates: int
-    n_modes: int
-    seed: int
     degraded_ci: bool = False
 
     def __post_init__(self):
@@ -119,35 +116,28 @@ class SmallDeviationResult:
     envelope_c: float | None
 
 
-def _resolve_threads(threads: int | None) -> int:
-    """Worker count: threads if given, else the GMC_THREADS variable, else 1."""
-    if threads is None:
-        env = os.environ.get("GMC_THREADS")
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise DomainError(f"GMC_THREADS must be an integer, got {env!r}") from None
-    return max(1, threads)
-
-
 def _simulate_integrals(cfg: McConfig, gamma: float, weights: np.ndarray, drop_mean: bool,
-                        threads: int | None) -> np.ndarray:
-    """GMC integral of every replicate against every weight row, shape (replicates, k)."""
+                        threads: int = 1) -> np.ndarray:
+    """GMC integral of every replicate against every weight row, shape (replicates, k).
+
+    Chunks of _CHUNK replicates run on min(threads, chunks, _MAX_WORKERS)
+    worker threads, at least one.  Each chunk draws through one Philox of its
+    own, re-keyed by replicate_rng for every replicate, so the fixed seed it
+    is built with never reaches a draw.
+    """
     out = np.empty((cfg.replicates, len(weights)))
     n_coef = cfg.n_modes + 1
 
     def work(start: int) -> None:
         stop = min(start + _CHUNK, cfg.replicates)
         alphas = np.empty((stop - start, n_coef))
-        bit_generator = np.random.Philox()  # this chunk's own, re-keyed for each replicate
+        bit_generator = np.random.Philox(0)
         for i, row in enumerate(alphas, start):
             replicate_rng(cfg.seed, i, bit_generator).standard_normal(out=row)
         out[start:stop] = gmc_integral_batch(alphas, gamma, weights, cfg.grid, drop_mean)
 
     starts = range(0, cfg.replicates, _CHUNK)
-    n_workers = min(_resolve_threads(threads), len(starts), _MAX_WORKERS)
+    n_workers = min(max(threads, 1), len(starts), _MAX_WORKERS)
     if n_workers == 1:
         for s in starts:
             work(s)
@@ -158,7 +148,7 @@ def _simulate_integrals(cfg: McConfig, gamma: float, weights: np.ndarray, drop_m
 
 
 def mc_moments(params: GmcParams, tchis, cfg: McConfig,
-               threads: int | None = None) -> list[McEstimate]:
+               threads: int = 1) -> list[McEstimate]:
     """Monte Carlo estimates of the moment of the mass weighted by (x-t)^chi, per (t, chi).
 
     Every (t, chi) is a weight row on the same simulated fields, and each
@@ -179,13 +169,12 @@ def mc_moments(params: GmcParams, tchis, cfg: McConfig,
         powered = column**params.p
         batch_means = powered.reshape(cfg.batches, -1).mean(axis=1)
         stderr = float(batch_means.std(ddof=1) / math.sqrt(cfg.batches))
-        ests.append(McEstimate(float(powered.mean()), stderr, cfg.replicates, cfg.n_modes,
-                               cfg.seed, degraded))
+        ests.append(McEstimate(float(powered.mean()), stderr, cfg.replicates, degraded))
     return ests
 
 
 def mc_moment(params: GmcParams, t: float, chi: float, cfg: McConfig,
-              threads: int | None = None) -> McEstimate:
+              threads: int = 1) -> McEstimate:
     """Monte Carlo estimate of the moment of the mass weighted by (x-t)^chi."""
     return mc_moments(params, [(t, chi)], cfg, threads)[0]
 
@@ -204,7 +193,7 @@ def mc_tail_fit(
     eta: float,
     u_grid: np.ndarray,
     cfg: McConfig,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> TailFit:
     """Fit the empirical survival exponent of the insertion-weighted mass.
 
@@ -222,7 +211,7 @@ def mc_tail_fit(
         raise DomainError("u_grid must be finite, positive and strictly increasing, >= 2 points")
     weights = cell_weights(cfg.grid, cfg.n_modes, -gamma * alpha / 2.0, 0.0, eta=eta)
     vals = _simulate_integrals(cfg, gamma, weights[None], False, threads)[:, 0]
-    counts = np.array([(vals > u).sum() for u in u_grid])
+    counts = len(vals) - np.searchsorted(np.sort(vals), u_grid, side="right")
     if counts[-1] < 50:
         raise ResolutionError(
             f"only {counts[-1]} exceedances at u={u_grid[-1]}; need >= 50"
@@ -250,7 +239,7 @@ def mc_small_deviation(
     gamma: float,
     eps_grid: np.ndarray,
     cfg: McConfig,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> SmallDeviationResult:
     """Empirical lower-tail probabilities of the mean-free GMC mass.
 
@@ -266,11 +255,11 @@ def mc_small_deviation(
         raise DomainError(f"eps must be finite and positive, got {float(bad[0])!r}")
     weights = cell_weights(cfg.grid, cfg.n_modes, 0.0, 0.0)
     vals = _simulate_integrals(cfg, gamma, weights[None], True, threads)[:, 0]
+    counts = np.searchsorted(np.sort(vals), eps_grid, side="right")
     points = []
-    for eps in eps_grid:
-        count = int((vals <= eps).sum())
+    for eps, count in zip(eps_grid.tolist(), counts.tolist()):
         logp = math.log(count / cfg.replicates) if count else -math.inf
-        points.append(SmallDeviationPoint(float(eps), logp, count))
+        points.append(SmallDeviationPoint(eps, logp, count))
     resolved = sorted((pt for pt in points if pt.count > 0), key=lambda pt: pt.eps)
     envelope_c = None
     if len(resolved) >= 2 and resolved[0].eps != resolved[1].eps:

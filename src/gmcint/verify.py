@@ -74,14 +74,10 @@ class IdentityGridSpec:
             raise DomainError(f"grid seed must be nonnegative, got {self.seed!r}")
 
 
-def _passfail(ok: bool) -> str:
-    return "pass" if ok else "fail"
-
-
 def _report(check_id, lhs, rhs, tol, metadata, absolute=False) -> CheckReport:
     scale = 1.0 if absolute else max(abs(rhs), 1e-300)
     rel = abs(lhs - rhs) / scale
-    return CheckReport(check_id, _passfail(rel <= tol), float(lhs), float(rhs),
+    return CheckReport(check_id, "pass" if rel <= tol else "fail", float(lhs), float(rhs),
                        float(rel), tol, metadata)
 
 
@@ -254,7 +250,7 @@ def _c2_check(g: float, p: float, a: float):
 
 
 def verify_observable_prediction(params: GmcParams, checks, cfg: McConfig,
-                                 threads: int | None = None) -> list[CheckReport]:
+                                 threads: int = 1) -> list[CheckReport]:
     """Simulated moments of the moving-weight mass against the prediction, per (kind, t).
 
     Exercises the whole chain: exact moment, connection matrix,
@@ -286,12 +282,8 @@ def verify_observable_prediction(params: GmcParams, checks, cfg: McConfig,
         meta = _meta(params, kind=kind.value, t=fmt(t), stderr=fmt(est.stderr), seed=cfg.seed,
                      n_modes=cfg.n_modes, replicates=est.replicates,
                      retried=str(i in failing).lower(), allowance=fmt(allow))
-        rel = abs(est.mean - pred) / max(abs(pred), 1e-300)
-        reports.append(CheckReport(
-            f"observable/{kind.value}/t={t:.6g}", _passfail(abs(est.mean - pred) <= allow),
-            float(est.mean), float(pred), float(rel),
-            float(allow / max(abs(pred), 1e-300)), meta,
-        ))
+        reports.append(_report(f"observable/{kind.value}/t={t:.6g}", est.mean, pred,
+                               allow / max(abs(pred), 1e-300), meta))
     return reports
 
 

@@ -23,8 +23,10 @@ gmcint.field, and beta_cell gives a cell's mass to 40 digits.  The
 full-chunk batch integral is the array pipeline that gmcint.field streams
 in blocks: it shares the package's grid and cell masses but forms every
 density row at once, by SciPy's DCT-III in natural cell order, and
-reduces them with a BLAS matrix-vector product.  sample_y_gamma draws
-from the exact circle-mass law.  dgamma_head_weights is the double gamma series head's weights as a
+reduces them with a BLAS matrix-vector product.  replicate_stream is
+the stream a replicate draws, built from a new Philox with its key, and
+sample_y_gamma draws from the exact circle-mass law.
+dgamma_head_weights is the double gamma series head's weights as a
 Toeplitz sum per gamma, the form that gmcint.specfun folds into one
 constant matrix per head length.
 """
@@ -411,6 +413,11 @@ class ChebFieldSample:
             )
         if not np.all(np.isfinite(self.alpha)):
             raise DomainError("non-finite field coefficients")
+
+
+def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
+    """Replicate r's stream of seed: a new Philox keyed by seed XOR r, modulo 2^64."""
+    return np.random.Generator(np.random.Philox(key=(seed ^ replicate) % 2**64))
 
 
 def sample_field(n_modes: int, rng: np.random.Generator, seed_tag: int = 0) -> ChebFieldSample:

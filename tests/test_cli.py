@@ -276,7 +276,7 @@ class TestStochasticCommands:
 
         real, calls = cli_mod.verify_mod.mc_moments, []
 
-        def recorded(params, tchis, cfg, threads=None):
+        def recorded(params, tchis, cfg, threads=1):
             calls.append((len(tchis), cfg.replicates, cfg.n_modes))
             return real(params, tchis, cfg, threads)
 
@@ -286,6 +286,17 @@ class TestStochasticCommands:
         # both kinds' three t are weight rows on one simulation; none needed a rerun
         assert calls == [(6, 400, 256)]
         assert [r["metadata"]["retried"] for r in rows] == ["false"] * 6
+
+    @pytest.mark.parametrize("suite", ["observable", "all"])
+    def test_verify_checks_the_seed_before_any_suite(self, capsys, monkeypatch, suite):
+        from gmcint import cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod.verify_mod, "run_identity_suite",
+                            lambda *args: calls.append(args) or [])
+        code, out, err = run_cli(capsys, "verify", "--suite", suite)
+        assert (code, out, calls) == (1, "", [])
+        assert err == "error: the observable suite is stochastic: --seed is required\n"
 
     def test_verify_observable_refuses_a_rerun_plan_before_simulating(self, capsys, monkeypatch):
         # the rerun takes four times the replicates; a plan cap below that ends the
@@ -428,7 +439,7 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
     (["dgamma", "--gamma", "1", "--x-min", "1e-320"], {}, 0),
     (["dgamma", "--gamma", "1", "--x-min", "1e300", "--x-max", "1e300", "--count", "1"], {}, 1),
     (["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "100",
-      "--n-modes", "16", "--batches", "10"], {"GMC_THREADS": "abc"}, 1),
+      "--n-modes", "16", "--batches", "10"], {"GMC_THREADS": "abc"}, 0),
     (["exact", "--gamma", "1e-320", "--p", "0.5"], {}, 1),
     (["reflection", "--dim", "2", "--gamma", "0", "--alpha", "1"], {}, 1),
     (["shift", "--gamma", "1", "--p=-1e300"], {}, 1),
@@ -490,10 +501,17 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    # a timeout, so that an argv that never ends fails the test instead of hanging it
-    proc = subprocess.run([sys.executable, "-m", "gmcint.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, **env}, timeout=60)
+
+    def run(env):
+        # a timeout, so that an argv that never ends fails the test instead of hanging it
+        return subprocess.run([sys.executable, "-m", "gmcint.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+
+    bare = {k: v for k, v in os.environ.items() if k not in env}
+    proc = run({**bare, **env})
     assert proc.returncode == code, proc.stderr
+    if env:  # the variable leaves the output as it is
+        assert proc.stdout == run(bare).stdout
     assert "Traceback" not in proc.stderr
     if code:
         assert len(proc.stderr.strip().splitlines()) == 1
@@ -608,22 +626,6 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-class TestThreadEnvFallback:
-    def test_gmc_threads_env_matches_explicit(self, tmp_path):
-        argv = [sys.executable, "-m", "gmcint.cli", "mc-moment", "--gamma", "1",
-                "--p", "-1", "--a", "0", "--b", "0", "--seed", "5",
-                "--replicates", "1000", "--n-modes", "256", "--batches", "10"]
-        import os
-
-        env = dict(os.environ)
-        env["GMC_THREADS"] = "4"
-        with_env = subprocess.run(argv, capture_output=True, text=True, env=env)
-        explicit = subprocess.run(argv + ["--threads", "1"], capture_output=True,
-                                  text=True)
-        assert with_env.returncode == explicit.returncode == 0
-        assert with_env.stdout == explicit.stdout
 
 
 class TestConsoleScript:

@@ -245,7 +245,7 @@ class TestObservablePrediction:
             v * shift.get((k, t), 1.0) for t, v in zip(t_list, real_predict(p, k, t_list))])
         calls = []
 
-        def recorded(params_, tchis, cfg_, threads=None):
+        def recorded(params_, tchis, cfg_, threads=1):
             calls.append((list(tchis), cfg_.replicates))
             return mc_moments(params_, tchis, cfg_, threads)
 
