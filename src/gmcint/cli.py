@@ -39,7 +39,7 @@ from .exactlaw import (
     tail_exponent,
 )
 from .montecarlo import config_for, mc_moment, mc_small_deviation, mc_tail_fit
-from .specfun import barnes_g, checked_exp, double_gamma_evaluator
+from .specfun import barnes_g, double_gamma_evaluator
 from .verify import IdentityGridSpec, fmt
 
 _MAX_TABLE_ROWS = 1_000_000  # bounds the memory and time of a table: dgamma, barnes, tail's u grid
@@ -235,10 +235,9 @@ def _mc_config(args):
 def _cmd_exact(args) -> int:
     params = _gmc_params(args)
     log_value = log_exact_moment(params)
-    value = checked_exp(log_value, "moment")
     ln_num, ln_den, dg_args = exact_moment_factors(params)
     logs = double_gamma_evaluator(args.gamma).log_value(dg_args).tolist()
-    return _emit(args, [(value, log_value, ln_num - ln_den, *logs)])
+    return _emit(args, [(_exp_or_inf(log_value), log_value, ln_num - ln_den, *logs)])
 
 
 def _cmd_selberg(args) -> int:
@@ -358,8 +357,14 @@ def _cmd_predict_u(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite in ("observable", "all") and args.seed is None:
-        raise GmcError("the observable suite is stochastic: --seed is required")
+    if args.suite in ("observable", "all"):  # its plan is checked before any suite runs
+        if args.seed is None:
+            raise GmcError("the observable suite is stochastic: --seed is required")
+        batches = max(10, min(50, args.replicates // 10))
+        if args.replicates % batches:
+            raise DomainError(f"--replicates must be divisible by its batch count, {batches}, "
+                              f"got {args.replicates}")
+        cfg = config_for(args.replicates, args.n_modes, args.seed, batches=batches)
     reports = []
     if args.suite in ("identities", "all"):
         reports.extend(verify_mod.run_identity_suite(IdentityGridSpec(seed=args.grid_seed)))
@@ -368,8 +373,6 @@ def _cmd_verify(args) -> int:
             reports.append(verify_mod.quadrature_identity_check(a, p))
     if args.suite in ("observable", "all"):
         params = GmcParams(1.0, -0.5, 0.2, 0.1)
-        cfg = config_for(args.replicates, args.n_modes, args.seed,
-                         batches=max(10, min(50, args.replicates // 10)))
         checks = [(kind, t) for kind in ObservableKind for t in (-1e-6, -0.5, -2.0)]
         reports.extend(verify_mod.verify_observable_prediction(params, checks, cfg, args.threads))
     _write(args, verify_mod.reports_to_json(reports) if args.format == "json"

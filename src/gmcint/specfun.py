@@ -297,14 +297,14 @@ class DoubleGamma:
     row of a call of `quadrature.integrate_panels`, the package's one
     ladder kernel.  Each row has its own sum, so a value does not depend on
     the batch it was computed in.  Arguments up to the cap
-    _HEAD_XS / LADDER[k] go into the integral as they are.  Past
-    x_asym = max(cap, 45 / (pi gamma)) ln G is its asymptotic series, of
-    which only differences are taken (`_series_diff`); between the cap and
-    x_asym, below gamma 0.26 only, arguments take at most 6 n-steps of the
-    shift equation, and below a small floor at most 10 m-steps lift them
-    (the function has a simple pole at 0), each step one lgamma term
-    (`_reduce_pairs`).  So every finite argument costs a bounded time, and
-    only where ln G itself leaves the double range is it refused.
+    _HEAD_XS / LADDER[k] go into the integral as they are, and the others
+    are reduced into [_X_FLOOR, cap] in one pass (`_reduce_pairs`): past
+    x_asym = max(cap, 45 / (pi gamma)) by differences of the asymptotic
+    series of ln G (`_series_diff`), above the cap by n-steps of the shift
+    equation, a pair together where it can, and below the floor by m-steps
+    (the function has a simple pole at 0), each step one lgamma term.  So
+    every finite argument costs a bounded time, and only where ln G itself
+    leaves the double range is it refused.
     """
 
     gamma: float
@@ -417,67 +417,53 @@ class DoubleGamma:
         the same difference ln G(y_a) + shift_a - ln G(y_b) - shift_b over each pair of
         neighbours as of ln G(x_a) - ln G(x_b).
 
-        A pair with both arguments past x_asym adds the difference of their
-        series (`_series_diff`) to its first term, and both of its terms
-        become q/2.  A pair above the cap otherwise steps down together, by
-        the n-steps of its larger argument, if its smaller one stays
-        positive: fewer than x_asym / n <= 56 steps.  Its n-steps then add
-        shift_a - shift_b to the first term, one lgamma difference of
-        arguments n (y_a - y_b) apart per step (`_lgamma_diff`), which keeps
-        its digits where each lgamma is large.  Every other argument is
-        reduced on its own, and every m-lift is (`_reduce`).
-        """
-        n, cap = self._n, self._x_cap
-        xa, xb = x[:, 0::2], x[:, 1::2]
-        low = np.minimum(xa, xb)
-        series = None
-        if low.max() > self._x_asym:
-            far = low > self._x_asym
-            series = [self._series_diff(u, v) if u >= v else -self._series_diff(v, u)
-                      for u, v in zip(xa[far].tolist(), xb[far].tolist())]
-            x = np.where(np.repeat(far, 2, axis=1), 0.5 * self.q, x)
-            xa, xb = x[:, 0::2], x[:, 1::2]
-            low = np.minimum(xa, xb)
-        # a pair whose smaller argument is at most n cannot step (a lone value's q/2 < n)
-        joint = low.max() > n
-        if joint:
-            k = np.ceil((np.maximum(xa, xb) - cap) / n)
-            together = (k > 0) & (low - k * n > 0.0)
-            joint = together.any()
-        if joint:
-            x = x - np.repeat(np.where(together, k, 0.0), 2, axis=1) * n
-        y, shift = self._reduce(x.ravel().tolist())
-        shift = np.zeros(x.shape) if shift is None else np.reshape(shift, x.shape)
-        if series is not None:
-            shift[:, 0::2][far] += series
-        if joint:
-            ya, yb, steps = x[:, 0::2][together], x[:, 1::2][together], k[together].astype(int)
-            dz = n * (ya - yb)
-            z = n * (np.repeat(yb, steps) + n * np.concatenate([np.arange(j) for j in steps]))
-            diff = np.add.reduceat(_lgamma_diff(z, np.repeat(dz, steps)), np.cumsum(steps) - steps)
-            shift[:, 0::2][together] -= diff + steps * dz * math.log(self._m)
-        return np.reshape(y, x.shape), shift
-
-    def _reduce(self, xs: list) -> tuple[list, list | None]:
-        """Arguments y and shifts with ln G(x) = ln G(y) + shift, or shift None if every
-        x is in [_X_FLOOR, cap].
-
-        Past x_asym, x is taken to x_asym by the series (`_series_diff`).
-        Above the cap it then takes n-steps down into (cap - n, cap], at most
-        6 and only below gamma 0.26, where x_asym is above the cap; below the
-        floor m-steps lift it, at most 10.  The cap is above n + 13, so no x
-        takes both.  A step at y adds or takes away ln G(y) - ln G(y + s),
-        which by the shift equation of s = m or n is
+        A pair with both arguments past x_asym takes the difference of their
+        series (`_series_diff`) as the shift of its first term, and both of
+        its terms become q/2.  A pair above the cap otherwise steps down
+        together, by the n-steps of its larger argument, if its smaller one
+        stays positive: fewer than x_asym / n <= 56 steps, one lgamma
+        difference of arguments n (y_a - y_b) apart per step
+        (`_lgamma_diff`), which keeps its digits where each lgamma is large.
+        Then each argument still outside [_X_FLOOR, cap] is reduced on its
+        own, and its terms are added to its shift: past x_asym it is taken to
+        x_asym by the series, above the cap it takes n-steps down into
+        (cap - n, cap], at most 6 and only below gamma 0.26, where x_asym is
+        above the cap, and below the floor m-steps lift it, at most 10.  The
+        cap is above n + 13, so an n-step of its own leaves no argument below
+        the floor, but a joint one may, and that argument is lifted as well.
+        A step at y adds or takes away ln G(y) - ln G(y + s), which by the
+        shift equation of s = m or n is
         lgamma(s y) -/+ (s y - 1/2) ln m - ln sqrt(2 pi); for an m-step,
         lgamma(m y) is lgamma(1 + m y) - ln m - ln y, finite where m y
-        underflows.  The terms of each x are summed with math.fsum.
+        underflows.  The terms of each argument are summed with math.fsum.
         """
         m, n, floor, cap, top = self._m, self._n, _X_FLOOR, self._x_cap, self._x_asym
-        if floor <= min(xs) and max(xs) <= cap:
-            return xs, None
         ln_m = math.log(m)
-        ys, shift = [], []
-        for v in xs:
+        x = x.copy()
+        shift = np.zeros(x.shape)
+        xa, xb, first = x[:, 0::2], x[:, 1::2], shift[:, 0::2]
+        low = np.minimum(xa, xb)
+        if low.max() > top:
+            far = low > top
+            first[far] = [self._series_diff(u, v) if u >= v else -self._series_diff(v, u)
+                          for u, v in zip(xa[far].tolist(), xb[far].tolist())]
+            xa[far] = xb[far] = 0.5 * self.q
+            low = np.minimum(xa, xb)
+        # a pair whose smaller argument is at most n cannot step (a lone value's q/2 < n)
+        if low.max() > n:
+            k = np.ceil((np.maximum(xa, xb) - cap) / n)
+            together = (k > 0) & (low - k * n > 0.0)
+            if together.any():
+                x -= np.repeat(np.where(together, k, 0.0), 2, axis=1) * n
+                ya, yb, steps = xa[together], xb[together], k[together].astype(int)
+                dz = n * (ya - yb)
+                z = n * (np.repeat(yb, steps) + n * np.concatenate([np.arange(j) for j in steps]))
+                diff = np.add.reduceat(_lgamma_diff(z, np.repeat(dz, steps)),
+                                       np.cumsum(steps) - steps)
+                first[together] = 0.0 - (diff + steps * dz * ln_m)
+        flat_x, flat_shift = x.reshape(-1), shift.reshape(-1)
+        out = np.flatnonzero((flat_x < floor) | (flat_x > cap))
+        for i, v in zip(out.tolist(), flat_x[out].tolist()):
             terms = [self._series_diff(v, top)] if v > top else []
             v = min(v, top)
             k_n = max(math.ceil((v - cap) / n), 0)
@@ -488,9 +474,9 @@ class DoubleGamma:
             for u in (y + j * m for j in range(k_m)):
                 terms.append(math.lgamma(1.0 + m * u) - math.log(u) - ln_m * (m * u + 0.5)
                              - _LOG_SQRT_2PI)
-            ys.append(y + k_m * m)
-            shift.append(math.fsum(terms))
-        return ys, shift
+            flat_x[i] = y + k_m * m
+            flat_shift[i] += math.fsum(terms)
+        return x, shift
 
     def log_value(self, num, *, den=None):
         """ln of the double gamma function at x > 0, or sums of such logs over

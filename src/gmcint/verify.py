@@ -326,9 +326,8 @@ def quadrature_identity_check(a: float, p: float) -> CheckReport:
     body = integrate_panels(integrand, 0, n_panels)[0]
     # algebraic tail: finite part of -int_T u^{a-1} plus the binomial tail
     tail = hi**a / a
+    tail += hi ** (p + a) / (0.0 - p - a)  # k = 0 term
     for k, coeff in _binom_series(p, max_terms=400):
-        if k == 1:
-            tail += hi ** (p + a) / (0.0 - p - a)  # k = 0 term
         term = coeff * hi ** (p + a - k) / (k - p - a)
         tail += term
         if abs(term) <= 1e-18 * max(abs(tail), 1e-30):

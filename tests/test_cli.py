@@ -119,6 +119,17 @@ class TestTables:
         first = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(first["log_value"]) == pytest.approx(0.0, abs=1e-11)  # x = Q/2
 
+    def test_exact_moment_overflow_prints_inf(self, capsys):
+        # M = e^1328.7 here: the value overflows and the log carries it, as in dgamma
+        from gmcint.exactlaw import log_exact_moment
+
+        doc = run_json(capsys, "exact", "--gamma", "1", "--p", "-60")
+        row = doc["results"][0]
+        assert row["value"] == "inf"
+        assert float(row["log_value"]) == log_exact_moment(GmcParams(1.0, -60.0, 0.0, 0.0))
+        # 40-digit oracle: _oracles.exact_moment
+        assert float(row["log_value"]) == pytest.approx(1328.749442289073001098, rel=1e-14)
+
     def test_dgamma_value_overflow_prints_inf(self, capsys):
         doc = run_json(capsys, "dgamma", "--gamma", "1", "--x-min", "1e-320", "--x-max", "1",
                        "--count", "2")
@@ -297,6 +308,22 @@ class TestStochasticCommands:
         code, out, err = run_cli(capsys, "verify", "--suite", suite)
         assert (code, out, calls) == (1, "", [])
         assert err == "error: the observable suite is stochastic: --seed is required\n"
+
+    @pytest.mark.parametrize("replicates,batches", [(4001, 50), (333, 33)])
+    def test_verify_checks_the_replicate_count_before_any_suite(self, capsys, monkeypatch,
+                                                                replicates, batches):
+        # the observable suite splits --replicates into max(10, min(50, replicates // 10))
+        # batches, which it must divide into
+        from gmcint import cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod.verify_mod, "run_identity_suite",
+                            lambda *args: calls.append(args) or [])
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--seed", "1",
+                                 "--replicates", str(replicates))
+        assert (code, out, calls) == (1, "", [])
+        assert err == (f"error: --replicates must be divisible by its batch count, {batches}, "
+                       f"got {replicates}\n")
 
     def test_verify_observable_refuses_a_rerun_plan_before_simulating(self, capsys, monkeypatch):
         # the rerun takes four times the replicates; a plan cap below that ends the
@@ -498,6 +525,8 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
       "--n-modes", "64", "--replicates", "1000", "--batches", "10"], {}, 0),
     # past the asymptotic series' reach a value costs the same at any x
     (["dgamma", "--gamma", "2", "--x-min", "1e8", "--x-max", "5e8", "--count", "2"], {}, 0),
+    # the moment overflows the double range, its log does not
+    (["exact", "--gamma", "1", "--p", "-60"], {}, 0),
 ])
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -503,6 +503,24 @@ class TestDoubleGamma:
         assert below == [True]  # its math.lgamma branch ran
         assert abs(value - expected) <= 2e-13 * max(1.0, abs(expected))
 
+    def test_joint_steps_below_the_floor_then_lift(self, monkeypatch):
+        # seven joint n-steps take 208.77 to 0.0034, below _X_FLOOR, so m-lifts take
+        # it on, and their terms add to the pair's joint shift
+        gamma, a, b = 0.06705919508335192, 208.77412977930766, 235.55249817894392
+        ev = DoubleGamma(gamma)
+        lone = ev.log_value(a) - ev.log_value(b)
+        lgamma_diff, stepped = specfun._lgamma_diff, []
+
+        def spy(z, dz):
+            stepped.append((len(z), (z[0] + dz[0]) / ev._n))
+            return lgamma_diff(z, dz)
+
+        monkeypatch.setattr(specfun, "_lgamma_diff", spy)
+        value = ev.log_value([a], den=[b])
+        [(steps, y)] = stepped  # the joint branch ran once, for this pair
+        assert steps == 7 and 0.0 < y < specfun._X_FLOOR
+        assert abs(value - lone) <= 1e-13 * max(1.0, abs(lone))
+
     @pytest.mark.parametrize("gamma", [0.125, 0.25, 0.5, 1.0, 2.0])
     def test_far_pairs_against_shift_equations(self, gamma):
         # pairs (x, x + s), s = m or n, as one signed row: past x_asym both terms are
