@@ -31,9 +31,8 @@ from .exactlaw import (
     law_and_exact_log_moments,
     log_exact_moment,
     log_reflection_boundary_1d,
+    log_reflection_bulk_2d,
     predict_observable,
-    predict_observables,
-    reflection_bulk_2d,
     selberg_product,
     shift_ratio,
     tail_exponent,
@@ -259,13 +258,9 @@ def _exp_or_inf(log_value: float):
 
 
 def _cmd_reflection(args) -> int:
-    if args.dim == 1:
-        log_value = log_reflection_boundary_1d(args.gamma, args.alpha)
-        return _emit(args, [(_exp_or_inf(log_value), log_value)])
-    value = reflection_bulk_2d(args.gamma, args.alpha)
-    if not value > 0.0:  # underflowed, so its logarithm is lost
-        raise DomainError(f"reflection coefficient {value!r} is not a positive double")
-    return _emit(args, [(value, math.log(value))])
+    log_form = log_reflection_boundary_1d if args.dim == 1 else log_reflection_bulk_2d
+    log_value = log_form(args.gamma, args.alpha)
+    return _emit(args, [(_exp_or_inf(log_value), log_value)])
 
 
 def _cmd_law_decomp(args) -> int:
@@ -333,27 +328,24 @@ def _cmd_tail(args) -> int:
     fit = mc_tail_fit(args.gamma, args.alpha, args.eta, u_grid, cfg, args.threads)
     slope_closed = -tail_exponent(args.gamma, args.alpha)[1]
     ln_refl = _closed_form(log_reflection_boundary_1d, args.gamma, args.alpha)
-    rows = []
-    for i, u in enumerate(fit.u_grid):
-        rows.append((float(u), float(fit.log_survival[i]), int(fit.counts[i]),
-                     float(fit.wilson_low[i]), float(fit.wilson_high[i]), fit.slope,
-                     fit.intercept, fit.r_squared, slope_closed, ln_refl))
-    return _emit(args, rows)
+    columns = zip(fit.u_grid, fit.log_survival, fit.counts, fit.wilson_low, fit.wilson_high)
+    return _emit(args, [(u, log_s, int(count), low, high, fit.slope, fit.intercept,
+                         fit.r_squared, slope_closed, ln_refl)
+                        for u, log_s, count, low, high in columns])
 
 
 def _cmd_small_dev(args) -> int:
     eps = args.eps if args.eps else [0.25, 0.3, 0.45, 0.5, 0.75, 1.0, 1.5, 2.0]
     result = mc_small_deviation(args.gamma, np.asarray(eps), _mc_config(args), args.threads)
     envelope_c = result.envelope_c if result.envelope_c is not None else "n/a"
-    return _emit(args, [(pt.eps, pt.log_prob if math.isfinite(pt.log_prob) else "-inf",
-                         pt.count, envelope_c, -4.0 / (args.gamma * args.gamma))
+    return _emit(args, [(pt.eps, pt.log_prob, pt.count, envelope_c,
+                         -4.0 / (args.gamma * args.gamma))
                         for pt in result.points])
 
 
 def _cmd_predict_u(args) -> int:
-    params = _gmc_params(args)
-    values = predict_observables(params, ObservableKind(args.kind), args.t)
-    return _emit(args, zip(args.t, values))
+    params, kind = _gmc_params(args), ObservableKind(args.kind)
+    return _emit(args, [(t, predict_observable(params, kind, t)) for t in args.t])
 
 
 def _cmd_verify(args) -> int:

@@ -13,8 +13,8 @@ one caller of `DoubleGamma.log_value`, whose forms at one gamma are one call,
 that is one integral: exact moments at many points (`log_exact_moments`),
 the normalization constant at many p (`c_of_ps`), and the law decomposition
 beside the exact moment it decomposes (`law_and_exact_log_moments`).  Each
-lone function, the reflection coefficient and the martingale moment
-included, is the one-point case of a batch.
+lone form, the 1d reflection coefficient and the martingale moment included,
+is the one-point case of a batch; the observable takes one t per call.
 """
 from __future__ import annotations
 
@@ -325,14 +325,22 @@ def reflection_boundary_1d(gamma: float, alpha: float) -> float:
     return checked_exp(log_reflection_boundary_1d(gamma, alpha), "reflection coefficient")
 
 
-def reflection_bulk_2d(gamma: float, alpha: float) -> float:
-    """Tail constant of two-dimensional GMC with a bulk insertion."""
+def log_reflection_bulk_2d(gamma: float, alpha: float) -> float:
+    """ln of the tail constant of 2d GMC with a bulk insertion; DomainError where not finite."""
     q_alpha, s = tail_exponent(gamma, alpha)
     logval = s * (math.log(math.pi) + math.lgamma(gamma * gamma / 4.0))
     logval -= s * math.lgamma(1.0 - gamma * gamma / 4.0)
     logval += math.log(gamma / (2.0 * q_alpha))
-    lg, sign = log_gamma_ratio((-(gamma / 2.0) * q_alpha,), ((gamma / 2.0) * q_alpha, s))
-    return -sign * checked_exp(logval + lg, "reflection coefficient")
+    # (gamma/2)(Q - alpha) lies in (0, 1): the ratio is negative, and the constant its negation
+    logval += log_gamma_ratio((-(gamma / 2.0) * q_alpha,), ((gamma / 2.0) * q_alpha, s))[0]
+    if not math.isfinite(logval):
+        raise DomainError(f"reflection coefficient has no finite log: ln = {logval!r}")
+    return logval
+
+
+def reflection_bulk_2d(gamma: float, alpha: float) -> float:
+    """Tail constant of two-dimensional GMC with a bulk insertion."""
+    return checked_exp(log_reflection_bulk_2d(gamma, alpha), "reflection coefficient")
 
 
 def _law_form(params: GmcParams) -> tuple:
@@ -405,8 +413,8 @@ def _check_generic(triple: HypTriple) -> None:
             )
 
 
-def predict_observables(params: GmcParams, kind: ObservableKind, ts) -> list[float]:
-    """Value of the auxiliary observable at each finite t <= 0 of ts, from one exact moment.
+def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> float:
+    """Value of the auxiliary observable at a finite t <= 0, from the exact moment.
 
     The expansion-at-infinity constants are (d1, 0), d1 the exact moment.
     For t <= -_BASIS_SWITCH that expansion is summed as it stands,
@@ -418,47 +426,32 @@ def predict_observables(params: GmcParams, kind: ObservableKind, ts) -> list[flo
     1.95, p in (-3, 3), a and b in (-1.4, 3), both kinds) and 16 or 22
     values of t in [-1e3, -1e-4], the worst error is 9.1e-13 relative.
     Kind one with a near -1 at small gamma is the exception: there both
-    bases lose digits for |t| near the switch.  A value that is not a
-    finite double, as when |t|^-a overflows, raises DomainError.
-
-    The t are taken in order, and the parameters are checked and d1
-    computed at the first of them, so each value and each error is that of
-    `predict_observable` at its t.
+    bases lose digits for |t| near the switch.  t is checked before the
+    parameters.  A value that is not a finite double, as when |t|^-a
+    overflows, raises DomainError.
     """
-    values, d1, coeffs = [], None, None
-    for t in ts:
-        if not -math.inf < t <= 0.0:
-            raise DomainError(f"observable defined for finite t <= 0, got {t!r}")
-        if d1 is None:
-            _require_bounds(params)
-            chi = kind.chi(params.gamma)
-            _require_bounds(GmcParams(params.gamma, params.p, params.a + chi, params.b))
-            triple = hyp_triple(params, kind)
-            _check_generic(triple)
-            a, b, c = triple.a_param, triple.b_param, triple.c_param
-            # c and a-b are not integers, so neither lower parameter degenerates
-            far = HypTriple(a, 1.0 + a - c, 1.0 + a - b)
-            second_at_zero = HypTriple(1.0 + a - c, 1.0 + b - c, 2.0 - c)
-            d1 = exact_moment(params)
-        try:
-            if t <= -_BASIS_SWITCH:
-                value = d1 * abs(t) ** (-a) * hyp2f1_negative(far, 1.0 / t)
-            else:
-                if coeffs is None:  # at the first such t, where its error belongs
-                    coeffs = connection_coeffs(triple, d1)
-                c1, c2 = coeffs
-                first = c1 * hyp2f1_negative(triple, t)
-                second = c2 * abs(t) ** (1.0 - c) * hyp2f1_negative(second_at_zero, t)
-                value = first + second
-        except OverflowError:  # a float power overflowed
-            value = math.inf
-        if not math.isfinite(value):
-            raise DomainError(f"observable is not a finite double at t={t!r}")
-        values.append(value)
-    return values
-
-
-def predict_observable(params: GmcParams, kind: ObservableKind, t: float) -> float:
-    """Value of the auxiliary observable at a finite t <= 0: the one-point case of
-    `predict_observables`."""
-    return predict_observables(params, kind, (t,))[0]
+    if not -math.inf < t <= 0.0:
+        raise DomainError(f"observable defined for finite t <= 0, got {t!r}")
+    _require_bounds(params)
+    chi = kind.chi(params.gamma)
+    _require_bounds(GmcParams(params.gamma, params.p, params.a + chi, params.b))
+    triple = hyp_triple(params, kind)
+    _check_generic(triple)
+    a, b, c = triple.a_param, triple.b_param, triple.c_param
+    # c and a-b are not integers, so neither lower parameter degenerates
+    far = HypTriple(a, 1.0 + a - c, 1.0 + a - b)
+    second_at_zero = HypTriple(1.0 + a - c, 1.0 + b - c, 2.0 - c)
+    d1 = exact_moment(params)
+    try:
+        if t <= -_BASIS_SWITCH:
+            value = d1 * abs(t) ** (-a) * hyp2f1_negative(far, 1.0 / t)
+        else:
+            c1, c2 = connection_coeffs(triple, d1)
+            first = c1 * hyp2f1_negative(triple, t)
+            second = c2 * abs(t) ** (1.0 - c) * hyp2f1_negative(second_at_zero, t)
+            value = first + second
+    except OverflowError:  # a float power overflowed
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"observable is not a finite double at t={t!r}")
+    return value

@@ -251,7 +251,11 @@ def cell_weights(grid: QuadGrid, n_modes: int, a: float, b: float, t: float = 0.
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta!r}")
     # a new array, never the cached masses; at chi = 0 the factor is exactly 1
-    return _cell_masses(m_cells, a, b, eta) * (x_mid - t) ** chi
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _cell_masses(m_cells, a, b, eta) * (x_mid - t) ** chi
+    if not np.isfinite(weights).all():  # (x-t)^chi overflowed, or met a mass that underflowed
+        raise DomainError(f"cell weights are not finite at t={t!r}, chi={chi!r}")
+    return weights
 
 
 def _block_rows(m_cells: int) -> int:

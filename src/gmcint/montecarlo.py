@@ -262,11 +262,11 @@ def mc_small_deviation(
         points.append(SmallDeviationPoint(eps, logp, count))
     resolved = sorted((pt for pt in points if pt.count > 0), key=lambda pt: pt.eps)
     envelope_c = None
-    if len(resolved) >= 2 and resolved[0].eps != resolved[1].eps:
+    if len(resolved) >= 2:
         s = 4.0 / (gamma * gamma)
         e1, e2 = resolved[0], resolved[1]
         try:
             envelope_c = (e2.log_prob - e1.log_prob) / (e1.eps**-s - e2.eps**-s)
-        except (OverflowError, ZeroDivisionError):  # eps^-s out of the double range
+        except (OverflowError, ZeroDivisionError):  # equal eps, or eps^-s out of range
             envelope_c = None
     return SmallDeviationResult(tuple(points), envelope_c)

@@ -28,7 +28,7 @@ from .exactlaw import (
     hyp_triple,
     law_and_exact_log_moments,
     log_exact_moments,
-    predict_observables,
+    predict_observable,
     selberg_product,
     shift_ratio,
     shifted_params,
@@ -260,9 +260,7 @@ def verify_observable_prediction(params: GmcParams, checks, cfg: McConfig,
     guarding against three-sigma flukes at suite scale; that rerun's plan is
     checked before the first simulation.
     """
-    per_kind = {kind: iter(predict_observables(params, kind, [t for k, t in checks if k is kind]))
-                for kind in dict.fromkeys(kind for kind, _ in checks)}
-    predicted = [next(per_kind[kind]) for kind, _ in checks]
+    predicted = [predict_observable(params, kind, t) for kind, t in checks]
     tchis = [(t, kind.chi(params.gamma)) for kind, t in checks]
 
     def allowance(est, pred):

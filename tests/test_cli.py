@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmcint.cli import main
-from gmcint.exactlaw import GmcParams
+from gmcint.exactlaw import GmcParams, ObservableKind, predict_observable
 from gmcint.specfun import barnes_g
 
 
@@ -183,6 +183,17 @@ class TestTables:
         assert float(doc["results"][0]["predicted"]) == pytest.approx(
             118.82412623535389689, rel=1e-12
         )
+
+    def test_predict_u_at_many_t_prints_each_lone_value(self, capsys):
+        # t on both sides of the basis switch at -0.005, and 0
+        ts = [0.0, -1e-6, -0.0049, -0.005, -0.5, -2.0, -1e3]
+        for params in (GmcParams(1.0, -0.5, 0.2, 0.1), GmcParams(0.6, 0.9, -0.3, 1.4)):
+            for kind in ObservableKind:
+                doc = run_json(capsys, "predict-u", "--gamma", str(params.gamma),
+                               "--p", str(params.p), "--a", str(params.a), "--b", str(params.b),
+                               "--kind", kind.value, *(f"--t={t!r}" for t in ts))
+                assert [(float(row["t"]), float(row["predicted"])) for row in doc["results"]] == [
+                    (t, predict_observable(params, kind, t)) for t in ts]
 
 
 class TestStochasticCommands:
@@ -460,7 +471,7 @@ def test_float_literal_after_its_flag(capsys, argv, code):
 _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches", "10"]
 
 
-@pytest.mark.parametrize("argv,env,code", [
+_EXTREME_ARGV = [
     (["predict-u", "--gamma", "1", "--p", "-0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
       "--t=-1e300"], {}, 0),
     (["dgamma", "--gamma", "1", "--x-min", "1e-320"], {}, 0),
@@ -527,7 +538,38 @@ _SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches
     (["dgamma", "--gamma", "2", "--x-min", "1e8", "--x-max", "5e8", "--count", "2"], {}, 0),
     # the moment overflows the double range, its log does not
     (["exact", "--gamma", "1", "--p", "-60"], {}, 0),
-])
+    # new cases go here, below the positional ids: see _extreme_id
+    # the 2d reflection coefficient overflows the double range, its log does not
+    (["reflection", "--dim", "2", "--gamma", "0.001", "--alpha", "1"], {}, 0),
+    # s ln Gamma(gamma^2/4) overflows where ln Gamma(s) does not: the log is not finite
+    (["reflection", "--dim", "2", "--gamma", "2.664757102872435e-153",
+      "--alpha", "4.101431564532179e152"], {}, 1),
+    # (x-t)^chi overflows: refused before the 4096-mode fields are simulated
+    (["mc-moment", "--gamma", "1", "--p", "0.5", "--t=-1", "--chi", "1e300", "--seed", "1",
+      "--replicates", "100", "--n-modes", "4096"], {}, 1),
+    (["predict-u", "--gamma", "1", "--p", "-0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
+      "--t=-0.5", "--t", "0.5"], {}, 1),
+]
+_POSITIONAL_IDS = 48
+
+
+def _extreme_id(i: int, case) -> str:
+    """The first _POSITIONAL_IDS cases keep the positional ids they were first run under;
+    a later case's id is its argv, env and exit code, so that no insertion renames it."""
+    argv, env, code = case
+    if i < _POSITIONAL_IDS:
+        return f"argv{i}-env{i}-{code}"
+    return "_".join([*argv, *(f"{k}={v}" for k, v in env.items()), f"exit{code}"])
+
+
+_EXTREME_IDS = [_extreme_id(i, case) for i, case in enumerate(_EXTREME_ARGV)]
+
+
+def test_extreme_argv_ids_are_unique():
+    assert len(set(_EXTREME_IDS)) == len(_EXTREME_IDS)
+
+
+@pytest.mark.parametrize("argv,env,code", _EXTREME_ARGV, ids=_EXTREME_IDS)
 def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
 

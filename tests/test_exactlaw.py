@@ -26,8 +26,8 @@ from gmcint.exactlaw import (
     law_decomposition_log_moment,
     log_exact_moment,
     log_exact_moments,
+    log_reflection_bulk_2d,
     predict_observable,
-    predict_observables,
     reflection_boundary_1d,
     reflection_bulk_2d,
     selberg_product,
@@ -217,6 +217,18 @@ class TestReflections:
             29596.478920367047675, rel=1e-10
         )
         assert reflection_bulk_2d(1.0, 1.8) > 0.0
+
+    def test_bulk_log_past_overflow(self):
+        # the value is exp of the log, whose finite log stands where the value overflows
+        assert reflection_bulk_2d(0.8, 1.0) == math.exp(log_reflection_bulk_2d(0.8, 1.0))
+        # 40-digit value of the same formula
+        assert log_reflection_bulk_2d(0.001, 1.0) == pytest.approx(8576628.6566524866598,
+                                                                   rel=1e-13)
+        with pytest.raises(DomainError, match="overflows"):
+            reflection_bulk_2d(0.001, 1.0)
+        # s lgamma(gamma^2/4) overflows, lgamma(s) does not
+        with pytest.raises(DomainError, match="no finite log"):
+            log_reflection_bulk_2d(2.664757102872435e-153, 4.101431564532179e152)
 
     def test_moment_blowup_limit(self):
         # eps * moment(p - eps) -> p * tail constant, Richardson-extrapolated
@@ -571,39 +583,16 @@ def test_batches_of_closed_forms_equal_lone_values():
             checked += 1
 
 
-def test_observables_at_many_t_equal_lone_values():
-    # t on both sides of the basis switch, and 0; each value is predict_observable's
-    ts = [0.0, -1e-6, -0.0049, -0.005, -0.5, -2.0, -1e3]
-    for params in (GmcParams(1.0, -0.5, 0.2, 0.1), GmcParams(0.6, 0.9, -0.3, 1.4)):
-        for kind in ObservableKind:
-            assert predict_observables(params, kind, ts) == [
-                predict_observable(params, kind, t) for t in ts]
-
-
-def test_observables_near_zero_share_one_connection(monkeypatch):
-    # the connection pair depends on the parameters alone, not on t
-    params, kind = GmcParams(1.0, -0.5, 0.2, 0.1), ObservableKind.POWER_ONE
-    ts = [0.0, -1e-6, -0.0049]
-    lone = [predict_observable(params, kind, t) for t in ts]
-    calls = []
-    coeffs = exactlaw.connection_coeffs
-    monkeypatch.setattr(exactlaw, "connection_coeffs",
-                        lambda *args: calls.append(args) or coeffs(*args))
-    assert predict_observables(params, kind, ts) == lone
-    assert len(calls) == 1
-
-
 def test_batched_closed_form_refusals():
     assert c_of_ps(1.0, []) == []
     with pytest.raises(DomainError, match="p=4.0"):
         c_of_ps(1.0, [0.5, 4.0])
-    assert predict_observables(GmcParams(1.0, 9.0, 0.0, 0.0), ObservableKind.POWER_ONE, []) == []
-    # the t are taken in order, and the parameters are checked at the first of them
+    # t is checked before the parameters
     outside, kind = GmcParams(1.0, 9.0, 0.2, 0.1), ObservableKind.POWER_ONE
     with pytest.raises(BoundsError):
-        predict_observables(outside, kind, [-1.0, 0.5])
+        predict_observable(outside, kind, -1.0)
     with pytest.raises(DomainError, match="got 0.5"):
-        predict_observables(outside, kind, [0.5, -1.0])
+        predict_observable(outside, kind, 0.5)
 
 
 # ln M from the 40-digit oracle (_oracles.exact_moment), frozen as (gamma, p, a, b, ln M).

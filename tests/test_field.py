@@ -320,9 +320,12 @@ class TestGmcIntegral:
         with pytest.raises(DomainError):
             gmc_integral(s, 1.0, -1.5, 0.0, 0.0, 0.0, default_grid(4))
         for t, chi in ((0.5, 0.0), (math.nan, 0.0), (-math.inf, 0.0), (0.0, math.inf),
-                       (-0.5, math.nan)):
+                       (-0.5, math.nan), (-1.0, 1e300)):
             with pytest.raises(DomainError):
                 cell_weights(default_grid(4), 4, 0.0, 0.0, t, chi)
+        # (x-t)^chi overflows near 0, where the x^1000 masses underflow: a weight is 0 * inf
+        with pytest.raises(DomainError, match=re.escape("t=0.0, chi=-400.0")):
+            cell_weights(default_grid(4), 4, 1000.0, 0.0, 0.0, -400.0)
         for eta in (math.nan, 0.0, -0.5, 1.5, math.inf):
             with pytest.raises(DomainError):
                 cell_weights(default_grid(4), 4, 0.0, 0.0, eta=eta)

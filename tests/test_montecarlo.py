@@ -293,6 +293,12 @@ class TestOneSampler:
         with pytest.raises(DomainError):
             mc_tail_fit(1.0, 1.2, eta, np.array([1.0, 2.0]), small_cfg(7, replicates=200))
 
+    def test_weights_that_are_not_finite_are_refused_before_simulating(self, monkeypatch):
+        # (x-t)^chi overflows
+        monkeypatch.setattr(montecarlo, "_simulate_integrals", None)
+        with pytest.raises(DomainError, match="not finite"):
+            mc_moment(GmcParams(1.0, 0.5, 0.0, 0.0), -1.0, 1e300, small_cfg(7, replicates=200))
+
     def test_degraded_flag_applies_to_every_estimate(self):
         ests = mc_moments(GmcParams(1.0, 2.0, 0.3, 0.3), self.TCHIS[:3],
                           small_cfg(7, replicates=200, n_modes=64, batches=10))

@@ -240,9 +240,9 @@ class TestObservablePrediction:
         # far outside the allowance at both replicate counts, for checks of both kinds
         shift = {(ObservableKind.POWER_ONE, -0.5): 1.15, (ObservableKind.POWER_ONE, -2.0): 0.9,
                  (ObservableKind.POWER_GAMMA_SQ_OVER_4, -2.0): 1.2}
-        real_predict = verify.predict_observables
-        monkeypatch.setattr(verify, "predict_observables", lambda p, k, t_list: [
-            v * shift.get((k, t), 1.0) for t, v in zip(t_list, real_predict(p, k, t_list))])
+        real_predict = verify.predict_observable
+        monkeypatch.setattr(verify, "predict_observable",
+                            lambda p, k, t: real_predict(p, k, t) * shift.get((k, t), 1.0))
         calls = []
 
         def recorded(params_, tchis, cfg_, threads=1):
@@ -259,7 +259,7 @@ class TestObservablePrediction:
         # the same reports as one check per (kind, t), each rerun on its own
         for (kind, t), rep in zip(checks, reports):
             chi = kind.chi(params.gamma)
-            pred = verify.predict_observables(params, kind, [t])[0]
+            pred = verify.predict_observable(params, kind, t)
             est = mc_moment(params, t, chi, cfg)
             retried = abs(est.mean - pred) > 3.0 * est.stderr + verify.MC_REL_MARGIN * abs(pred)
             if retried:
