@@ -118,9 +118,6 @@ def _add_mc_opts(p, replicates, n_modes):
     p.add_argument("--replicates", type=int, default=replicates)
     p.add_argument("--n-modes", type=int, default=n_modes)
     p.add_argument("--batches", type=int, default=50)
-    p.add_argument("--cells-per-mode", type=int, default=4,
-                   help="angle-uniform cells per field mode (default 4); must be >= 4, "
-                        "with an even product with --n-modes")
     p.add_argument("--threads", type=int, default=1)
 
 
@@ -227,8 +224,7 @@ def _gmc_params(args) -> GmcParams:
 
 
 def _mc_config(args):
-    return config_for(args.replicates, args.n_modes, args.seed,
-                      batches=args.batches, cells_per_mode=args.cells_per_mode)
+    return config_for(args.replicates, args.n_modes, args.seed, batches=args.batches)
 
 
 def _cmd_exact(args) -> int:

@@ -212,14 +212,17 @@ def selberg_product(gamma: float, p: int, a: float, b: float) -> float:
     _require_bounds(GmcParams(gamma, float(p), a, b))
     g2over4 = gamma * gamma / 4.0
     logval = 0.0
-    for j in range(1, p + 1):
-        logval += (
-            math.lgamma(1.0 + a - (j - 1) * g2over4)
-            + math.lgamma(1.0 + b - (j - 1) * g2over4)
-            + math.lgamma(1.0 - j * g2over4)
-            - math.lgamma(2.0 + a + b - (p + j - 2) * g2over4)
-            - math.lgamma(1.0 - g2over4)
-        )
+    try:
+        for j in range(1, p + 1):
+            logval += (
+                math.lgamma(1.0 + a - (j - 1) * g2over4)
+                + math.lgamma(1.0 + b - (j - 1) * g2over4)
+                + math.lgamma(1.0 - j * g2over4)
+                - math.lgamma(2.0 + a + b - (p + j - 2) * g2over4)
+                - math.lgamma(1.0 - g2over4)
+            )
+    except OverflowError:
+        raise DomainError(f"log Gamma overflows at a={a!r}, b={b!r}") from None
     return checked_exp(logval, "Selberg product")
 
 
@@ -356,7 +359,10 @@ def _law_form(params: GmcParams) -> tuple:
     u, v = g * g / 4.0, 4.0 / (g * g)
     ln_const = _LN_2PI - (3.0 * (1.0 + u) + 2.0 * (a + b)) * _LN_2
     ln_l = p * p * g * g * _LN_2 / 2.0
-    ln_y = math.lgamma(1.0 - p * g * g / 4.0) - p * math.lgamma(1.0 - u)
+    try:
+        ln_y = math.lgamma(1.0 - p * g * g / 4.0) - p * math.lgamma(1.0 - u)
+    except OverflowError:
+        raise DomainError(f"log Gamma overflows at x={1.0 - p * g * g / 4.0!r}") from None
     b12, b3 = (b - a) * v / 2.0, 0.5 + v * (1.0 + a + b) / 2.0
     x1 = Beta22Params(g, 1.0 + v * (1.0 + a), b12, b12)
     x2 = Beta22Params(g, 1.0 + v * (2.0 + a + b) / 2.0, 0.5, v / 2.0)

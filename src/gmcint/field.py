@@ -7,8 +7,8 @@ cut-off.  The weighted integral uses a composite rule whose cells are
 uniform in the Chebyshev angle theta (x = (1 - cos theta)/2): T_n(2x-1) =
 cos(n theta), so m_cells >= 4 N resolves every mode at two-plus cells per
 half-wave, and evaluating the field on all cell midpoints is a single
-DCT-III.  4 N is both the minimum and the default plan
-(gmcint.montecarlo.config_for).  A weight is data: cell_weights gives one
+DCT-III.  4 N is the minimum, and the grid of every Monte Carlo plan
+(gmcint.montecarlo.McConfig.grid).  A weight is data: cell_weights gives one
 observable's row of cell weights, x^a (1-x)^b integrated exactly per cell
 (incomplete Beta masses) times (x-t)^chi at the cell midpoint, and
 gmc_integral_batch reduces every field against a matrix of such rows.

@@ -25,11 +25,10 @@ from .field import QuadGrid, cell_weights, gmc_integral_batch, replicate_rng
 
 _CHUNK = 128  # replicates per task: the scheduling grain; results do not depend on it
 _MAX_WORKERS = 32  # ThreadPoolExecutor's own default ceiling on worker threads
-# the largest plan: 10^8 replicates fill 0.8 GB per value column, 2^20 modes a
-# 1 GiB coefficient chunk, and 2^24 cells 128 MiB per grid workspace array
+# the largest plan: 10^8 replicates fill 0.8 GB per value column, and 2^20 modes
+# (2^22 cells) a 1 GiB coefficient chunk and 32 MiB per grid workspace array
 _MAX_REPLICATES = 10**8
 _MAX_MODES = 1 << 20
-_MAX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class McConfig:
 
     replicates: int
     n_modes: int
-    grid: QuadGrid
     seed: int
     batches: int = 50
 
@@ -53,26 +51,23 @@ class McConfig:
             )
         if self.n_modes < 1:
             raise DomainError(f"need at least one field mode, got {self.n_modes!r}")
-        if (self.replicates > _MAX_REPLICATES or self.n_modes > _MAX_MODES
-                or self.grid.m_cells > _MAX_CELLS):
-            raise DomainError(
-                f"plan too large: at most {_MAX_REPLICATES} replicates, {_MAX_MODES} modes and "
-                f"{_MAX_CELLS} cells, got {self.replicates}, {self.n_modes} and {self.grid.m_cells}"
-            )
+        if self.replicates > _MAX_REPLICATES or self.n_modes > _MAX_MODES:
+            raise DomainError(f"plan too large: at most {_MAX_REPLICATES} replicates and "
+                              f"{_MAX_MODES} modes, got {self.replicates} and {self.n_modes}")
+
+    @property
+    def grid(self) -> QuadGrid:
+        """Four cells per mode, the least that cell_weights accepts, and enough: on the
+        same coefficients 4 and 8 cells give integrals that differ by a few 1e-7 per
+        replicate (sd) and moments by under 1e-7 relative, far below their Monte Carlo
+        standard errors, while the DCT-III and exp cost half as much."""
+        return QuadGrid(4 * self.n_modes)
 
 
 def config_for(replicates: int, n_modes: int, seed: int, a: float = 0.0, b: float = 0.0,
-               batches: int = 50, cells_per_mode: int = 4) -> McConfig:
-    """Plan on cells_per_mode cells per mode; a and b are not used (weights carry them).
-
-    The default, 4, is the least that cell_weights accepts and is enough: on the
-    same coefficients, 4 and 8 cells give integrals that differ by a few 1e-7
-    per replicate (sd) and moments that differ by under 1e-7 relative, far
-    below their Monte Carlo standard errors, while the DCT-III and exp cost
-    half as much.
-    """
-    grid = QuadGrid(cells_per_mode * n_modes)
-    return McConfig(replicates, n_modes, grid, seed, batches)
+               batches: int = 50) -> McConfig:
+    """The plan McConfig(replicates, n_modes, seed, batches); a and b are not used."""
+    return McConfig(replicates, n_modes, seed, batches)
 
 
 @dataclass(frozen=True)

@@ -253,33 +253,22 @@ class TestStochasticCommands:
         ["small-dev", "--gamma", "1", "--eps", "1"],
     ])
     def test_plan_flags_are_echoed(self, capsys, argv):
-        # both flags change the estimates, so two runs that differ in them must say so
-        for batches, cells in ((10, 4), (20, 8)):
+        # --batches changes the standard errors, so two runs that differ in it must say so
+        for batches in (10, 20):
             doc = run_json(capsys, *argv, "--seed", "3", "--replicates", "200", "--n-modes",
-                           "64", "--batches", str(batches), "--cells-per-mode", str(cells))
+                           "64", "--batches", str(batches))
             keys = list(doc["parameters"])
-            at = keys.index("n_modes") + 1
-            assert keys[at : at + 2] == ["batches", "cells_per_mode"]
+            assert keys[keys.index("n_modes") + 1] == "batches"
             for echo in (doc["parameters"], *doc["results"]):
-                assert (echo["batches"], echo["cells_per_mode"]) == (batches, cells)
+                assert echo["batches"] == batches
 
-    def test_default_plan_has_four_cells_per_mode(self, capsys):
-        doc = run_json(capsys, "mc-moment", "--gamma", "1", "--p", "-1", *_SMALL_MC)
-        for echo in (doc["parameters"], *doc["results"]):
-            assert echo["cells_per_mode"] == 4
-
-    def test_fewer_than_four_cells_per_mode_is_refused(self, capsys):
-        code, out, err = run_cli(capsys, "mc-moment", "--gamma", "1", "--p", "-1",
-                                 *_SMALL_MC, "--cells-per-mode", "3")
-        assert (code, out) == (1, "")
-        assert err == "error: m_cells=48 < 4*n_modes=64\n"
-
-    def test_odd_cell_count_is_refused(self, capsys):
-        code, out, err = run_cli(capsys, "mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1",
-                                 "--replicates", "100", "--n-modes", "99", "--batches", "10",
-                                 "--cells-per-mode", "5")
-        assert (code, out) == (1, "")
-        assert err == "error: m_cells=495 is odd; the grid needs an even cell count\n"
+    def test_cells_per_mode_is_not_a_flag(self, capsys):
+        # the grid is always four cells per mode; the flag that once set it is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-moment", "--gamma", "1", "--p", "-1", *_SMALL_MC, "--cells-per-mode", "4"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (64, "")
+        assert captured.err == "gmcint: error: unrecognized arguments: --cells-per-mode 4\n"
 
     def test_verify_identities_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--format", "json")
@@ -349,8 +338,7 @@ class TestStochasticCommands:
                                  "--replicates", "2000", "--n-modes", "1")
         assert (code, out, calls) == (1, "", [])
         assert err.strip().splitlines() == [
-            "error: plan too large: at most 2000 replicates, 1048576 modes and 16777216 cells, "
-            "got 8000, 1 and 4"]
+            "error: plan too large: at most 2000 replicates and 1048576 modes, got 8000 and 1"]
 
 
 class TestVerifyFailurePath:
@@ -372,7 +360,7 @@ class TestVerifyFailurePath:
 
 
 _GMC_ECHO = "gamma,p,a,b"
-_PLAN_ECHO = "seed,replicates,n_modes,batches,cells_per_mode"
+_PLAN_ECHO = "seed,replicates,n_modes,batches"
 _ECHO_MC = ["--seed", "3", "--replicates", "200", "--n-modes", "64", "--batches", "10",
             "--threads", "2"]
 
@@ -549,6 +537,9 @@ _EXTREME_ARGV = [
       "--replicates", "100", "--n-modes", "4096"], {}, 1),
     (["predict-u", "--gamma", "1", "--p", "-0.5", "--a", "0.2", "--b", "0.1", "--kind", "one",
       "--t=-0.5", "--t", "0.5"], {}, 1),
+    # ln Gamma of an argument near the double range's end overflows
+    (["selberg", "--gamma", "1", "--p", "1", "--a", "1e306"], {}, 1),
+    (["law-decomp", "--gamma", "1", "--p=-1e307"], {}, 1),
 ]
 _POSITIONAL_IDS = 48
 
@@ -591,7 +582,8 @@ def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
             assert flag in proc.stderr  # named by its flag, not by a value linspace made
 
 
-_EXTREME = [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 0.0]
+_EXTREME = [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e307,
+            -1e307, 1.7976931348623157e308, 0.0]
 _FLOATS = st.one_of(st.sampled_from(_EXTREME), st.floats(-10.0, 10.0)).map(repr)
 _INTS = st.one_of(st.integers(-2, 4).map(str), _FLOATS)
 _GMC = {"--gamma": _FLOATS, "--p": _FLOATS, "--a": _FLOATS, "--b": _FLOATS}
@@ -629,11 +621,10 @@ def test_closed_form_argv_ends_in_exit_code(command, data):
 # work; threads are only ever 1 or 2.
 _COUNT = st.sampled_from(["-1", "0", "99", "100", "200"])
 _MC_VALID = {"--seed": "7", "--replicates": "100", "--n-modes": "8", "--batches": "10",
-             "--cells-per-mode": "8", "--threads": "1"}
+             "--threads": "1"}
 _MC_DRAWS = {"--seed": st.sampled_from(["-1", "0", "7", str(2**70)]), "--replicates": _COUNT,
              "--n-modes": st.sampled_from(["-1", "0", "99", "8", "32"]),
              "--batches": st.sampled_from(["-1", "0", "99", "10", "20"]),
-             "--cells-per-mode": st.sampled_from(["-1", "0", "3", "4", "8"]),
              "--threads": st.sampled_from(["1", "2"])}
 _GMC_VALID = {"--gamma": "1", "--p": "-0.5", "--a": "0.2", "--b": "0.1"}
 _STOCHASTIC_FLAGS = {  # command: (valid argv, values a redrawn flag takes)

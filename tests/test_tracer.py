@@ -103,3 +103,20 @@ def test_install_traces_the_field_and_montecarlo_layers(tracer):
     assert [totals[k] for k in ("field.batch_calls", "field.rows", "field.draws")] == [1, 100, 100]
     assert montecarlo.gmc_integral_batch is field.gmc_integral_batch
     assert montecarlo.replicate_rng is field.replicate_rng
+
+
+def test_a_traced_mc_moment_reports_every_chunk_on_four_cells_per_mode(tracer):
+    # two chunks of replicates, each one gmc_integral_batch span over the plan's grid
+    from gmcint import montecarlo
+
+    tr = tracer.install()
+    try:
+        assert tr.missing == []
+        montecarlo.mc_moment(exactlaw.GmcParams(1.0, -0.5, 0.0, 0.0), 0.0, 0.0,
+                             montecarlo.config_for(200, 16, 7, batches=10))
+    finally:
+        tr.uninstall()
+    batches = [span[11] for span in tr.spans if span[3:5] == ("field", "gmc_integral_batch")]
+    assert batches == [[128, 64], [72, 64]]
+    totals = tracer.summarize(tr.spans)
+    assert totals["field.rows"] == totals["field.draws"] == 200
