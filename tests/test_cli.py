@@ -262,13 +262,26 @@ class TestStochasticCommands:
             for echo in (doc["parameters"], *doc["results"]):
                 assert echo["batches"] == batches
 
-    def test_cells_per_mode_is_not_a_flag(self, capsys):
-        # the grid is always four cells per mode; the flag that once set it is a usage error
+    def test_fewer_than_four_cells_per_mode_is_refused(self, capsys):
+        # the grid is always four cells per mode; the flag that once coarsened it is a usage error
         with pytest.raises(SystemExit) as exc:
-            main(["mc-moment", "--gamma", "1", "--p", "-1", *_SMALL_MC, "--cells-per-mode", "4"])
+            main(["mc-moment", "--gamma", "1", "--p", "-1", *_SMALL_MC, "--cells-per-mode", "3"])
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out) == (64, "")
-        assert captured.err == "gmcint: error: unrecognized arguments: --cells-per-mode 4\n"
+        assert captured.err == "gmcint: error: unrecognized arguments: --cells-per-mode 3\n"
+
+    def test_odd_cell_count_is_refused(self, capsys):
+        # an odd cell count cannot be asked for: the flag is gone, and 4 * n_modes is even
+        argv = ["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "100",
+                "--n-modes", "99", "--batches", "10"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cells-per-mode", "5"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (64, "")
+        assert captured.err == "gmcint: error: unrecognized arguments: --cells-per-mode 5\n"
+        # the same plan without the flag runs on an even grid of 396 cells
+        doc = run_json(capsys, *argv)
+        assert math.isfinite(float(doc["results"][0]["mean"]))
 
     def test_verify_identities_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--format", "json")
