@@ -37,7 +37,7 @@ from .exactlaw import (
     shift_ratio,
     tail_exponent,
 )
-from .montecarlo import config_for, mc_moment, mc_small_deviation, mc_tail_fit
+from .montecarlo import McConfig, mc_moment, mc_small_deviation, mc_tail_fit
 from .specfun import barnes_g, double_gamma_evaluator
 from .verify import IdentityGridSpec, fmt
 
@@ -117,7 +117,6 @@ def _add_mc_opts(p, replicates, n_modes):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--replicates", type=int, default=replicates)
     p.add_argument("--n-modes", type=int, default=n_modes)
-    p.add_argument("--batches", type=int, default=50)
     p.add_argument("--threads", type=int, default=1)
 
 
@@ -223,8 +222,10 @@ def _gmc_params(args) -> GmcParams:
     return GmcParams(args.gamma, args.p, args.a, args.b)
 
 
-def _mc_config(args):
-    return config_for(args.replicates, args.n_modes, args.seed, batches=args.batches)
+def _mc_config(args) -> McConfig:
+    """The plan of every Monte Carlo command; only mc_moments reads its batch count."""
+    batches = max(10, min(50, args.replicates // 10))
+    return McConfig(args.replicates, args.n_modes, args.seed, batches)
 
 
 def _cmd_exact(args) -> int:
@@ -348,11 +349,10 @@ def _cmd_verify(args) -> int:
     if args.suite in ("observable", "all"):  # its plan is checked before any suite runs
         if args.seed is None:
             raise GmcError("the observable suite is stochastic: --seed is required")
-        batches = max(10, min(50, args.replicates // 10))
-        if args.replicates % batches:
-            raise DomainError(f"--replicates must be divisible by its batch count, {batches}, "
-                              f"got {args.replicates}")
-        cfg = config_for(args.replicates, args.n_modes, args.seed, batches=batches)
+        cfg = _mc_config(args)
+        if cfg.replicates % cfg.batches:
+            raise DomainError(f"--replicates must be divisible by its batch count, "
+                              f"{cfg.batches}, got {cfg.replicates}")
     reports = []
     if args.suite in ("identities", "all"):
         reports.extend(verify_mod.run_identity_suite(IdentityGridSpec(seed=args.grid_seed)))

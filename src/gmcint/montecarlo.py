@@ -33,7 +33,7 @@ _MAX_MODES = 1 << 20
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replication plan for one experiment."""
+    """Replication plan for one experiment; mc_moments checks its batch count."""
 
     replicates: int
     n_modes: int
@@ -43,12 +43,6 @@ class McConfig:
     def __post_init__(self):
         if self.replicates < 100:
             raise DomainError(f"need at least 100 replicates, got {self.replicates!r}")
-        if self.batches < 10:
-            raise DomainError(f"need at least 10 batches, got {self.batches!r}")
-        if self.replicates % self.batches != 0:
-            raise DomainError(
-                f"replicates={self.replicates} not divisible by batches={self.batches}"
-            )
         if self.n_modes < 1:
             raise DomainError(f"need at least one field mode, got {self.n_modes!r}")
         if self.replicates > _MAX_REPLICATES or self.n_modes > _MAX_MODES:
@@ -152,6 +146,10 @@ def mc_moments(params: GmcParams, tchis, cfg: McConfig,
     existence bounds the population variance is infinite, so the batch
     spread is only indicative and the estimates are flagged degraded_ci.
     """
+    if cfg.batches < 10:
+        raise DomainError(f"need at least 10 batches, got {cfg.batches!r}")
+    if cfg.replicates % cfg.batches != 0:
+        raise DomainError(f"replicates={cfg.replicates} not divisible by batches={cfg.batches}")
     rows = [cell_weights(cfg.grid, cfg.n_modes, params.a, params.b, t, chi) for t, chi in tchis]
     if not rows:
         raise DomainError("need at least one (t, chi) to estimate")

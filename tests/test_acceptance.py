@@ -243,7 +243,7 @@ def test_12_byte_identical_outputs():
                  and out1.stdout)
     mc_cmd = [sys.executable, "-m", "gmcint.cli", "mc-moment", "--gamma", "1",
               "--p", "-1", "--a", "0", "--b", "0", "--seed", "42",
-              "--replicates", "2000", "--n-modes", "512", "--batches", "10"]
+              "--replicates", "2000", "--n-modes", "512"]
     runs = [subprocess.run(mc_cmd + ["--threads", th], capture_output=True, text=True)
             for th in ("1", "8")]
     mc_ok = all(r.returncode == 0 for r in runs) and runs[0].stdout == runs[1].stdout

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -199,8 +200,7 @@ class TestTables:
 class TestStochasticCommands:
     def test_mc_moment_deterministic_across_threads(self, capsys):
         argv = ["mc-moment", "--gamma", "1", "--p", "-1", "--a", "0", "--b", "0",
-                "--seed", "42", "--replicates", "1000", "--n-modes", "256",
-                "--batches", "10"]
+                "--seed", "42", "--replicates", "1000", "--n-modes", "256"]
         _, out1, _ = run_cli(capsys, *argv, "--threads", "1")
         _, out2, _ = run_cli(capsys, *argv, "--threads", "4")
         assert out1 == out2
@@ -212,21 +212,21 @@ class TestStochasticCommands:
     def test_mc_moment_predicted_closed_form_for_chi(self, capsys):
         doc = run_json(capsys, "mc-moment", "--gamma", "1", "--p", "-0.5", "--a", "0.2",
                        "--b", "0.1", "--t", "-0.5", "--chi", "0.25", "--seed", "7",
-                       "--replicates", "1000", "--n-modes", "256", "--batches", "10")
+                       "--replicates", "1000", "--n-modes", "256")
         assert float(doc["results"][0]["closed_form"]) == pytest.approx(
             1.6247213682678735, rel=1e-9
         )
 
     def test_small_dev_runs(self, capsys):
         doc = run_json(capsys, "small-dev", "--gamma", "1", "--seed", "11",
-                       "--replicates", "2000", "--n-modes", "256", "--batches", "10",
+                       "--replicates", "2000", "--n-modes", "256",
                        "--eps", "0.5", "--eps", "1.0", "--eps", "2.0")
         rows = doc["results"]
         assert [r["eps"] for r in rows] == ["0.5", "1", "2"]
 
     def test_tail_runs_with_modest_grid(self, capsys):
         doc = run_json(capsys, "tail", "--gamma", "1", "--alpha", "1.2", "--seed", "13",
-                       "--replicates", "5000", "--n-modes", "256", "--batches", "10",
+                       "--replicates", "5000", "--n-modes", "256",
                        "--u-min", "3", "--u-max", "8", "--u-count", "4")
         rows = doc["results"]
         assert len(rows) == 4
@@ -253,14 +253,30 @@ class TestStochasticCommands:
         ["small-dev", "--gamma", "1", "--eps", "1"],
     ])
     def test_plan_flags_are_echoed(self, capsys, argv):
-        # --batches changes the standard errors, so two runs that differ in it must say so
-        for batches in (10, 20):
-            doc = run_json(capsys, *argv, "--seed", "3", "--replicates", "200", "--n-modes",
-                           "64", "--batches", str(batches))
-            keys = list(doc["parameters"])
-            assert keys[keys.index("n_modes") + 1] == "batches"
-            for echo in (doc["parameters"], *doc["results"]):
-                assert echo["batches"] == batches
+        # the plan is its three flags: the batch count follows from --replicates, and
+        # --batches is a usage error
+        plan = ["--seed", "3", "--replicates", "200", "--n-modes", "64"]
+        doc = run_json(capsys, *argv, *plan)
+        keys = list(doc["parameters"])
+        assert keys[-3:] == ["seed", "replicates", "n_modes"]
+        for echo in (doc["parameters"], *doc["results"]):
+            assert "batches" not in echo
+            assert (echo["seed"], echo["replicates"], echo["n_modes"]) == (3, 200, 64)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *plan, "--batches", "20"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (64, "")
+        assert captured.err == "gmcint: error: unrecognized arguments: --batches 20\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--gamma", "1", "--alpha", "1.2", "--u-min", "0.5", "--u-max", "1",
+         "--u-count", "2"],
+        ["small-dev", "--gamma", "1", "--eps", "1"],
+    ], ids=["tail", "small-dev"])
+    def test_tail_and_small_dev_take_any_replicate_count(self, capsys, argv):
+        # they form no batch means, so 1010 replicates, which 50 batches do not divide, run
+        doc = run_json(capsys, *argv, "--seed", "3", "--replicates", "1010", "--n-modes", "16")
+        assert doc["parameters"]["replicates"] == 1010
 
     def test_fewer_than_four_cells_per_mode_is_refused(self, capsys):
         # the grid is always four cells per mode; the flag that once coarsened it is a usage error
@@ -273,7 +289,7 @@ class TestStochasticCommands:
     def test_odd_cell_count_is_refused(self, capsys):
         # an odd cell count cannot be asked for: the flag is gone, and 4 * n_modes is even
         argv = ["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "100",
-                "--n-modes", "99", "--batches", "10"]
+                "--n-modes", "99"]
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--cells-per-mode", "5"])
         captured = capsys.readouterr()
@@ -373,9 +389,8 @@ class TestVerifyFailurePath:
 
 
 _GMC_ECHO = "gamma,p,a,b"
-_PLAN_ECHO = "seed,replicates,n_modes,batches"
-_ECHO_MC = ["--seed", "3", "--replicates", "200", "--n-modes", "64", "--batches", "10",
-            "--threads", "2"]
+_PLAN_ECHO = "seed,replicates,n_modes"
+_ECHO_MC = ["--seed", "3", "--replicates", "200", "--n-modes", "64", "--threads", "2"]
 
 
 # The echo of each table subcommand: every flag but --format, --output,
@@ -469,7 +484,7 @@ def test_float_literal_after_its_flag(capsys, argv, code):
     assert run(argv)[0] == code
 
 
-_SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches", "10"]
+_SMALL_MC = ["--seed", "1", "--replicates", "100", "--n-modes", "16"]
 
 
 _EXTREME_ARGV = [
@@ -478,7 +493,7 @@ _EXTREME_ARGV = [
     (["dgamma", "--gamma", "1", "--x-min", "1e-320"], {}, 0),
     (["dgamma", "--gamma", "1", "--x-min", "1e300", "--x-max", "1e300", "--count", "1"], {}, 1),
     (["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "100",
-      "--n-modes", "16", "--batches", "10"], {"GMC_THREADS": "abc"}, 0),
+      "--n-modes", "16"], {"GMC_THREADS": "abc"}, 0),
     (["exact", "--gamma", "1e-320", "--p", "0.5"], {}, 1),
     (["reflection", "--dim", "2", "--gamma", "0", "--alpha", "1"], {}, 1),
     (["shift", "--gamma", "1", "--p=-1e300"], {}, 1),
@@ -513,14 +528,14 @@ _EXTREME_ARGV = [
     (["predict-u", "--gamma", "1.1", "--p", "0.45", "--a", "0.3", "--b", "0.2", "--kind", "one",
       "--t=nan"], {}, 1),
     (["small-dev", "--gamma", "1", "--eps=-1", "--eps=nan", "--eps=inf", "--seed", "1",
-      "--replicates", "100", "--n-modes", "8", "--batches", "10"], {}, 1),
+      "--replicates", "100", "--n-modes", "8"], {}, 1),
     (["predict-u", "--gamma", "1", "--p", "1.2", "--a", "0.2", "--b", "0.1", "--kind", "one",
       "--t=-1e300"], {}, 1),
     (["predict-u", "--gamma", "1", "--p", "1.2", "--a", "-0.9", "--b", "-0.9", "--kind", "one",
       "--t=-5e256"], {}, 1),
     # plans whose value array (7.28 TiB) or grid (2.91 TiB) could never be allocated
     (["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "1000000000000",
-      "--batches", "10", "--n-modes", "16"], {}, 1),
+      "--n-modes", "16"], {}, 1),
     (["mc-moment", "--gamma", "1", "--p", "-1", "--seed", "1", "--replicates", "1000",
       "--n-modes", "100000000000"], {}, 1),
     (["dgamma", "--gamma", "1", "--x-min", "1", "--x-max", "inf"], {}, 1),
@@ -532,9 +547,9 @@ _EXTREME_ARGV = [
     (["mc-moment", "--gamma", "1", "--p", "0.5", "--a", "inf", *_SMALL_MC], {}, 1),
     # eps^(-4/gamma^2) overflows (eps < 1) or underflows to 0 for both eps (eps > 1)
     (["small-dev", "--gamma", "0.001", "--seed", "7", "--eps", "0.9997", "--eps", "0.9999",
-      "--n-modes", "64", "--replicates", "1000", "--batches", "10"], {}, 0),
+      "--n-modes", "64", "--replicates", "1000"], {}, 0),
     (["small-dev", "--gamma", "0.001", "--seed", "7", "--eps", "1.5", "--eps", "2",
-      "--n-modes", "64", "--replicates", "1000", "--batches", "10"], {}, 0),
+      "--n-modes", "64", "--replicates", "1000"], {}, 0),
     # past the asymptotic series' reach a value costs the same at any x
     (["dgamma", "--gamma", "2", "--x-min", "1e8", "--x-max", "5e8", "--count", "2"], {}, 0),
     # the moment overflows the double range, its log does not
@@ -573,26 +588,63 @@ def test_extreme_argv_ids_are_unique():
     assert len(set(_EXTREME_IDS)) == len(_EXTREME_IDS)
 
 
+class _Hung(BaseException):
+    """Raised by the alarm of an argv that runs too long; no handler of the CLI catches it."""
+
+
+def _main_exit(argv):
+    """main(argv) in this process: its exit code (a usage error's SystemExit code), stdout and
+    stderr.  Any other exception escapes, as a traceback would end a process."""
+    out, err = io.StringIO(), io.StringIO()
+
+    def hung(signum, frame):
+        raise _Hung(f"{argv} still ran after 60 s")
+
+    # an alarm, so that an argv that never ends fails the test instead of hanging it
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("argv,env,code", _EXTREME_ARGV, ids=_EXTREME_IDS)
-def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path):
+def test_extreme_argv_ends_in_exit_code(argv, env, code, tmp_path, monkeypatch):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-
-    def run(env):
-        # a timeout, so that an argv that never ends fails the test instead of hanging it
-        return subprocess.run([sys.executable, "-m", "gmcint.cli", *argv], capture_output=True,
-                              text=True, env=env, timeout=60)
-
-    bare = {k: v for k, v in os.environ.items() if k not in env}
-    proc = run({**bare, **env})
-    assert proc.returncode == code, proc.stderr
+    bare = _main_exit(argv) if env else None
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    status, out, err = _main_exit(argv)
+    assert status == code, err
     if env:  # the variable leaves the output as it is
-        assert proc.stdout == run(bare).stdout
-    assert "Traceback" not in proc.stderr
+        assert out == bare[1]
     if code:
-        assert len(proc.stderr.strip().splitlines()) == 1
+        assert len(err.strip().splitlines()) == 1
     for flag, value in zip(argv, argv[1:]):
         if flag.startswith("--x-") and not math.isfinite(float(value)):
-            assert flag in proc.stderr  # named by its flag, not by a value linspace made
+            assert flag in err  # named by its flag, not by a value linspace made
+
+
+@pytest.mark.parametrize("argv,env,code", [
+    (["mc-moment", "--gamma", "1", "--p", "-1", *_SMALL_MC], {"GMC_THREADS": "abc"}, 0),
+    (["exact", "--gamma", "1e-320", "--p", "0.5"], {}, 1),
+    (["dgamma", "--gamma", "1", "--count", "-1"], {}, 64),
+], ids=["exit0", "exit1", "exit64"])
+def test_argv_ends_in_exit_code_as_a_process(argv, env, code):
+    # what the in-process form cannot see: the interpreter, `python -m` and sys.exit's
+    # mapping of main's return to the exit status
+    proc = subprocess.run([sys.executable, "-m", "gmcint.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, **env}, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == (1 if code else 0)
 
 
 _EXTREME = [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e307,
@@ -633,11 +685,9 @@ def test_closed_form_argv_ends_in_exit_code(command, data):
 # invalid -1, 0 and 99 among them, so that no example asks for unbounded
 # work; threads are only ever 1 or 2.
 _COUNT = st.sampled_from(["-1", "0", "99", "100", "200"])
-_MC_VALID = {"--seed": "7", "--replicates": "100", "--n-modes": "8", "--batches": "10",
-             "--threads": "1"}
+_MC_VALID = {"--seed": "7", "--replicates": "100", "--n-modes": "8", "--threads": "1"}
 _MC_DRAWS = {"--seed": st.sampled_from(["-1", "0", "7", str(2**70)]), "--replicates": _COUNT,
              "--n-modes": st.sampled_from(["-1", "0", "99", "8", "32"]),
-             "--batches": st.sampled_from(["-1", "0", "99", "10", "20"]),
              "--threads": st.sampled_from(["1", "2"])}
 _GMC_VALID = {"--gamma": "1", "--p": "-0.5", "--a": "0.2", "--b": "0.1"}
 _STOCHASTIC_FLAGS = {  # command: (valid argv, values a redrawn flag takes)
@@ -679,7 +729,7 @@ def test_no_command_loads_scipy():
     script = """
 import contextlib, io, sys
 import gmcint.cli
-mc = ["--seed", "1", "--replicates", "100", "--n-modes", "16", "--batches", "10"]
+mc = ["--seed", "1", "--replicates", "100", "--n-modes", "16"]
 for argv in (["exact", "--gamma", "1.2", "--p", "0.5"], ["selberg", "--gamma", "1", "--p", "2"],
              ["shift", "--gamma", "1.2", "--p", "0.5"], ["law-decomp", "--gamma", "1.2", "--p", "0.5"],
              ["reflection", "--dim", "1", "--gamma", "1.2", "--alpha", "1"],

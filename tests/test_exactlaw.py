@@ -2,6 +2,7 @@ import math
 import re
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -659,6 +660,33 @@ def test_log_moment_against_oracle_small_gamma(g, p, a, b, ln_m, recorded):
     params = GmcParams(g, p, a, b)
     by_values = abs(_oracles.log_exact_moment_by_values(params) - ln_m)
     assert abs(log_exact_moment(params) - ln_m) <= max(recorded, by_values)
+
+
+def test_small_gamma_limit():
+    # As gamma -> 0, r = (ln M - p ln B(a+1, b+1)) / (gamma^2 (p^2 - p) / 2) tends to
+    # K = -[psi(a+1) + psi(b+1) + psi(1) - 3 psi(a+b+2)] / 4, half of -E ln|x - y| under
+    # the Beta(a+1, b+1) weights, with corrections in powers of gamma^2.  Two Richardson
+    # steps in gamma^2 over gamma = 0.16, 0.08 and 0.04 give R2; R1 and R1' are the first
+    # step's two values, and their gap bounds R2's error.  Bounds fixed before the run;
+    # on this grid error/gap read at most 0.10, gap/K at most 8.4e-4, and the worst
+    # relative error 5.4e-6.
+    grid = [(a, b, p) for a in (-0.8, -0.5, 0.0, 0.5, 1.0, 3.0) for b in (-0.8, 0.0, 0.3, 2.0)
+            for p in (-4.0, -1.5, 0.5, 2.5, 5.0)]
+    ln_b = np.array([math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2)
+                     for a, b, _ in grid])
+    ps = np.array([p for _, _, p in grid])
+    rs = [(log_exact_moments([GmcParams(g, p, a, b) for a, b, p in grid]) - ps * ln_b)
+          / (g * g * (ps * ps - ps) / 2) for g in (0.16, 0.08, 0.04)]
+    r1 = (4 * rs[1] - rs[0]) / 3
+    r1_next = (4 * rs[2] - rs[1]) / 3
+    r2 = (16 * r1_next - r1) / 15
+    psi = mpmath.digamma
+    k = np.array([-float(psi(a + 1) + psi(b + 1) + psi(1) - 3 * psi(a + b + 2)) / 4
+                  for a, b, _ in grid])
+    assert k[grid.index((0.0, 0.0, -4.0))] == pytest.approx(0.75, rel=1e-15)
+    gap = np.abs(r1_next - r1)
+    assert np.all(np.abs(r2 - k) <= 0.25 * gap + 1e-12)
+    assert np.all(gap <= 5e-3 * k)
 
 
 def test_signed_sum_agrees_with_eight_values():

@@ -91,19 +91,31 @@ class TestMcMoment:
         with pytest.raises(DomainError):
             mc_moment(GmcParams(1.0, -4.0, -1.1, 0.0), 0.0, 0.0, small_cfg(10))
 
-    def test_config_validation(self):
+    def test_config_validation(self, monkeypatch):
         with pytest.raises(DomainError):
             McConfig(50, 256, 1)
-        with pytest.raises(DomainError):
-            McConfig(1000, 256, 1, batches=7)
-        with pytest.raises(DomainError):
-            McConfig(1001, 256, 1, batches=10)
         with pytest.raises(DomainError):
             McConfig(1000, 0, 1)
         # refused before anything is allocated
         for replicates, n_modes in ((10**12, 16), (1000, 10**11)):
             with pytest.raises(DomainError, match="plan too large"):
                 McConfig(replicates, n_modes, 1, batches=10)
+        # only the moment estimator forms batch means, so only it checks the batch
+        # count, before any field is simulated
+        plans = {"need at least 10 batches": McConfig(1000, 256, 1, batches=7),
+                 "not divisible": McConfig(1001, 256, 1, batches=10)}
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_simulate_integrals", lambda *args: calls.append(args))
+            for message, cfg in plans.items():
+                with pytest.raises(DomainError, match=message):
+                    mc_moment(GmcParams(1.0, -0.5, 0.0, 0.0), 0.0, 0.0, cfg)
+        assert calls == []
+        for cfg in plans.values():
+            fit = mc_tail_fit(1.0, 1.2, 1.0, np.array([0.5, 1.0]), cfg)
+            assert fit.counts.sum() > 0
+            res = mc_small_deviation(1.0, np.array([0.5, 1.0]), cfg)
+            assert sum(pt.count for pt in res.points) > 0
 
     def test_negative_and_huge_seeds_accepted(self):
         params = GmcParams(1.0, -1.0, 0.0, 0.0)

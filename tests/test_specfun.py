@@ -287,9 +287,9 @@ class TestDoubleGamma:
             assert lhs2 == pytest.approx(rhs2, rel=1e-9)
 
     def test_against_integral_oracle(self):
-        oracles = pytest.importorskip("_oracles", reason="mpmath oracle")
-        for g, x in [(1.3, 0.9), (0.8, 2.2)]:
-            ref = float(oracles.ln_dgamma(g, x))
+        # _oracles.ln_dgamma at 40 digits, frozen as ORACLE_GRID is
+        for g, x, ref in [(1.3, 0.9, -0.082863369825459176141),
+                          (0.8, 2.2, 0.83876912980735531737)]:
             assert log_double_gamma(g, x) == pytest.approx(ref, rel=1e-11, abs=1e-12)
 
     @pytest.mark.parametrize("gamma", sorted(ORACLE_GRID))
