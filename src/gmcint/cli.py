@@ -224,8 +224,7 @@ def _gmc_params(args) -> GmcParams:
 
 def _mc_config(args) -> McConfig:
     """The plan of every Monte Carlo command; only mc_moments reads its batch count."""
-    batches = max(10, min(50, args.replicates // 10))
-    return McConfig(args.replicates, args.n_modes, args.seed, batches)
+    return McConfig(args.replicates, args.n_modes, args.seed, min(50, args.replicates // 10))
 
 
 def _cmd_exact(args) -> int:
@@ -350,9 +349,6 @@ def _cmd_verify(args) -> int:
         if args.seed is None:
             raise GmcError("the observable suite is stochastic: --seed is required")
         cfg = _mc_config(args)
-        if cfg.replicates % cfg.batches:
-            raise DomainError(f"--replicates must be divisible by its batch count, "
-                              f"{cfg.batches}, got {cfg.replicates}")
     reports = []
     if args.suite in ("identities", "all"):
         reports.extend(verify_mod.run_identity_suite(IdentityGridSpec(seed=args.grid_seed)))

@@ -142,14 +142,15 @@ def mc_moments(params: GmcParams, tchis, cfg: McConfig,
 
     Every (t, chi) is a weight row on the same simulated fields, and each
     estimate equals a lone mc_moment call's.  The standard error is a
-    batch-mean estimate; when the doubled moment order 2p falls outside the
-    existence bounds the population variance is infinite, so the batch
-    spread is only indicative and the estimates are flagged degraded_ci.
+    batch-mean estimate: the spread of the means of cfg.batches whole batches
+    of replicates // batches, scaled to all the replicates; the last
+    replicates % batches count in the mean and in no batch.  When the doubled
+    moment order 2p falls outside the existence bounds the population
+    variance is infinite, so the batch spread is only indicative and the
+    estimates are flagged degraded_ci.
     """
-    if cfg.batches < 10:
-        raise DomainError(f"need at least 10 batches, got {cfg.batches!r}")
-    if cfg.replicates % cfg.batches != 0:
-        raise DomainError(f"replicates={cfg.replicates} not divisible by batches={cfg.batches}")
+    if not 10 <= cfg.batches <= cfg.replicates:
+        raise DomainError(f"need 10 to {cfg.replicates} batches, got {cfg.batches!r}")
     rows = [cell_weights(cfg.grid, cfg.n_modes, params.a, params.b, t, chi) for t, chi in tchis]
     if not rows:
         raise DomainError("need at least one (t, chi) to estimate")
@@ -157,11 +158,12 @@ def mc_moments(params: GmcParams, tchis, cfg: McConfig,
     _require_bounds(params)
     vals = _simulate_integrals(cfg, params.gamma, weights, False, threads)
     degraded = not bounds_check(replace(params, p=2.0 * params.p))
+    size = cfg.replicates // cfg.batches
     ests = []
     for column in vals.T:
         powered = column**params.p
-        batch_means = powered.reshape(cfg.batches, -1).mean(axis=1)
-        stderr = float(batch_means.std(ddof=1) / math.sqrt(cfg.batches))
+        batch_means = powered[:cfg.batches * size].reshape(cfg.batches, size).mean(axis=1)
+        stderr = float(batch_means.std(ddof=1) / math.sqrt(cfg.replicates / size))
         ests.append(McEstimate(float(powered.mean()), stderr, cfg.replicates, degraded))
     return ests
 

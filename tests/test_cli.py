@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmcint.cli import main
+from gmcint.errors import DomainError
 from gmcint.exactlaw import GmcParams, ObservableKind, predict_observable
 from gmcint.specfun import barnes_g
 
@@ -278,6 +279,23 @@ class TestStochasticCommands:
         doc = run_json(capsys, *argv, "--seed", "3", "--replicates", "1010", "--n-modes", "16")
         assert doc["parameters"]["replicates"] == 1010
 
+    @pytest.mark.parametrize("replicates", [105, 1010])
+    def test_mc_moment_takes_any_replicate_count(self, capsys, replicates):
+        # the batch means are over whole batches of replicates // batches, so a count that
+        # 10 or 50 batches do not divide runs
+        doc = run_json(capsys, "mc-moment", "--gamma", "1", "--p", "-0.5", "--seed", "3",
+                       "--replicates", str(replicates), "--n-modes", "16")
+        row = doc["results"][0]
+        assert row["replicates"] == replicates
+        assert math.isfinite(float(row["mean"])) and float(row["stderr"]) > 0.0
+
+    def test_verify_observable_takes_any_replicate_count(self, capsys):
+        # 4010 replicates in 50 batches of 80, the last 10 in the mean alone
+        code, out, err = run_cli(capsys, "verify", "--suite", "observable", "--seed", "1",
+                                 "--replicates", "4010", "--n-modes", "64")
+        assert (code, err) == (0, "")
+        assert {r["metadata"]["replicates"] for r in json.loads(out)} <= {"4010", "16040"}
+
     def test_fewer_than_four_cells_per_mode_is_refused(self, capsys):
         # the grid is always four cells per mode; the flag that once coarsened it is a usage error
         with pytest.raises(SystemExit) as exc:
@@ -341,18 +359,31 @@ class TestStochasticCommands:
     @pytest.mark.parametrize("replicates,batches", [(4001, 50), (333, 33)])
     def test_verify_checks_the_replicate_count_before_any_suite(self, capsys, monkeypatch,
                                                                 replicates, batches):
-        # the observable suite splits --replicates into max(10, min(50, replicates // 10))
-        # batches, which it must divide into
+        # the observable suite's plan is built before any suite runs, so a count below 100
+        # and a plan too large end the run there; any other count reaches the suite in
+        # min(50, replicates // 10) batches, whether or not they divide it
         from gmcint import cli as cli_mod
 
-        calls = []
+        calls, plans = [], []
         monkeypatch.setattr(cli_mod.verify_mod, "run_identity_suite",
                             lambda *args: calls.append(args) or [])
-        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--seed", "1",
+        for plan, message in [
+                (["--replicates", "55"], "need at least 100 replicates, got 55"),
+                (["--replicates", str(replicates), "--n-modes", str(2**21)],
+                 f"plan too large: at most 100000000 replicates and 1048576 modes, "
+                 f"got {replicates} and 2097152")]:
+            code, out, err = run_cli(capsys, "verify", "--suite", "all", "--seed", "1", *plan)
+            assert (code, out, calls) == (1, "", [])
+            assert err == f"error: {message}\n"
+
+        def stop(params, tchis, cfg, threads=1):
+            plans.append((cfg.replicates, cfg.batches))
+            raise DomainError("stopped")
+
+        monkeypatch.setattr(cli_mod.verify_mod, "mc_moments", stop)
+        code, out, err = run_cli(capsys, "verify", "--suite", "observable", "--seed", "1",
                                  "--replicates", str(replicates))
-        assert (code, out, calls) == (1, "", [])
-        assert err == (f"error: --replicates must be divisible by its batch count, {batches}, "
-                       f"got {replicates}\n")
+        assert (code, out, err, plans) == (1, "", "error: stopped\n", [(replicates, batches)])
 
     def test_verify_observable_refuses_a_rerun_plan_before_simulating(self, capsys, monkeypatch):
         # the rerun takes four times the replicates; a plan cap below that ends the
@@ -683,8 +714,9 @@ def test_closed_form_argv_ends_in_exit_code(command, data):
 # Each example starts from a valid argv and redraws up to three of its flags,
 # so that it gets past the first check.  Counts come from small sets, the
 # invalid -1, 0 and 99 among them, so that no example asks for unbounded
-# work; threads are only ever 1 or 2.
-_COUNT = st.sampled_from(["-1", "0", "99", "100", "200"])
+# work; 105 and 1010 are replicate counts that their batch counts do not
+# divide.  Threads are only ever 1 or 2.
+_COUNT = st.sampled_from(["-1", "0", "99", "100", "200", "105", "1010"])
 _MC_VALID = {"--seed": "7", "--replicates": "100", "--n-modes": "8", "--threads": "1"}
 _MC_DRAWS = {"--seed": st.sampled_from(["-1", "0", "7", str(2**70)]), "--replicates": _COUNT,
              "--n-modes": st.sampled_from(["-1", "0", "99", "8", "32"]),

@@ -27,6 +27,7 @@ from gmcint.exactlaw import (
     law_decomposition_log_moment,
     log_exact_moment,
     log_exact_moments,
+    log_reflection_boundary_1d,
     log_reflection_bulk_2d,
     predict_observable,
     reflection_boundary_1d,
@@ -687,6 +688,53 @@ def test_small_gamma_limit():
     gap = np.abs(r1_next - r1)
     assert np.all(np.abs(r2 - k) <= 0.25 * gap + 1e-12)
     assert np.all(gap <= 5e-3 * k)
+
+
+def test_pole_limit():
+    # With a = -gamma alpha / 2 the moment's first pole is s = (2/gamma)(Q - alpha), and
+    # (s - p) M(p) -> s Rbar_1(alpha) as p rises to s, for any b whose own pole lies beyond
+    # s.  r(h) = h M(s - h) / (s Rbar_1(alpha)), taken in logs, is 1 + O(h); one Richardson
+    # step over h = 1e-4 and 2e-4 gives R, and the gap |r(1e-4) - r(2e-4)| bounds its
+    # error.  The domain: gamma log-uniform in [0.05, 1.95], alpha in (gamma/2, Q), b in
+    # [-0.9, 3], with the next pole, min(4/gamma^2, 1 + (4/gamma^2)(1 + b)), at least 0.05
+    # beyond s.  Bounds fixed before the run; on these 450 points error/gap read at most
+    # 0.026, the gap at most 2.2e-3, and the worst error 7.9e-6.
+    rng = np.random.default_rng(1514)
+    hs = np.array([1e-4, 2e-4])
+    checked = 0
+    for _ in range(500):
+        g = math.exp(rng.uniform(math.log(0.05), math.log(1.95)))
+        q = g / 2.0 + 2.0 / g
+        alpha, b = rng.uniform(g / 2.0, q), rng.uniform(-0.9, 3.0)
+        s = (2.0 / g) * (q - alpha)
+        if min(4.0 / (g * g), 1.0 + 4.0 / (g * g) * (1.0 + b)) - s < 0.05:
+            continue
+        ln_m = log_exact_moments([GmcParams(g, s - h, -g * alpha / 2.0, b) for h in hs])
+        r = np.exp(np.log(hs) + ln_m - math.log(s) - log_reflection_boundary_1d(g, alpha))
+        gap = abs(r[0] - r[1])
+        assert abs(2.0 * r[0] - r[1] - 1.0) <= 0.25 * gap + 1e-10, (g, alpha, b)
+        assert gap <= 0.05, (g, alpha, b)
+        checked += 1
+    assert checked == 450
+
+
+def test_critical_limit():
+    # As gamma -> 2, ln M(gamma, p, 0, 0) - p ln(2 - gamma) tends to the log of the
+    # derivative martingale's moment, with an O(2 - gamma) gap.  r(d) at d = 2 - gamma =
+    # 4e-3, 2e-3 and 1e-3; two Richardson steps give R2, and the gap between the first
+    # step's two values, R1 and R1', bounds its error.  Bounds fixed before the run; on
+    # these 59 p error/gap read at most 0.0083, the gap at most 2.5e-4, and the worst
+    # error 2.0e-6, at p = 0.9, where the moment's own bound 4/gamma^2 tends to 1.
+    ps = np.linspace(-5.0, 0.9, 59)
+    rs = [log_exact_moments([GmcParams(2.0 - d, p, 0.0, 0.0) for p in ps]) - ps * math.log(d)
+          for d in (4e-3, 2e-3, 1e-3)]
+    r1 = 2.0 * rs[1] - rs[0]
+    r1_next = 2.0 * rs[2] - rs[1]
+    r2 = (4.0 * r1_next - r1) / 3.0
+    target = np.array([math.log(derivative_martingale_moment(p)) for p in ps.tolist()])
+    gap = np.abs(r1_next - r1)
+    assert np.all(np.abs(r2 - target) <= 0.25 * gap + 1e-10)
+    assert np.all(gap <= 1e-3)
 
 
 def test_signed_sum_agrees_with_eight_values():

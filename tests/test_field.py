@@ -451,8 +451,9 @@ class TestCovariance:
         chunk = 10_000
         for start in range(0, reps, chunk):
             alphas = np.empty((chunk, n_modes + 1))
-            for r in range(chunk):
-                alphas[r] = replicate_stream(99, start + r).standard_normal(n_modes + 1)
+            bit_generator = np.random.Philox(0)  # re-keyed per replicate: the same streams
+            for r, row in enumerate(alphas, start):
+                replicate_rng(99, r, bit_generator).standard_normal(out=row)
             prods = (alphas @ wx) * (alphas @ wy)
             acc += prods.sum()
             acc_sq += (prods**2).sum()

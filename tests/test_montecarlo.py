@@ -101,21 +101,42 @@ class TestMcMoment:
             with pytest.raises(DomainError, match="plan too large"):
                 McConfig(replicates, n_modes, 1, batches=10)
         # only the moment estimator forms batch means, so only it checks the batch
-        # count, before any field is simulated
-        plans = {"need at least 10 batches": McConfig(1000, 256, 1, batches=7),
-                 "not divisible": McConfig(1001, 256, 1, batches=10)}
+        # count, 10 to replicates, before any field is simulated
+        plans = [McConfig(1000, 256, 1, batches=7), McConfig(1000, 256, 1, batches=1001)]
         calls = []
         with monkeypatch.context() as m:
             m.setattr(montecarlo, "_simulate_integrals", lambda *args: calls.append(args))
-            for message, cfg in plans.items():
-                with pytest.raises(DomainError, match=message):
+            for cfg in plans:
+                with pytest.raises(DomainError,
+                                   match=f"need 10 to 1000 batches, got {cfg.batches}$"):
                     mc_moment(GmcParams(1.0, -0.5, 0.0, 0.0), 0.0, 0.0, cfg)
         assert calls == []
-        for cfg in plans.values():
+        for cfg in plans:
             fit = mc_tail_fit(1.0, 1.2, 1.0, np.array([0.5, 1.0]), cfg)
             assert fit.counts.sum() > 0
             res = mc_small_deviation(1.0, np.array([0.5, 1.0]), cfg)
             assert sum(pt.count for pt in res.points) > 0
+        # a count the batches do not divide runs
+        est = mc_moment(GmcParams(1.0, -0.5, 0.0, 0.0), 0.0, 0.0,
+                        McConfig(1001, 256, 1, batches=10))
+        assert est.replicates == 1001 and est.stderr > 0.0
+
+    @pytest.mark.parametrize("replicates,batches", [(1000, 10), (1000, 50), (1001, 10)])
+    def test_stderr_is_the_spread_of_whole_batches(self, replicates, batches):
+        # batches of replicates // batches; a remainder counts in the mean and in no batch
+        params = GmcParams(1.0, -0.5, 0.2, 0.1)
+        cfg = McConfig(replicates, 64, 17, batches)
+        est = mc_moment(params, -0.5, 1.0, cfg)
+        weights = cell_weights(cfg.grid, 64, 0.2, 0.1, -0.5, 1.0)[None]
+        powered = _simulate_integrals(cfg, 1.0, weights, False)[:, 0] ** -0.5
+        assert est.mean == powered.mean()
+        whole = powered[: replicates - replicates % batches]
+        spread = whole.reshape(batches, -1).mean(1).std(ddof=1) / math.sqrt(batches)
+        if replicates % batches:
+            assert est.stderr == pytest.approx(spread * math.sqrt(len(whole) / replicates),
+                                               rel=1e-15)
+        else:
+            assert est.stderr == spread
 
     def test_negative_and_huge_seeds_accepted(self):
         params = GmcParams(1.0, -1.0, 0.0, 0.0)
